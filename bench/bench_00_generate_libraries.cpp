@@ -19,11 +19,11 @@
 // the checkpoint overhead (sum of per-point publish time over summed
 // per-point compute time) under 2%. Exit code 1 on any violation.
 
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 
 #include "common.hpp"
+#include "common/env.hpp"
 #include "common/thread_pool.hpp"
 
 namespace {
@@ -146,9 +146,7 @@ int main(int argc, char** argv) {
 
   if (argc > 1 && std::string(argv[1]) == "--smoke") return run_smoke();
 
-  const char* speedup_env = std::getenv("ADAPEX_BENCH_SPEEDUP");
-  const bool want_speedup = speedup_env == nullptr ||
-                            std::string(speedup_env) != "0";
+  const bool want_speedup = env::get("ADAPEX_BENCH_SPEEDUP") != "0";
 
   print_header("setup", "AdaPEx design-time flow (library generation)");
   for (const auto& dataset : {cifar10_like_spec(), gtsrb_like_spec()}) {
@@ -156,14 +154,14 @@ int main(int argc, char** argv) {
     const std::size_t threads = spec.num_threads > 0
                                     ? static_cast<std::size_t>(spec.num_threads)
                                     : ThreadPool::env_thread_count();
-    const std::string cached_path = artifact_dir() + "/library_" +
+    const std::string cached_path = default_artifact_dir() + "/library_" +
                                     library_cache_key(spec) + ".json";
     const bool cache_hit = std::filesystem::exists(cached_path);
 
     Timer timer;
     std::cout << "dataset " << dataset.name << " (" << threads
               << " threads)...\n";
-    Library lib = generate_or_load_library(spec, artifact_dir());
+    Library lib = generate_or_load_library(spec, default_artifact_dir());
     const double parallel_s = timer.seconds();
 
     std::string serial_s = "-";

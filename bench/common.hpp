@@ -20,8 +20,6 @@
 
 namespace adapex::bench {
 
-inline std::string artifact_dir() { return default_artifact_dir(); }
-
 inline std::string results_dir() {
   const std::string dir = "results";
   std::filesystem::create_directories(dir);
@@ -40,7 +38,7 @@ inline LibraryGenSpec bench_spec(const SyntheticSpec& dataset) {
 
 /// Loads (or generates) the library for a dataset.
 inline Library bench_library(const SyntheticSpec& dataset) {
-  return generate_or_load_library(bench_spec(dataset), artifact_dir());
+  return generate_or_load_library(bench_spec(dataset), default_artifact_dir());
 }
 
 /// Prints a header naming the paper artifact being regenerated.

@@ -29,14 +29,13 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/error.hpp"
 
 namespace adapex {
@@ -104,19 +103,9 @@ class ThreadPool {
   /// hardware_concurrency when unset (or 1 if even that is unknown).
   /// Throws ConfigError on a non-positive or non-numeric value.
   static std::size_t env_thread_count() {
-    const char* env = std::getenv("ADAPEX_THREADS");
-    if (env == nullptr || *env == '\0') {
-      const unsigned hw = std::thread::hardware_concurrency();
-      return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-    }
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v < 1) {
-      throw ConfigError(std::string("ADAPEX_THREADS must be a positive "
-                                    "integer, got '") +
-                        env + "'");
-    }
-    return static_cast<std::size_t>(v);
+    const unsigned hw = std::thread::hardware_concurrency();
+    return static_cast<std::size_t>(
+        env::positive_int("ADAPEX_THREADS", hw == 0 ? 1 : hw));
   }
 
  private:

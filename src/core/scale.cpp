@@ -1,6 +1,6 @@
 #include "core/scale.hpp"
 
-#include <cstdlib>
+#include "common/env.hpp"
 
 namespace adapex {
 
@@ -44,14 +44,12 @@ ExperimentScale ExperimentScale::paper() {
 }
 
 ExperimentScale ExperimentScale::from_env() {
-  const char* env = std::getenv("ADAPEX_SCALE");
-  const std::string name = env ? env : "small";
+  const std::string name = env::choice(
+      "ADAPEX_SCALE", {"tiny", "small", "medium", "paper"}, "small");
   if (name == "tiny") return tiny();
   if (name == "small") return small_scale();
   if (name == "medium") return medium();
-  if (name == "paper") return paper();
-  throw ConfigError("unknown ADAPEX_SCALE: " + name +
-                    " (expected tiny|small|medium|paper)");
+  return paper();
 }
 
 LibraryGenSpec make_gen_spec(const SyntheticSpec& dataset,

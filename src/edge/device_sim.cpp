@@ -222,8 +222,8 @@ ArrivalOutcome DeviceSim::serve_one(double t, double dispatch_s) {
   }
   const LibraryEntry& entry = manager_.current();
   const double service_s = 1.0 / std::max(entry.ips * speed_, 1e-9);
-  // dispatch_s == t on the legacy path, where both expressions reduce
-  // bit-exactly to the pre-extraction max(0, server_free - t) arithmetic;
+  // dispatch_s == t on the unbatched path, where both expressions reduce
+  // bit-exactly to max(0, server_free - t);
   // batched dispatch separates the queue test (from dispatch time) from the
   // delivered latency (from the request's true arrival).
   const double queue_s = std::max(0.0, server_free_ - dispatch_s);
@@ -404,7 +404,7 @@ void DeviceSim::on_tick(double now) {
   } else if (must_probe || deferred_reconfig_) {
     // deferred_reconfig_: a gate-denied switch re-asks at the last flagged
     // rate until the orchestrator admits it (or the search changes its
-    // mind). Never set on the legacy path (no gate installed).
+    // mind). Never set without a gate.
     Decision d = manager_.select(monitor_.last_flagged_rate() / speed_, now);
     apply_decision(d, now, tp);
   }

@@ -1,21 +1,16 @@
-// Single-device serving simulator — the per-device core of simulate_edge,
-// extracted so the fleet simulator (edge/fleet.hpp) can run N of them behind
-// one event queue.
+// Single-device serving simulator: the per-device core the fleet simulator
+// (edge/fleet.hpp) runs N of behind one event queue; simulate_edge is a
+// fleet of one.
 //
-// A DeviceSim owns exactly the state the monolithic simulate_edge loop used
-// to keep in locals: the RuntimeManager + FaultInjector pair (PR 3/4), the
-// single-server FIFO clock, the workload monitor, the drift detector, the
-// soft-error ledger, and the EdgeMetrics accumulator. The caller owns the
-// clock: it feeds arrivals (on_arrival / serve_batch) and sampling ticks
-// (on_tick) in nondecreasing time order and closes the episode with
-// finalize(). Driven single-handedly at the scenario cadence this class
-// reproduces the pre-extraction simulate_edge byte for byte — simulate_edge
-// itself is now a thin merge loop over one DeviceSim, and the fleet's
-// size-1 identity test pins that equivalence.
+// A DeviceSim owns one device's serving state: the RuntimeManager +
+// FaultInjector pair, the single-server FIFO clock, the workload monitor,
+// the drift detector, the soft-error ledger, and the EdgeMetrics
+// accumulator. The caller owns the clock: it feeds arrivals (on_arrival /
+// serve_batch) and sampling ticks (on_tick) in nondecreasing time order and
+// closes the episode with finalize().
 //
-// Three hooks exist purely for the fleet layer and are inert at their
-// defaults (the legacy path never installs them, so the extraction cannot
-// perturb single-device episodes):
+// Three hooks serve the fleet layer and are inert at their defaults, so a
+// size-1 fleet that installs none reproduces a single-device episode:
 //   - a reconfiguration gate: consulted before any bitstream load attempt;
 //     a denial rolls the manager proposal back (cancel_reconfig — no
 //     failure recorded, no backoff) and re-proposes on later ticks, which
@@ -67,7 +62,7 @@ class DeviceSim {
   DeviceSim(const Library& library, const RuntimePolicy& policy,
             const EdgeScenario& scenario);
 
-  // ---- Fleet hooks (inert at defaults; simulate_edge installs none) ----
+  // ---- Fleet hooks (inert at defaults) ----
 
   /// Gate consulted before every bitstream-load attempt. On denial the
   /// proposal is cancelled (no failure counted, no backoff) and re-proposed
@@ -87,7 +82,7 @@ class DeviceSim {
   // ---- Episode drive (times must be fed in nondecreasing order) ----
 
   /// One request arriving at `t`: monitor count + immediate dispatch (the
-  /// legacy single-device path).
+  /// unbatched path).
   ArrivalOutcome on_arrival(double t);
 
   /// Monitor-counts an arrival without dispatching it (fleet batching
@@ -158,7 +153,7 @@ class DeviceSim {
   bool deferred_reconfig_ = false;
   double deferred_since_ = 0.0;
 
-  // Single-server FIFO + energy integration (simulate_edge locals).
+  // Single-server FIFO + energy integration.
   double server_free_ = 0.0;
   double latency_sum_ms_ = 0.0;
   double accuracy_sum_ = 0.0;

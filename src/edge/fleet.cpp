@@ -1186,6 +1186,12 @@ FleetMetrics simulate_fleet(const Library& library,
   return fm;
 }
 
+EdgeMetrics simulate_edge(const Library& library, const RuntimePolicy& policy,
+                          const EdgeScenario& scenario) {
+  return std::move(
+      simulate_fleet(library, policy, fleet_from_edge(scenario)).devices[0]);
+}
+
 FleetScenario fleet_from_edge(const EdgeScenario& scenario) {
   FleetScenario f;
   f.base = scenario;
@@ -1194,11 +1200,18 @@ FleetScenario fleet_from_edge(const EdgeScenario& scenario) {
   f.devices.push_back(std::move(dev));
   TenantSpec tenant;
   tenant.name = "tenant0";
-  tenant.workload = workload_spec_from(scenario);
+  WorkloadSpec& w = tenant.workload;  // the scenario's full rate and pattern
+  w.pattern = scenario.pattern;
+  w.base_ips = scenario.offered_ips();
+  w.duration_s = scenario.duration_s;
+  w.period_s = scenario.deviation_period_s;
+  w.deviation = scenario.deviation;
+  w.spike_start_s = scenario.spike_start_s;
+  w.spike_duration_s = scenario.spike_duration_s;
+  w.spike_multiplier = scenario.spike_multiplier;
   f.tenants.push_back(std::move(tenant));
-  // Every fleet-level mechanism stays at its inert default: no batching, no
-  // admission control, breakers disabled, staggering off, no domains, no
-  // ejection — the lone device sees exactly the simulate_edge event stream.
+  // Every fleet-level mechanism stays at its inert default (no batching,
+  // admission control, breakers, staggering, domains or ejection).
   return f;
 }
 

@@ -6,11 +6,9 @@
 // flushes, and a fleet orchestrator, in a deterministic total order
 // (time, event rank, device, sequence). Each device wraps the PR 3/4
 // RuntimeManager + FaultInjector stack via DeviceSim, seeded from an
-// independent splitmix64-derived stream per device (uniqueness asserted), so
-// single-device fault sequences stay byte-identical to the single-device
-// simulator: a fleet of size 1 with zero fleet-level faults reproduces
-// simulate_edge event for event (fleet_from_edge + the identity test pin
-// this).
+// independent splitmix64-derived stream per device (uniqueness asserted). A
+// fleet of size 1 with zero fleet-level faults is the single-device
+// simulator: simulate_edge runs simulate_fleet over fleet_from_edge.
 //
 // Fleet-level machinery, all inert at defaults:
 //   - Health-aware load balancing: join-shortest-queue with a sticky
@@ -292,9 +290,8 @@ FleetMetrics simulate_fleet(const Library& library,
 
 /// Wraps a single-device scenario as a degenerate fleet: one device at
 /// speed 1 inheriting the scenario seed, one tenant carrying the scenario's
-/// workload, and every fleet-level mechanism disabled. simulate_fleet on
-/// the result reproduces simulate_edge byte for byte (devices[0] metrics,
-/// trace included).
+/// workload, and every fleet-level mechanism disabled. simulate_edge is
+/// simulate_fleet on the result (devices[0]).
 FleetScenario fleet_from_edge(const EdgeScenario& scenario);
 
 }  // namespace adapex

@@ -6,19 +6,9 @@
 #include <limits>
 #include <sstream>
 
-#include "edge/device_sim.hpp"
-
 namespace adapex {
 
 namespace {
-
-/// Arrival stream from the scenario's workload pattern. A zero-rate fleet
-/// is a valid (ES2) degenerate episode: nothing ever arrives.
-std::vector<double> generate_arrivals(const EdgeScenario& sc) {
-  if (!(sc.offered_ips() > 0.0)) return {};
-  WorkloadModel model(workload_spec_from(sc), sc.seed);
-  return model.generate_arrivals();
-}
 
 /// ES1–ES10: the scenario fields themselves, without the fault-spec merge
 /// (shared by both lint_edge_scenario overloads).
@@ -157,12 +147,6 @@ void require_valid_edge_scenario(const EdgeScenario& scenario) {
   if (report.has_errors()) throw ConfigError(report.error_message());
 }
 
-void require_valid_edge_scenario(const EdgeScenario& scenario,
-                                 const Library& library) {
-  const analysis::LintReport report = lint_edge_scenario(scenario, library);
-  if (report.has_errors()) throw ConfigError(report.error_message());
-}
-
 Json EdgeMetrics::to_json() const {
   Json j = Json::object();
   visit_metric_scalars(*this, [&](const char* name, double value) {
@@ -192,47 +176,6 @@ std::string EdgeMetrics::csv_row() const {
     first = false;
   });
   return os.str();
-}
-
-WorkloadSpec workload_spec_from(const EdgeScenario& scenario) {
-  WorkloadSpec spec;
-  spec.pattern = scenario.pattern;
-  spec.base_ips = scenario.offered_ips();
-  spec.duration_s = scenario.duration_s;
-  spec.period_s = scenario.deviation_period_s;
-  spec.deviation = scenario.deviation;
-  spec.spike_start_s = scenario.spike_start_s;
-  spec.spike_duration_s = scenario.spike_duration_s;
-  spec.spike_multiplier = scenario.spike_multiplier;
-  return spec;
-}
-
-EdgeMetrics simulate_edge(const Library& library, const RuntimePolicy& policy,
-                          const EdgeScenario& scenario) {
-  require_valid_edge_scenario(scenario, library);
-  const std::vector<double> arrivals = generate_arrivals(scenario);
-
-  // The per-device core lives in DeviceSim (edge/device_sim.hpp) so the
-  // fleet simulator can run N of them; this wrapper is the legacy
-  // single-device drive loop. The merge rule is load-bearing: a sampling
-  // tick runs only when strictly earlier than the next arrival (ties go to
-  // the arrival), and the fleet event queue reproduces exactly this order.
-  DeviceSim dev(library, policy, scenario);
-  double next_sample = scenario.sample_period_s;
-  std::size_t ai = 0;
-  while (ai < arrivals.size() || next_sample < scenario.duration_s) {
-    const double next_arrival =
-        ai < arrivals.size() ? arrivals[ai] : scenario.duration_s + 1.0;
-    if (next_sample < next_arrival && next_sample < scenario.duration_s) {
-      dev.on_tick(next_sample);
-      next_sample += scenario.sample_period_s;
-      continue;
-    }
-    if (ai >= arrivals.size()) break;
-    dev.on_arrival(arrivals[ai++]);
-  }
-  dev.finalize(scenario.duration_s);
-  return std::move(dev.metrics());
 }
 
 EdgeMetrics simulate_edge_runs(const Library& library,

@@ -87,14 +87,12 @@ struct EdgeScenario {
 analysis::LintReport lint_edge_scenario(const EdgeScenario& scenario);
 
 /// Library-aware overload: additionally checks the scenario's mitigations
-/// against the library (RF6). simulate_edge uses this one.
+/// against the library (RF6). simulate_edge and simulate_fleet use this one.
 analysis::LintReport lint_edge_scenario(const EdgeScenario& scenario,
                                         const Library& library);
 
 /// Throws ConfigError listing every violation; no-op on a valid scenario.
 void require_valid_edge_scenario(const EdgeScenario& scenario);
-void require_valid_edge_scenario(const EdgeScenario& scenario,
-                                 const Library& library);
 
 /// One sampling-tick snapshot (drives the Figure 3 runtime trace).
 struct TracePoint {
@@ -183,12 +181,9 @@ struct EdgeMetrics {
   std::string csv_row() const;
 };
 
-/// The single-tenant WorkloadSpec simulate_edge derives from a scenario
-/// (the scenario's full offered rate and pattern). Exposed so the fleet
-/// simulator (fleet_from_edge) can build the byte-identical arrival stream.
-WorkloadSpec workload_spec_from(const EdgeScenario& scenario);
-
-/// Runs one episode with the given policy over the library.
+/// Runs one episode with the given policy over the library: a size-1 fleet,
+/// simulate_fleet(library, policy, fleet_from_edge(scenario)).devices[0]
+/// (edge/fleet.hpp).
 EdgeMetrics simulate_edge(const Library& library, const RuntimePolicy& policy,
                           const EdgeScenario& scenario);
 

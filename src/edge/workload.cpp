@@ -27,8 +27,7 @@ std::vector<FleetRequest> generate_fleet_arrivals(
     const std::vector<WorkloadSpec>& tenants, std::uint64_t fleet_seed) {
   std::vector<FleetRequest> merged;
   for (std::size_t k = 0; k < tenants.size(); ++k) {
-    // A zero-rate tenant is a valid degenerate stream: nothing arrives
-    // (mirrors simulate_edge's empty-fleet early return).
+    // A zero-rate tenant is a valid degenerate stream: nothing arrives.
     if (!(tenants[k].base_ips > 0.0)) continue;
     WorkloadModel model(tenants[k],
                         tenant_stream_seed(fleet_seed, k, tenants.size()));

@@ -4,12 +4,12 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <system_error>
 
 #include "common/integrity.hpp"
 #include "library/generator.hpp"
+#include "nn/quant.hpp"
 
 namespace adapex {
 
@@ -338,22 +338,21 @@ analysis::LintReport lint_gen_spec(const LibraryGenSpec& spec) {
   // RQ3: the ADAPEX_PACKED override must parse; an explicit spec path that
   // contradicts it is surfaced so nobody is surprised which path ran (the
   // spec wins over the environment).
-  const char* env = std::getenv("ADAPEX_PACKED");
-  if (env != nullptr && *env != '\0') {
-    const std::string v(env);
-    if (v != "0" && v != "1" && v != "auto") {
-      report.add("RQ3", analysis::Severity::kError, "eval_path",
-                 "ADAPEX_PACKED='" + v + "' is not a valid packed-path mode",
-                 "use ADAPEX_PACKED=0, 1, or auto");
-    } else if (eval_path_valid && spec.eval_path != "auto" &&
-               ((spec.eval_path == "float" && v == "1") ||
-                (spec.eval_path == "packed" && v == "0"))) {
+  try {
+    const PackedMode mode = packed_mode_from_env();
+    if (eval_path_valid &&
+        ((spec.eval_path == "float" && mode == PackedMode::kOn) ||
+         (spec.eval_path == "packed" && mode == PackedMode::kOff))) {
       report.add("RQ2", analysis::Severity::kWarning, "eval_path",
                  "spec eval_path '" + spec.eval_path +
-                     "' overrides the conflicting ADAPEX_PACKED=" + v +
+                     "' overrides the conflicting ADAPEX_PACKED=" +
+                     (mode == PackedMode::kOn ? "1" : "0") +
                      " environment setting",
                  "drop one of the two overrides (spec wins)");
     }
+  } catch (const ConfigError& e) {
+    report.add("RQ3", analysis::Severity::kError, "eval_path", e.what(),
+               "use ADAPEX_PACKED=0, 1, or auto");
   }
 
   return report;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "common/env.hpp"
 #include "nn/branchy.hpp"
 #include "tensor/ops.hpp"
 
@@ -373,15 +374,11 @@ PackedModel freeze_packed(const BranchyModel& model) {
 }
 
 PackedMode packed_mode_from_env() {
-  const char* env = std::getenv("ADAPEX_PACKED");
-  if (env == nullptr || *env == '\0') return PackedMode::kAuto;
-  const std::string v(env);
+  const std::string v =
+      env::choice("ADAPEX_PACKED", {"0", "1", "auto"}, "auto");
   if (v == "0") return PackedMode::kOff;
   if (v == "1") return PackedMode::kOn;
-  if (v == "auto") return PackedMode::kAuto;
-  throw ConfigError("ADAPEX_PACKED='" + v +
-                    "' is not a valid packed-path mode (expected 0, 1, or "
-                    "auto; rule RQ3)");
+  return PackedMode::kAuto;
 }
 
 // ----------------------------------------------------------- packed forward

@@ -2,23 +2,22 @@
 //
 // kernels_core.inl is compiled three times below — SSE2 (the x86-64
 // baseline every build targets), AVX2, and AVX-512 — via `#pragma GCC
-// target` regions, and the widest tier the host CPU supports is picked once
-// at startup. All tiers perform identical float operations in identical
-// per-element order (this translation unit is built with -ffp-contract=off,
-// see src/CMakeLists.txt), so the dispatch choice never changes results —
-// it only changes how many independent output columns one instruction
-// covers.
+// target` regions, and common/isa_dispatch.hpp picks the widest tier the
+// host CPU supports at first use. All tiers perform identical float
+// operations in identical per-element order (this translation unit is built
+// with -ffp-contract=off, see src/CMakeLists.txt), so the dispatch choice
+// never changes results — it only changes how many independent output
+// columns one instruction covers.
 
 #include "tensor/kernels.hpp"
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/isa_dispatch.hpp"
 
 namespace adapex::kernels {
 
@@ -56,8 +55,7 @@ namespace sse2 {
 #undef ADAPEX_K_NR
 }  // namespace sse2
 
-#if defined(__GNUC__) && defined(__x86_64__)
-#define ADAPEX_K_MULTIVERSION 1
+#ifdef ADAPEX_ISA_MULTIVERSION
 #pragma GCC push_options
 #pragma GCC target("avx2")
 namespace avx2 {
@@ -79,7 +77,7 @@ namespace avx512 {
 #undef ADAPEX_K_NR
 }  // namespace avx512
 #pragma GCC pop_options
-#endif  // ADAPEX_K_MULTIVERSION
+#endif  // ADAPEX_ISA_MULTIVERSION
 
 // ----------------------------------------------------------------- dispatch
 
@@ -92,65 +90,28 @@ using GemmDotFn = void (*)(const float*, const float*, const float*, float*,
 
 struct KernelTable {
   const char* name;
+  bool (*supported)();
   GemmDirectFn direct;
   GemmDotFn dot;
   int nr;  // sliver width: columns below this run in the scalar tail
 };
 
-constexpr KernelTable kSse2Table{"sse2", &sse2::tier_gemm_direct,
-                                 &sse2::tier_gemm_dot, sse2::kNR};
-#ifdef ADAPEX_K_MULTIVERSION
-constexpr KernelTable kAvx2Table{"avx2", &avx2::tier_gemm_direct,
-                                 &avx2::tier_gemm_dot, avx2::kNR};
-constexpr KernelTable kAvx512Table{"avx512", &avx512::tier_gemm_direct,
-                                   &avx512::tier_gemm_dot, avx512::kNR};
+constexpr KernelTable kTiers[] = {
+#ifdef ADAPEX_ISA_MULTIVERSION
+    {"avx512", &isa::has_avx512, &avx512::tier_gemm_direct,
+     &avx512::tier_gemm_dot, avx512::kNR},
+    {"avx2", &isa::has_avx2, &avx2::tier_gemm_direct, &avx2::tier_gemm_dot,
+     avx2::kNR},
 #endif
+    {"sse2", &isa::baseline, &sse2::tier_gemm_direct, &sse2::tier_gemm_dot,
+     sse2::kNR},
+};
 
-bool host_supports(const std::string& name) {
-  if (name == "sse2") return true;
-#ifdef ADAPEX_K_MULTIVERSION
-  if (name == "avx2") return __builtin_cpu_supports("avx2") != 0;
-  if (name == "avx512") {
-    return __builtin_cpu_supports("avx512f") != 0 &&
-           __builtin_cpu_supports("avx512vl") != 0 &&
-           __builtin_cpu_supports("avx512bw") != 0 &&
-           __builtin_cpu_supports("avx512dq") != 0;
-  }
-#endif
-  return false;
-}
+using Dispatch = isa::TierDispatch<KernelTable>;
 
-const KernelTable& table_for(const std::string& name) {
-#ifdef ADAPEX_K_MULTIVERSION
-  if (name == "avx512") return kAvx512Table;
-  if (name == "avx2") return kAvx2Table;
-#endif
-  if (name == "sse2") return kSse2Table;
-  throw ConfigError("unknown kernel ISA '" + name +
-                    "' (expected avx512|avx2|sse2)");
-}
-
-const KernelTable* select_table(const std::string& name) {
-  if (!host_supports(name)) {
-    throw ConfigError("kernel ISA '" + name + "' not supported by this CPU");
-  }
-  return &table_for(name);
-}
-
-const KernelTable* initial_table() {
-  if (const char* env = std::getenv("ADAPEX_KERNEL_ISA");
-      env != nullptr && *env != '\0') {
-    return select_table(env);
-  }
-  for (const char* name : {"avx512", "avx2"}) {
-    if (host_supports(name)) return &table_for(name);
-  }
-  return &kSse2Table;
-}
-
-const KernelTable*& active_table() {
-  static const KernelTable* table = initial_table();
-  return table;
+Dispatch& dispatch() {
+  static Dispatch d(kTiers, "ADAPEX_KERNEL_ISA", "kernel");
+  return d;
 }
 
 // ---------------------------------------------------------- adaptive dispatch
@@ -166,25 +127,14 @@ const KernelTable*& active_table() {
 // contract; results are byte-identical either way). The density crossover
 // was measured on the tiny-scale CNV conv shapes; the A scan it needs is
 // M x K loads against a 2 x M x K x N flop kernel, i.e. noise.
-// ADAPEX_KERNEL_MIN_DENSITY overrides the crossover (0 = always blocked,
-// >1 = always scalar) — a tuning/diagnostic knob, never a numerics one.
-float min_blocked_density() {
-  static const float value = [] {
-    if (const char* env = std::getenv("ADAPEX_KERNEL_MIN_DENSITY");
-        env != nullptr && *env != '\0') {
-      return std::strtof(env, nullptr);
-    }
-    return 0.3f;
-  }();
-  return value;
-}
+constexpr float kMinBlockedDensity = 0.3f;
 
 bool blocked_profitable(const float* a, std::size_t len, int n, int nr) {
   if (n < nr) return false;
   std::size_t nnz = 0;
   for (std::size_t i = 0; i < len; ++i) nnz += a[i] != 0.0f ? 1u : 0u;
   return static_cast<float>(nnz) >=
-         min_blocked_density() * static_cast<float>(len);
+         kMinBlockedDensity * static_cast<float>(len);
 }
 
 // Scalar direct kernel with the fused bias/ReLU epilogues: the reference
@@ -213,18 +163,15 @@ void scalar_direct(const float* a, const float* b, const float* row_bias,
 
 }  // namespace
 
-const char* active_isa() { return active_table()->name; }
+const char* active_isa() { return dispatch().active().name; }
 
-void force_isa(const char* name) {
-  ADAPEX_CHECK(name != nullptr, "force_isa: null name");
-  active_table() = select_table(name);
-}
+void force_isa(const char* name) { dispatch().force(name); }
 
 // ------------------------------------------------------------ public kernels
 
 void gemm_accumulate(const float* a, const float* b, float* c, int m, int k,
                      int n) {
-  const KernelTable& t = *active_table();
+  const KernelTable& t = dispatch().active();
   if (!blocked_profitable(a, static_cast<std::size_t>(m) * k, n, t.nr)) {
     scalar_direct(a, b, nullptr, c, m, k, n, Epilogue::kNone);
     return;
@@ -235,7 +182,7 @@ void gemm_accumulate(const float* a, const float* b, float* c, int m, int k,
 void gemm_bias_accumulate(const float* a, const float* b,
                           const float* row_bias, float* c, int m, int k, int n,
                           Epilogue epilogue) {
-  const KernelTable& t = *active_table();
+  const KernelTable& t = dispatch().active();
   if (!blocked_profitable(a, static_cast<std::size_t>(m) * k, n, t.nr)) {
     scalar_direct(a, b, row_bias, c, m, k, n, epilogue);
     return;
@@ -245,7 +192,7 @@ void gemm_bias_accumulate(const float* a, const float* b,
 
 void gemm_at_b_accumulate(const float* a, const float* b, float* c, int m,
                           int k, int n) {
-  const KernelTable& t = *active_table();
+  const KernelTable& t = dispatch().active();
   if (!blocked_profitable(a, static_cast<std::size_t>(k) * m, n, t.nr)) {
     ref::gemm_at_b_accumulate(a, b, c, m, k, n);
     return;
@@ -268,12 +215,12 @@ void gemm_at_b_accumulate(const float* a, const float* b, float* c, int m,
 // the dot form has no zero skip for sparsity to feed.
 void gemm_a_bt_accumulate(const float* a, const float* b, float* c, int m,
                           int k, int n) {
-  active_table()->dot(a, b, nullptr, c, m, k, n, Epilogue::kNone);
+  dispatch().active().dot(a, b, nullptr, c, m, k, n, Epilogue::kNone);
 }
 
 void gemm_a_bt_bias(const float* a, const float* b, const float* col_bias,
                     float* c, int m, int k, int n, Epilogue epilogue) {
-  active_table()->dot(a, b, col_bias, c, m, k, n, epilogue);
+  dispatch().active().dot(a, b, col_bias, c, m, k, n, epilogue);
 }
 
 // ------------------------------------------------------- naive references

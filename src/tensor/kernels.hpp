@@ -4,8 +4,9 @@
 // register-tiled GEMM kernels with B-panel packing and a j-vectorized inner
 // loop (compiler auto-vectorization over contiguous output columns). The
 // implementation is compiled three times — SSE2 baseline, AVX2, AVX-512 —
-// and the widest variant the host supports is selected once at runtime, so
-// default (non -march=native) builds still use wide vectors.
+// and the widest variant the host supports is selected once at runtime
+// (common/isa_dispatch.hpp), so default (non -march=native) builds still use
+// wide vectors.
 //
 // Determinism contract (see DESIGN.md "Kernel layer"): every kernel performs
 //, per output element, exactly the same sequence of float operations as the
@@ -25,8 +26,7 @@
 // implementation is faster per call: the direct kernels fall back to the
 // scalar reference form when N is narrower than one sliver or when A is
 // mostly exact zeros (pruned/quantized weights), where the naive zero-skip
-// beats packing. ADAPEX_KERNEL_MIN_DENSITY overrides the measured density
-// crossover (0 = always blocked, >1 = always scalar) for tuning. The choice
+// beats packing (below the measured 0.3 density crossover). The choice
 // never changes the output bytes.
 
 #pragma once

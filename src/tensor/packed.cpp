@@ -1,9 +1,9 @@
 // Bit-plane packing + popcount-GEMM dispatch (see packed.hpp for the
 // layout and the popcount identity; packed_core.inl for the tier bodies).
 //
-// Mirrors the float kernel layer's dispatch (tensor/kernels.cpp): the tier
-// bodies are compiled under `#pragma GCC target` regions, the widest tier
-// the host CPU supports is picked once at startup, ADAPEX_PACKED_ISA
+// Shares the float kernel layer's dispatch (common/isa_dispatch.hpp): the
+// tier bodies are compiled under `#pragma GCC target` regions, the widest
+// tier the host CPU supports is picked at first use, ADAPEX_PACKED_ISA
 // overrides it, and force_isa() re-pins it for tests. Unlike the float
 // kernels there is no determinism contract to uphold across tiers — the
 // reduction is an exact integer, identical everywhere by construction.
@@ -12,16 +12,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/isa_dispatch.hpp"
 
-#if defined(__GNUC__) && defined(__x86_64__)
+#ifdef ADAPEX_ISA_MULTIVERSION
 #include <immintrin.h>
-#define ADAPEX_P_MULTIVERSION 1
 #endif
 
 namespace adapex::packed {
@@ -218,7 +217,7 @@ namespace scalar {
 #undef ADAPEX_P_LEVEL
 }  // namespace scalar
 
-#ifdef ADAPEX_P_MULTIVERSION
+#ifdef ADAPEX_ISA_MULTIVERSION
 #pragma GCC push_options
 #pragma GCC target("avx2")
 namespace avx2 {
@@ -245,7 +244,7 @@ namespace avx512vp {
 #undef ADAPEX_P_LEVEL
 }  // namespace avx512vp
 #pragma GCC pop_options
-#endif  // ADAPEX_P_MULTIVERSION
+#endif  // ADAPEX_ISA_MULTIVERSION
 
 // ----------------------------------------------------------------- dispatch
 
@@ -256,77 +255,31 @@ using GemmFn = void (*)(const PackedWeights&, const PackedActivations&,
 
 struct PackedTable {
   const char* name;
+  bool (*supported)();
   GemmFn gemm;
 };
 
-constexpr PackedTable kScalarTable{"scalar", &scalar::tier_popcount_gemm};
-#ifdef ADAPEX_P_MULTIVERSION
-constexpr PackedTable kAvx2Table{"avx2", &avx2::tier_popcount_gemm};
-constexpr PackedTable kAvx512Table{"avx512", &avx512::tier_popcount_gemm};
-constexpr PackedTable kAvx512VpTable{"avx512vp",
-                                     &avx512vp::tier_popcount_gemm};
+constexpr PackedTable kTiers[] = {
+#ifdef ADAPEX_ISA_MULTIVERSION
+    {"avx512vp", &isa::has_avx512vpopcntdq, &avx512vp::tier_popcount_gemm},
+    {"avx512", &isa::has_avx512, &avx512::tier_popcount_gemm},
+    {"avx2", &isa::has_avx2, &avx2::tier_popcount_gemm},
 #endif
+    {"scalar", &isa::baseline, &scalar::tier_popcount_gemm},
+};
 
-bool host_supports(const std::string& name) {
-  if (name == "scalar") return true;
-#ifdef ADAPEX_P_MULTIVERSION
-  if (name == "avx2") return __builtin_cpu_supports("avx2") != 0;
-  if (name == "avx512") {
-    return __builtin_cpu_supports("avx512f") != 0 &&
-           __builtin_cpu_supports("avx512bw") != 0 &&
-           __builtin_cpu_supports("avx512vl") != 0 &&
-           __builtin_cpu_supports("avx512dq") != 0;
-  }
-  if (name == "avx512vp") {
-    return host_supports("avx512") &&
-           __builtin_cpu_supports("avx512vpopcntdq") != 0;
-  }
-#endif
-  return false;
-}
+using Dispatch = isa::TierDispatch<PackedTable>;
 
-const PackedTable& table_for(const std::string& name) {
-#ifdef ADAPEX_P_MULTIVERSION
-  if (name == "avx512vp") return kAvx512VpTable;
-  if (name == "avx512") return kAvx512Table;
-  if (name == "avx2") return kAvx2Table;
-#endif
-  if (name == "scalar") return kScalarTable;
-  throw ConfigError("unknown packed ISA '" + name +
-                    "' (expected avx512vp|avx512|avx2|scalar)");
-}
-
-const PackedTable* select_table(const std::string& name) {
-  if (!host_supports(name)) {
-    throw ConfigError("packed ISA '" + name + "' not supported by this CPU");
-  }
-  return &table_for(name);
-}
-
-const PackedTable* initial_table() {
-  if (const char* env = std::getenv("ADAPEX_PACKED_ISA");
-      env != nullptr && *env != '\0') {
-    return select_table(env);
-  }
-  for (const char* name : {"avx512vp", "avx512", "avx2"}) {
-    if (host_supports(name)) return &table_for(name);
-  }
-  return &kScalarTable;
-}
-
-const PackedTable*& active_table() {
-  static const PackedTable* table = initial_table();
-  return table;
+Dispatch& dispatch() {
+  static Dispatch d(kTiers, "ADAPEX_PACKED_ISA", "packed");
+  return d;
 }
 
 }  // namespace
 
-const char* active_isa() { return active_table()->name; }
+const char* active_isa() { return dispatch().active().name; }
 
-void force_isa(const char* name) {
-  ADAPEX_CHECK(name != nullptr, "force_isa: null name");
-  active_table() = select_table(name);
-}
+void force_isa(const char* name) { dispatch().force(name); }
 
 void popcount_gemm(const PackedWeights& weights, const PackedActivations& acts,
                    const Epilogue& epilogue) {
@@ -334,7 +287,7 @@ void popcount_gemm(const PackedWeights& weights, const PackedActivations& acts,
                "popcount_gemm: reduction length mismatch (" +
                    std::to_string(weights.k) + " vs " +
                    std::to_string(acts.k) + ")");
-  active_table()->gemm(weights, acts, epilogue);
+  dispatch().active().gemm(weights, acts, epilogue);
 }
 
 }  // namespace adapex::packed

@@ -28,9 +28,9 @@
 // Tiers: "scalar" (hardware popcnt via __builtin_popcountll), "avx2"
 // (vpshufb nibble-LUT popcount + vpsadbw), "avx512" (the same algorithm on
 // 512-bit registers, gated on AVX-512BW/VL), and "avx512vp" (native
-// vpopcntq, gated on AVX512VPOPCNTDQ). Selection follows the kernel layer's
-// pattern: widest supported tier at startup, ADAPEX_PACKED_ISA env
-// override, force_isa() for tests.
+// vpopcntq, gated on AVX512VPOPCNTDQ). Selection is the kernel layer's
+// (common/isa_dispatch.hpp): widest supported tier at first use,
+// ADAPEX_PACKED_ISA env override, force_isa() for tests.
 //
 // Lanes beyond K in the last word are zero in every plane (pack_* zeroes
 // them; pruned channel counts make non-multiple-of-64 K the common case),
