@@ -1,5 +1,7 @@
 #include "analysis/diagnostics.hpp"
 
+#include <sstream>
+
 #include "common/json.hpp"
 #include "common/table.hpp"
 
@@ -102,6 +104,60 @@ std::string LintReport::error_message() const {
                     (errors.size() == 1 ? "" : "s") + ":";
   for (const auto& d : errors) msg += "\n  " + d.str();
   return msg;
+}
+
+void LintReport::throw_if_errors() const {
+  if (has_errors()) throw ConfigError(error_message());
+}
+
+namespace {
+
+/// Shortest natural rendering: 3, -1, 0.15, 1e+20, nan.
+std::string format_value(double value) {
+  std::ostringstream os;
+  os << value;
+  return os.str();
+}
+
+}  // namespace
+
+bool SpecCheck::check(bool ok, const char* rule, const char* field,
+                      double value, const std::string& range,
+                      const char* hint) {
+  if (!ok) {
+    report_.add(rule, Severity::kError, site_,
+                std::string(field) + " = " + format_value(value) +
+                    " is not " + range,
+                hint);
+  }
+  return ok;
+}
+
+bool SpecCheck::positive(const char* rule, const char* field, double value,
+                         const char* hint) {
+  return check(value > 0.0, rule, field, value, "> 0", hint);
+}
+
+bool SpecCheck::non_negative(const char* rule, const char* field,
+                             double value, const char* hint) {
+  return check(value >= 0.0, rule, field, value, ">= 0", hint);
+}
+
+bool SpecCheck::at_least(const char* rule, const char* field, double value,
+                         double min, const char* hint) {
+  return check(value >= min, rule, field, value, ">= " + format_value(min),
+               hint);
+}
+
+bool SpecCheck::within(const char* rule, const char* field, double value,
+                       double lo, double hi, const char* hint, Ends ends) {
+  const bool above = ends == Ends::kOpenLow ? value > lo : value >= lo;
+  const bool below = ends == Ends::kOpenHigh ? value < hi : value <= hi;
+  const std::string range = std::string("in ") +
+                            (ends == Ends::kOpenLow ? "(" : "[") +
+                            format_value(lo) + ", " + format_value(hi) +
+                            (ends == Ends::kOpenHigh ? ")" : "]");
+  return check(above && below, rule, field, value, range, hint);
 }
 
 }  // namespace analysis

@@ -6,11 +6,14 @@
 // anchors to, a human-readable message, and a fix hint. A LintReport
 // aggregates the findings of one verification run and offers severity
 // filtering plus rendering helpers for CLI and error-path consumption.
+// SpecCheck is the shared range-check vocabulary of the spec lints (edge
+// scenario, runtime policy, fault spec, fleet scenario, generation spec).
 
 #pragma once
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace adapex {
@@ -78,6 +81,40 @@ struct LintReport {
   /// Aggregated single-failure message listing every error-severity finding,
   /// for embedding in a thrown ConfigError. Empty when there are no errors.
   std::string error_message() const;
+
+  /// The precondition form of every lint: throws ConfigError carrying
+  /// error_message() when any error-severity finding exists.
+  void throw_if_errors() const;
+};
+
+/// Which ends of a SpecCheck::within range belong to the range.
+enum class Ends { kClosed, kOpenLow, kOpenHigh };
+
+/// Range checks over the fields of one spec struct, reporting into a
+/// LintReport at one site. A failed check adds one error finding
+/// "field = value is not <range>". Every check rejects NaN, like the
+/// `!(x >= 0)` idiom, and returns whether the value passed, so `a && b`
+/// reports only the first bad field of a group one rule checks jointly.
+class SpecCheck {
+ public:
+  SpecCheck(LintReport& report, std::string site)
+      : report_(report), site_(std::move(site)) {}
+
+  bool positive(const char* rule, const char* field, double value,
+                const char* hint);
+  bool non_negative(const char* rule, const char* field, double value,
+                    const char* hint);
+  bool at_least(const char* rule, const char* field, double value, double min,
+                const char* hint);
+  bool within(const char* rule, const char* field, double value, double lo,
+              double hi, const char* hint, Ends ends = Ends::kClosed);
+
+ private:
+  bool check(bool ok, const char* rule, const char* field, double value,
+             const std::string& range, const char* hint);
+
+  LintReport& report_;
+  std::string site_;
 };
 
 }  // namespace analysis

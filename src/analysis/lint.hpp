@@ -42,9 +42,10 @@
 //       reach-weighted module model.
 //
 // Further rule families live next to their subsystems and share this
-// diagnostics infrastructure: the fault-spec rules (runtime/faults.hpp),
-// the edge-scenario and fleet-serving rules FS1-FS8 (edge/fleet.hpp), and
-// the crash-safety generation-spec rules RG1-RG5 (library/journal.hpp):
+// diagnostics infrastructure, their range checks written with
+// analysis::SpecCheck: the fault-spec rules (runtime/faults.hpp), the
+// edge-scenario and fleet-serving rules FS1-FS8 (edge/fleet.hpp), and the
+// crash-safety generation-spec rules RG1-RG5 (library/generator.hpp):
 //
 //   RG1 journal_dir must be a creatable, writable directory (probed).
 //   RG2 max_point_retries bounds: < 0 is an error, > 8 warns.
@@ -54,8 +55,8 @@
 //   RG5 relative journal_dir warns (resume depends on the CWD).
 //
 // compile_accelerator() and generate_library() run the design-level rules as
-// a precondition and reject illegal design points with a single aggregated
-// ConfigError listing every violation (replacing the old first-check-wins
+// a precondition (LintReport::throw_if_errors) and reject illegal design
+// points with a single aggregated ConfigError listing every violation (replacing the old first-check-wins
 // abort). The adapex_lint CLI (examples/adapex_lint.cpp) exposes the same
 // checks over serialized models and folding JSON files.
 
@@ -109,12 +110,6 @@ LintReport lint_folding_json(const Json& folding_json,
 LintReport lint(BranchyModel& model, const FoldingConfig& folding,
                 const AcceleratorConfig& config,
                 const LintOptions& options = LintOptions{});
-
-/// Precondition helper used by compile_accelerator()/generate_library():
-/// runs lint_design and throws ConfigError carrying error_message() when any
-/// error-severity finding exists.
-void require_valid_design(BranchyModel& model, const FoldingConfig& folding,
-                          const AcceleratorConfig& config);
 
 }  // namespace analysis
 }  // namespace adapex

@@ -390,11 +390,5 @@ LintReport lint_design(BranchyModel& model, const FoldingConfig& folding,
   return report;
 }
 
-void require_valid_design(BranchyModel& model, const FoldingConfig& folding,
-                          const AcceleratorConfig& config) {
-  const LintReport report = lint_design(model, folding, config);
-  if (report.has_errors()) throw ConfigError(report.error_message());
-}
-
 }  // namespace analysis
 }  // namespace adapex

@@ -192,7 +192,7 @@ void DeviceSim::apply_decision(Decision& d, double now, TracePoint& tp) {
       tp.reloaded = true;
       had_seu_recovery_ = true;
       post_recovery_acc_sum_ = 0.0;
-      post_recovery_served_ = 0;
+      metrics_.post_recovery_served = 0;
     }
   } else {
     ++metrics_.reconfig_failures;
@@ -244,7 +244,7 @@ ArrivalOutcome DeviceSim::serve_one(double t, double dispatch_s) {
   }
   if (had_seu_recovery_) {
     post_recovery_acc_sum_ += eff_acc;
-    ++post_recovery_served_;
+    ++metrics_.post_recovery_served;
   }
   const double wait_s = std::max(server_free_, dispatch_s) - t;
   const double latency_ms = wait_s * 1e3 + entry.latency_ms / speed_;
@@ -497,31 +497,16 @@ void DeviceSim::finalize(double duration_s) {
   // Upsets still uncaught at episode end never got detected.
   metrics_.seu_undetected += static_cast<int>(undetected_active());
   metrics_.post_recovery_accuracy =
-      post_recovery_served_ > 0
-          ? post_recovery_acc_sum_ / post_recovery_served_
-          : 0.0;
-
-  metrics_.inference_loss_pct =
-      metrics_.offered > 0
-          ? 100.0 * static_cast<double>(metrics_.dropped) / metrics_.offered
+      metrics_.post_recovery_served > 0
+          ? post_recovery_acc_sum_ / metrics_.post_recovery_served
           : 0.0;
   metrics_.accuracy =
       metrics_.served > 0 ? accuracy_sum_ / metrics_.served : 0.0;
   metrics_.avg_latency_ms =
       metrics_.served > 0 ? latency_sum_ms_ / metrics_.served : 0.0;
   metrics_.energy_j = energy_j_;
-  metrics_.avg_power_w = duration_s > 0.0 ? energy_j_ / duration_s : 0.0;
-  metrics_.energy_per_inf_j =
-      metrics_.served > 0 ? energy_j_ / metrics_.served : 0.0;
-  metrics_.edp = metrics_.energy_per_inf_j * (metrics_.avg_latency_ms / 1e3);
-  const double served_fraction =
-      metrics_.offered > 0
-          ? static_cast<double>(metrics_.served) / metrics_.offered
-          : 0.0;
-  metrics_.qoe = metrics_.accuracy * served_fraction;
-  metrics_.availability_pct =
-      100.0 * std::max(0.0, 1.0 - metrics_.dead_time_s / duration_s);
   metrics_.duration_s = duration_s;
+  derive_ratios(metrics_);
 }
 
 }  // namespace adapex

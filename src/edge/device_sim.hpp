@@ -183,7 +183,6 @@ class DeviceSim {
   const LibraryEntry* drift_expect_entry_ = nullptr;
   bool had_seu_recovery_ = false;
   double post_recovery_acc_sum_ = 0.0;
-  long post_recovery_served_ = 0;
 };
 
 }  // namespace adapex

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
 #include <limits>
 #include <memory>
 #include <queue>
 #include <set>
-#include <sstream>
 
 #include "common/rng.hpp"
+#include "edge/metric_fields.hpp"
 
 namespace adapex {
 
@@ -21,6 +20,10 @@ namespace {
 // fault timeline.
 constexpr std::uint64_t kFleetDeviceStream = 0xF1EE;
 constexpr std::uint64_t kFleetDomainStream = 0xD0A1;
+
+// JSON numbers are doubles: every integer up to 2^53 - 1 survives a round
+// trip exactly, larger seeds may not.
+constexpr std::uint64_t kMaxJsonSeed = (std::uint64_t{1} << 53) - 1;
 
 WorkloadPattern pattern_from_string(const std::string& s) {
   if (s == "random_deviation") return WorkloadPattern::kRandomDeviation;
@@ -34,8 +37,23 @@ double num_or(const Json& j, const char* key, double fallback) {
   return j.contains(key) ? j.at(key).as_number() : fallback;
 }
 
+/// `j[key]` as a whole number in [lo, hi]. A fraction, NaN or out-of-range
+/// value is a ConfigError naming the key, never a truncating cast.
+double whole_number(const Json& j, const char* key, double lo, double hi) {
+  const double v = j.at(key).as_number();
+  if (!(v >= lo && v <= hi && v == std::trunc(v))) {
+    throw ConfigError(std::string("fleet scenario: ") + key + " = " +
+                      j.at(key).dump() + " is not a whole number in [" +
+                      Json(lo).dump() + ", " + Json(hi).dump() + "]");
+  }
+  return v;
+}
+
 int int_or(const Json& j, const char* key, int fallback) {
-  return j.contains(key) ? static_cast<int>(j.at(key).as_number()) : fallback;
+  return j.contains(key) ? static_cast<int>(whole_number(
+                               j, key, std::numeric_limits<int>::min(),
+                               std::numeric_limits<int>::max()))
+                         : fallback;
 }
 
 bool bool_or(const Json& j, const char* key, bool fallback) {
@@ -144,37 +162,39 @@ Json workload_to_json(const WorkloadSpec& w) {
   return j;
 }
 
-/// Fleet-scalar visitor — single source of truth for JSON and CSV, like
-/// EdgeMetrics' visit_metric_scalars.
-template <typename Fn>
-void visit_fleet_scalars(const FleetMetrics& m, Fn&& fn) {
-  fn("offered", static_cast<double>(m.offered));
-  fn("served", static_cast<double>(m.served));
-  fn("dropped", static_cast<double>(m.dropped));
-  fn("shed", static_cast<double>(m.shed));
-  fn("p50_latency_ms", m.p50_latency_ms);
-  fn("p99_latency_ms", m.p99_latency_ms);
-  fn("p999_latency_ms", m.p999_latency_ms);
-  fn("availability_pct", m.availability_pct);
-  fn("degraded_capacity_s", m.degraded_capacity_s);
-  fn("failovers", static_cast<double>(m.failovers));
-  fn("stagger_deferrals", static_cast<double>(m.stagger_deferrals));
-  fn("forced_reconfigs", static_cast<double>(m.forced_reconfigs));
-  fn("capacity_violations", static_cast<double>(m.capacity_violations));
-  fn("min_capacity_fraction", m.min_capacity_fraction);
-  fn("domain_spikes", static_cast<double>(m.domain_spikes));
-  fn("max_outage_depth", static_cast<double>(m.max_outage_depth));
-  fn("breaker_opens", static_cast<double>(m.breaker_opens));
-  fn("ejections", static_cast<double>(m.ejections));
-  fn("events", static_cast<double>(m.events));
-  fn("duration_s", m.duration_s);
-}
+constexpr MetricField<FleetMetrics> kFleetFields[] = {
+    {"offered", &FleetMetrics::offered},
+    {"served", &FleetMetrics::served},
+    {"dropped", &FleetMetrics::dropped},
+    {"shed", &FleetMetrics::shed},
+    {"p50_latency_ms", &FleetMetrics::p50_latency_ms},
+    {"p99_latency_ms", &FleetMetrics::p99_latency_ms},
+    {"p999_latency_ms", &FleetMetrics::p999_latency_ms},
+    {"availability_pct", &FleetMetrics::availability_pct},
+    {"degraded_capacity_s", &FleetMetrics::degraded_capacity_s},
+    {"failovers", &FleetMetrics::failovers},
+    {"stagger_deferrals", &FleetMetrics::stagger_deferrals},
+    {"forced_reconfigs", &FleetMetrics::forced_reconfigs},
+    {"capacity_violations", &FleetMetrics::capacity_violations},
+    {"min_capacity_fraction", &FleetMetrics::min_capacity_fraction},
+    {"domain_spikes", &FleetMetrics::domain_spikes},
+    {"max_outage_depth", &FleetMetrics::max_outage_depth},
+    {"breaker_opens", &FleetMetrics::breaker_opens},
+    {"ejections", &FleetMetrics::ejections},
+    {"events", &FleetMetrics::events},
+    {"duration_s", &FleetMetrics::duration_s},
+};
 
-void check_finite(const char* name, double value) {
-  ADAPEX_CHECK(std::isfinite(value),
-               std::string("FleetMetrics::") + name +
-                   " is not finite — refusing to serialize");
-}
+constexpr MetricField<TenantMetrics> kTenantFields[] = {
+    {"offered", &TenantMetrics::offered},
+    {"served", &TenantMetrics::served},
+    {"dropped", &TenantMetrics::dropped},
+    {"shed", &TenantMetrics::shed},
+    {"slo_latency_violations", &TenantMetrics::slo_latency_violations},
+    {"slo_accuracy_violations", &TenantMetrics::slo_accuracy_violations},
+    {"avg_latency_ms", &TenantMetrics::avg_latency_ms},
+    {"accuracy", &TenantMetrics::accuracy},
+};
 
 }  // namespace
 
@@ -261,190 +281,133 @@ namespace {
 
 /// FS1-FS8 only; the overloads below merge in the base-scenario lint.
 analysis::LintReport lint_fleet_rules(const FleetScenario& s) {
+  using analysis::Severity;
   analysis::LintReport report;
-  auto bad = [&](const char* rule, const std::string& site,
-                 const std::string& message, const std::string& hint) {
-    report.add(rule, analysis::Severity::kError, site, message, hint);
-  };
-  auto warn = [&](const char* rule, const std::string& site,
-                  const std::string& message, const std::string& hint) {
-    report.add(rule, analysis::Severity::kWarning, site, message, hint);
-  };
 
   // FS1: device list.
   if (s.devices.empty()) {
-    bad("FS1", "fleet", "the fleet has no devices",
-        "add at least one FleetDeviceSpec");
+    report.add("FS1", Severity::kError, "fleet", "the fleet has no devices",
+               "add at least one FleetDeviceSpec");
   }
+  const double domain_count =
+      static_cast<double>(s.fleet_faults.domains.size());
   for (std::size_t i = 0; i < s.devices.size(); ++i) {
     const FleetDeviceSpec& d = s.devices[i];
-    const std::string site = "device[" + std::to_string(i) + "]";
-    if (!(d.speed_factor > 0.0)) {
-      bad("FS1", site,
-          "speed_factor = " + std::to_string(d.speed_factor) +
-              " is not positive",
-          "fabric clocks scale by a positive factor");
-    }
-    if (d.domain < -1 ||
-        d.domain >= static_cast<int>(s.fleet_faults.domains.size())) {
-      bad("FS1", site,
-          "domain = " + std::to_string(d.domain) +
-              " names no failure domain",
-          "use -1 or an index below the domain count");
-    }
+    analysis::SpecCheck c(report, "device[" + std::to_string(i) + "]");
+    c.positive("FS1", "speed_factor", d.speed_factor,
+               "fabric clocks scale by a positive factor");
+    c.within("FS1", "domain", d.domain, -1.0, domain_count,
+             "use -1 or an index below the domain count",
+             analysis::Ends::kOpenHigh);
   }
 
   // FS2: tenants and their workloads.
   if (s.tenants.empty()) {
-    bad("FS2", "fleet", "the fleet has no tenants",
-        "add at least one TenantSpec");
+    report.add("FS2", Severity::kError, "fleet", "the fleet has no tenants",
+               "add at least one TenantSpec");
   }
   for (std::size_t k = 0; k < s.tenants.size(); ++k) {
     const TenantSpec& t = s.tenants[k];
+    const WorkloadSpec& w = t.workload;
     const std::string site = "tenant[" + std::to_string(k) + "]";
-    if (!(t.workload.base_ips >= 0.0)) {
-      bad("FS2", site,
-          "workload.base_ips = " + std::to_string(t.workload.base_ips) +
-              " is negative",
-          "use a non-negative request rate");
+    analysis::SpecCheck c(report, site);
+    c.non_negative("FS2", "workload.base_ips", w.base_ips,
+                   "use a non-negative request rate");
+    c.positive("FS2", "workload.period_s", w.period_s,
+               "rate re-evaluation needs a positive period");
+    c.non_negative("FS2", "workload.deviation", w.deviation,
+                   "deviation is a +- amplitude");
+    const char* spike =
+        "check spike_start_s/spike_duration_s/spike_multiplier";
+    (void)(c.non_negative("FS2", "workload.spike_start_s", w.spike_start_s,
+                          spike) &&
+           c.non_negative("FS2", "workload.spike_duration_s",
+                          w.spike_duration_s, spike) &&
+           c.non_negative("FS2", "workload.spike_multiplier",
+                          w.spike_multiplier, spike));
+    if (w.pattern == WorkloadPattern::kTrace && w.trace.empty()) {
+      report.add("FS2", Severity::kError, site,
+                 "trace pattern with no rate multipliers",
+                 "provide workload.trace entries");
     }
-    if (!(t.workload.period_s > 0.0)) {
-      bad("FS2", site,
-          "workload.period_s = " + std::to_string(t.workload.period_s) +
-              " is not positive",
-          "rate re-evaluation needs a positive period");
-    }
-    if (!(t.workload.deviation >= 0.0)) {
-      bad("FS2", site, "workload.deviation is negative",
-          "deviation is a +- amplitude");
-    }
-    if (!(t.workload.spike_start_s >= 0.0 &&
-          t.workload.spike_duration_s >= 0.0 &&
-          t.workload.spike_multiplier >= 0.0)) {
-      bad("FS2", site, "workload spike parameters must be non-negative",
-          "check spike_start_s/spike_duration_s/spike_multiplier");
-    }
-    if (t.workload.pattern == WorkloadPattern::kTrace &&
-        t.workload.trace.empty()) {
-      bad("FS2", site, "trace pattern with no rate multipliers",
-          "provide workload.trace entries");
-    }
-    if (t.workload.duration_s > 0.0 &&
-        t.workload.duration_s != s.base.duration_s) {
-      warn("FS2", site,
-           "workload.duration_s differs from the episode duration",
-           "simulate_fleet forces tenant workloads to base.duration_s");
+    if (w.duration_s > 0.0 && w.duration_s != s.base.duration_s) {
+      report.add("FS2", Severity::kWarning, site,
+                 "workload.duration_s differs from the episode duration",
+                 "simulate_fleet forces tenant workloads to base.duration_s");
     }
     // FS3: SLOs.
-    if (!(t.slo_latency_ms >= 0.0)) {
-      bad("FS3", site,
-          "slo_latency_ms = " + std::to_string(t.slo_latency_ms) +
-              " is negative",
-          "use 0 to disable the latency SLO");
-    }
-    if (!(t.min_accuracy >= 0.0 && t.min_accuracy <= 1.0)) {
-      bad("FS3", site,
-          "min_accuracy = " + std::to_string(t.min_accuracy) +
-              " is not in [0, 1]",
-          "accuracy SLOs are probabilities (0 disables)");
-    }
+    c.non_negative("FS3", "slo_latency_ms", t.slo_latency_ms,
+                   "use 0 to disable the latency SLO");
+    c.within("FS3", "min_accuracy", t.min_accuracy, 0.0, 1.0,
+             "accuracy SLOs are probabilities (0 disables)");
   }
 
   // FS4: correlated failure domains.
   for (std::size_t g = 0; g < s.fleet_faults.domains.size(); ++g) {
     const FailureDomain& dom = s.fleet_faults.domains[g];
-    const std::string site = "domain[" + std::to_string(g) + "]";
-    if (!(dom.spike_prob >= 0.0 && dom.spike_prob <= 1.0)) {
-      bad("FS4", site,
-          "spike_prob = " + std::to_string(dom.spike_prob) +
-              " is not a probability",
-          "use a value in [0, 1]");
-    }
-    if (!(dom.spike_duration_s >= 0.0)) {
-      bad("FS4", site, "spike_duration_s is negative",
-          "spikes need a non-negative duration");
-    }
-    if (!(dom.transient_mult >= 0.0 && dom.seu_mult >= 0.0)) {
-      bad("FS4", site, "rate multipliers must be non-negative",
-          "check transient_mult/seu_mult");
-    }
+    analysis::SpecCheck c(report, "domain[" + std::to_string(g) + "]");
+    c.within("FS4", "spike_prob", dom.spike_prob, 0.0, 1.0,
+             "use a value in [0, 1]");
+    c.non_negative("FS4", "spike_duration_s", dom.spike_duration_s,
+                   "spikes need a non-negative duration");
+    (void)(c.non_negative("FS4", "transient_mult", dom.transient_mult,
+                          "check transient_mult/seu_mult") &&
+           c.non_negative("FS4", "seu_mult", dom.seu_mult,
+                          "check transient_mult/seu_mult"));
   }
 
   // FS5: stagger policy.
-  if (!(s.stagger.min_capacity_fraction >= 0.0 &&
-        s.stagger.min_capacity_fraction <= 1.0)) {
-    bad("FS5", "stagger",
-        "min_capacity_fraction = " +
-            std::to_string(s.stagger.min_capacity_fraction) +
-            " is not in [0, 1]",
-        "the capacity floor is a fraction of offered load");
-  }
-  if (!(s.stagger.max_defer_s >= 0.0)) {
-    bad("FS5", "stagger", "max_defer_s is negative",
-        "the starvation override needs a non-negative window");
-  }
+  analysis::SpecCheck stagger(report, "stagger");
+  stagger.within("FS5", "min_capacity_fraction",
+                 s.stagger.min_capacity_fraction, 0.0, 1.0,
+                 "the capacity floor is a fraction of offered load");
+  stagger.non_negative("FS5", "max_defer_s", s.stagger.max_defer_s,
+                       "the starvation override needs a non-negative window");
   if (s.stagger.enabled && s.devices.size() == 1) {
-    warn("FS5", "stagger",
-         "staggering a single-device fleet only delays its own "
-         "reconfigurations",
-         "disable staggering or add devices");
+    report.add("FS5", Severity::kWarning, "stagger",
+               "staggering a single-device fleet only delays its own "
+               "reconfigurations",
+               "disable staggering or add devices");
   }
 
-  // FS6: admission watermarks.
-  if (!(s.admission.low_watermark >= 0.0 &&
-        s.admission.low_watermark <= s.admission.high_watermark &&
-        s.admission.high_watermark <= 1.0)) {
-    bad("FS6", "admission",
-        "watermarks must satisfy 0 <= low <= high <= 1 (low = " +
-            std::to_string(s.admission.low_watermark) + ", high = " +
-            std::to_string(s.admission.high_watermark) + ")",
-        "shedding needs a well-ordered hysteresis band");
-  }
+  // FS6: admission watermarks, 0 <= low <= high <= 1.
+  analysis::SpecCheck admission(report, "admission");
+  const char* band = "shedding needs a well-ordered hysteresis band";
+  (void)(admission.within("FS6", "low_watermark", s.admission.low_watermark,
+                          0.0, s.admission.high_watermark, band) &&
+         admission.within("FS6", "high_watermark",
+                          s.admission.high_watermark,
+                          s.admission.low_watermark, 1.0, band));
 
   // FS7: batching.
-  if (s.batching.max_batch < 1) {
-    bad("FS7", "batching",
-        "max_batch = " + std::to_string(s.batching.max_batch) +
-            " is below 1",
-        "a batch holds at least one request");
-  }
-  if (!(s.batching.max_wait_ms >= 0.0 && s.batching.setup_ms >= 0.0)) {
-    bad("FS7", "batching",
-        "max_wait_ms and setup_ms must be non-negative",
-        "check the batching policy");
-  }
+  analysis::SpecCheck batching(report, "batching");
+  batching.at_least("FS7", "max_batch", s.batching.max_batch, 1,
+                    "a batch holds at least one request");
+  (void)(batching.non_negative("FS7", "max_wait_ms", s.batching.max_wait_ms,
+                               "check the batching policy") &&
+         batching.non_negative("FS7", "setup_ms", s.batching.setup_ms,
+                               "check the batching policy"));
 
   // FS8: breaker and orchestrator.
-  if (s.breaker.open_after_failures < 0) {
-    bad("FS8", "breaker", "open_after_failures is negative",
-        "use 0 to disable circuit breakers");
-  }
-  if (!(s.breaker.wedge_threshold_s >= 0.0 &&
-        s.breaker.open_duration_s >= 0.0)) {
-    bad("FS8", "breaker",
-        "wedge_threshold_s and open_duration_s must be non-negative",
-        "check the breaker policy");
-  }
-  if (s.breaker.half_open_probes < 1) {
-    bad("FS8", "breaker",
-        "half_open_probes = " + std::to_string(s.breaker.half_open_probes) +
-            " is below 1",
-        "HalfOpen needs at least one probe");
-  }
-  if (!(s.orchestrator_period_s > 0.0)) {
-    bad("FS8", "fleet",
-        "orchestrator_period_s = " +
-            std::to_string(s.orchestrator_period_s) + " is not positive",
-        "the orchestrator needs a positive cadence");
-  }
-  if (!(s.balance_hysteresis >= 0.0)) {
-    bad("FS8", "fleet", "balance_hysteresis is negative",
-        "the sticky band is a non-negative fraction");
-  }
-  if (s.eject_after_watchdog < 0) {
-    bad("FS8", "fleet", "eject_after_watchdog is negative",
-        "use 0 to disable ejection");
-  }
+  analysis::SpecCheck breaker(report, "breaker");
+  breaker.non_negative("FS8", "open_after_failures",
+                       s.breaker.open_after_failures,
+                       "use 0 to disable circuit breakers");
+  (void)(breaker.non_negative("FS8", "wedge_threshold_s",
+                              s.breaker.wedge_threshold_s,
+                              "check the breaker policy") &&
+         breaker.non_negative("FS8", "open_duration_s",
+                              s.breaker.open_duration_s,
+                              "check the breaker policy"));
+  breaker.at_least("FS8", "half_open_probes", s.breaker.half_open_probes, 1,
+                   "HalfOpen needs at least one probe");
+  analysis::SpecCheck fleet(report, "fleet");
+  fleet.positive("FS8", "orchestrator_period_s", s.orchestrator_period_s,
+                 "the orchestrator needs a positive cadence");
+  fleet.non_negative("FS8", "balance_hysteresis", s.balance_hysteresis,
+                     "the sticky band is a non-negative fraction");
+  fleet.non_negative("FS8", "eject_after_watchdog", s.eject_after_watchdog,
+                     "use 0 to disable ejection");
   return report;
 }
 
@@ -461,17 +424,6 @@ analysis::LintReport lint_fleet_scenario(const FleetScenario& s,
   analysis::LintReport report = lint_edge_scenario(s.base, library);
   report.merge(lint_fleet_rules(s));
   return report;
-}
-
-void require_valid_fleet_scenario(const FleetScenario& s) {
-  const analysis::LintReport report = lint_fleet_scenario(s);
-  if (report.has_errors()) throw ConfigError(report.error_message());
-}
-
-void require_valid_fleet_scenario(const FleetScenario& s,
-                                  const Library& library) {
-  const analysis::LintReport report = lint_fleet_scenario(s, library);
-  if (report.has_errors()) throw ConfigError(report.error_message());
 }
 
 // ---------------------------------------------------------------------------
@@ -491,7 +443,8 @@ FleetScenario FleetScenario::from_json(const Json& j) {
     s.base.watchdog_periods =
         int_or(b, "watchdog_periods", s.base.watchdog_periods);
     if (b.contains("seed")) {
-      s.base.seed = static_cast<std::uint64_t>(b.at("seed").as_number());
+      s.base.seed = static_cast<std::uint64_t>(whole_number(
+          b, "seed", 0.0, static_cast<double>(kMaxJsonSeed)));
     }
     if (b.contains("faults")) {
       s.base.faults = fault_spec_from_json(b.at("faults"), s.base.faults);
@@ -581,6 +534,11 @@ FleetScenario FleetScenario::from_json(const Json& j) {
 }
 
 Json FleetScenario::to_json() const {
+  if (base.seed > kMaxJsonSeed) {
+    throw ConfigError("fleet scenario: seed = " + std::to_string(base.seed) +
+                      " is above 2^53 - 1, the largest a JSON number "
+                      "carries exactly");
+  }
   Json j = Json::object();
   Json b = Json::object();
   b["duration_s"] = base.duration_s;
@@ -657,23 +615,13 @@ Json FleetScenario::to_json() const {
 Json TenantMetrics::to_json() const {
   Json j = Json::object();
   j["name"] = name;
-  j["offered"] = static_cast<double>(offered);
-  j["served"] = static_cast<double>(served);
-  j["dropped"] = static_cast<double>(dropped);
-  j["shed"] = static_cast<double>(shed);
-  j["slo_latency_violations"] = static_cast<double>(slo_latency_violations);
-  j["slo_accuracy_violations"] = static_cast<double>(slo_accuracy_violations);
-  j["avg_latency_ms"] = avg_latency_ms;
-  j["accuracy"] = accuracy;
+  write_fields(j, *this, kTenantFields, "TenantMetrics");
   return j;
 }
 
 Json FleetMetrics::to_json() const {
   Json j = Json::object();
-  visit_fleet_scalars(*this, [&](const char* name, double value) {
-    check_finite(name, value);
-    j[name] = value;
-  });
+  write_fields(j, *this, kFleetFields, "FleetMetrics");
   Json tens = Json::array();
   for (const TenantMetrics& t : tenants) tens.push_back(t.to_json());
   j["tenants"] = std::move(tens);
@@ -684,25 +632,11 @@ Json FleetMetrics::to_json() const {
 }
 
 std::string FleetMetrics::csv_header() {
-  std::string out;
-  visit_fleet_scalars(FleetMetrics{}, [&](const char* name, double) {
-    if (!out.empty()) out += ",";
-    out += name;
-  });
-  return out;
+  return fields_csv_header(kFleetFields);
 }
 
 std::string FleetMetrics::csv_row() const {
-  std::ostringstream os;
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  bool first = true;
-  visit_fleet_scalars(*this, [&](const char* name, double value) {
-    check_finite(name, value);
-    if (!first) os << ",";
-    os << value;
-    first = false;
-  });
-  return os.str();
+  return fields_csv_row(*this, kFleetFields, "FleetMetrics");
 }
 
 // ---------------------------------------------------------------------------
@@ -747,7 +681,7 @@ struct DomainState {
 FleetMetrics simulate_fleet(const Library& library,
                             const RuntimePolicy& policy,
                             const FleetScenario& scenario) {
-  require_valid_fleet_scenario(scenario, library);
+  lint_fleet_scenario(scenario, library).throw_if_errors();
   const double duration = scenario.base.duration_s;
   const std::size_t n_dev = scenario.devices.size();
   const std::size_t n_ten = scenario.tenants.size();

@@ -168,8 +168,12 @@ struct FleetScenario {
 
   /// Parses the scenario from JSON (every field optional; unknown keys are
   /// errors surfaced through lint, not here). Used by `adapex_lint
-  /// --fleet-scenario`.
+  /// --fleet-scenario`. An integer field that is fractional or out of
+  /// range, or a seed outside [0, 2^53 - 1], is a ConfigError naming the
+  /// key.
   static FleetScenario from_json(const Json& j);
+  /// Throws ConfigError for a seed above 2^53 - 1, which a JSON number
+  /// cannot carry exactly.
   Json to_json() const;
 };
 
@@ -186,10 +190,6 @@ analysis::LintReport lint_fleet_scenario(const FleetScenario& scenario);
 /// Library-aware overload (adds the RF6 mitigation check).
 analysis::LintReport lint_fleet_scenario(const FleetScenario& scenario,
                                          const Library& library);
-/// Throws ConfigError listing every violation; no-op on a valid scenario.
-void require_valid_fleet_scenario(const FleetScenario& scenario);
-void require_valid_fleet_scenario(const FleetScenario& scenario,
-                                  const Library& library);
 
 /// Per-device circuit breaker: Closed admits, Open rejects, HalfOpen admits
 /// a bounded probe budget. Driven by observe() at orchestrator cadence and

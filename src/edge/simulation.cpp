@@ -1,10 +1,10 @@
 #include "edge/simulation.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <iomanip>
-#include <limits>
-#include <sstream>
+#include <array>
+#include <iterator>
+
+#include "edge/metric_fields.hpp"
 
 namespace adapex {
 
@@ -12,122 +12,92 @@ namespace {
 
 /// ES1–ES10: the scenario fields themselves, without the fault-spec merge
 /// (shared by both lint_edge_scenario overloads).
-analysis::LintReport lint_scenario_fields(const EdgeScenario& scenario) {
+analysis::LintReport lint_scenario_fields(const EdgeScenario& s) {
   analysis::LintReport report;
-  auto bad = [&](const char* rule, const std::string& message,
-                 const std::string& hint) {
-    report.add(rule, analysis::Severity::kError, "edge-scenario", message,
-               hint);
-  };
-  if (scenario.cameras <= 0) {
-    bad("ES1", "cameras = " + std::to_string(scenario.cameras) +
-                   " is not positive",
-        "the fleet needs at least one camera");
-  }
-  if (!(scenario.ips_per_camera >= 0.0)) {
-    bad("ES2", "ips_per_camera = " + std::to_string(scenario.ips_per_camera) +
-                   " is negative",
-        "use a non-negative request rate");
-  }
-  if (!(scenario.duration_s > 0.0)) {
-    bad("ES3", "duration_s = " + std::to_string(scenario.duration_s) +
-                   " is not positive",
-        "the episode needs a positive length");
-  }
-  if (!(scenario.deviation >= 0.0)) {
-    bad("ES4", "deviation = " + std::to_string(scenario.deviation) +
-                   " is negative",
-        "deviation is a +- amplitude");
-  }
-  if (!(scenario.deviation_period_s > 0.0)) {
-    bad("ES5", "deviation_period_s = " +
-                   std::to_string(scenario.deviation_period_s) +
-                   " is not positive",
-        "rate re-evaluation needs a positive period");
-  }
-  if (!(scenario.sample_period_s > 0.0)) {
-    bad("ES6", "sample_period_s = " +
-                   std::to_string(scenario.sample_period_s) +
-                   " is not positive",
-        "the monitor needs a positive cadence");
-  }
-  if (!(scenario.reselect_threshold >= 0.0)) {
-    bad("ES7", "reselect_threshold = " +
-                   std::to_string(scenario.reselect_threshold) +
-                   " is negative",
-        "use a non-negative change fraction");
-  }
-  if (scenario.queue_capacity <= 0) {
-    bad("ES8", "queue_capacity = " + std::to_string(scenario.queue_capacity) +
-                   " is not positive",
-        "the request buffer needs capacity");
-  }
-  if (!(scenario.spike_start_s >= 0.0 && scenario.spike_duration_s >= 0.0 &&
-        scenario.spike_multiplier >= 0.0)) {
-    bad("ES9", "flash-crowd spike parameters must be non-negative",
-        "check spike_start_s/spike_duration_s/spike_multiplier");
-  }
-  if (scenario.watchdog_periods < 1) {
-    bad("ES10", "watchdog_periods = " +
-                    std::to_string(scenario.watchdog_periods) +
-                    " is below 1",
-        "the watchdog needs at least one stagnant period");
-  }
+  analysis::SpecCheck c(report, "edge-scenario");
+  c.positive("ES1", "cameras", s.cameras,
+             "the fleet needs at least one camera");
+  c.non_negative("ES2", "ips_per_camera", s.ips_per_camera,
+                 "use a non-negative request rate");
+  c.positive("ES3", "duration_s", s.duration_s,
+             "the episode needs a positive length");
+  c.non_negative("ES4", "deviation", s.deviation,
+                 "deviation is a +- amplitude");
+  c.positive("ES5", "deviation_period_s", s.deviation_period_s,
+             "rate re-evaluation needs a positive period");
+  c.positive("ES6", "sample_period_s", s.sample_period_s,
+             "the monitor needs a positive cadence");
+  c.non_negative("ES7", "reselect_threshold", s.reselect_threshold,
+                 "use a non-negative change fraction");
+  c.positive("ES8", "queue_capacity", s.queue_capacity,
+             "the request buffer needs capacity");
+  const char* spike = "check spike_start_s/spike_duration_s/spike_multiplier";
+  (void)(c.non_negative("ES9", "spike_start_s", s.spike_start_s, spike) &&
+         c.non_negative("ES9", "spike_duration_s", s.spike_duration_s,
+                        spike) &&
+         c.non_negative("ES9", "spike_multiplier", s.spike_multiplier,
+                        spike));
+  c.at_least("ES10", "watchdog_periods", s.watchdog_periods, 1,
+             "the watchdog needs at least one stagnant period");
   return report;
 }
 
-/// Visits every scalar metric in one fixed order — the single source of
-/// truth for both the JSON and CSV writers, so the two artifacts cannot
-/// drift apart.
-template <typename Fn>
-void visit_metric_scalars(const EdgeMetrics& m, Fn&& fn) {
-  fn("offered", static_cast<double>(m.offered));
-  fn("served", static_cast<double>(m.served));
-  fn("dropped", static_cast<double>(m.dropped));
-  fn("inference_loss_pct", m.inference_loss_pct);
-  fn("accuracy", m.accuracy);
-  fn("avg_latency_ms", m.avg_latency_ms);
-  fn("avg_power_w", m.avg_power_w);
-  fn("energy_j", m.energy_j);
-  fn("energy_per_inf_j", m.energy_per_inf_j);
-  fn("edp", m.edp);
-  fn("qoe", m.qoe);
-  fn("reconfigurations", static_cast<double>(m.reconfigurations));
-  fn("reconfig_failures", static_cast<double>(m.reconfig_failures));
-  fn("reconfig_retries", static_cast<double>(m.reconfig_retries));
-  fn("slow_reconfigs", static_cast<double>(m.slow_reconfigs));
-  fn("stalls", static_cast<double>(m.stalls));
-  fn("monitor_dropped", static_cast<double>(m.monitor_dropped));
-  fn("monitor_delayed", static_cast<double>(m.monitor_delayed));
-  fn("watchdog_recoveries", static_cast<double>(m.watchdog_recoveries));
-  fn("recoveries", static_cast<double>(m.recoveries));
-  fn("recovery_latency_s", m.recovery_latency_s);
-  fn("degraded_time_s", m.degraded_time_s);
-  fn("dead_time_s", m.dead_time_s);
-  fn("availability_pct", m.availability_pct);
-  fn("slo_violations", static_cast<double>(m.slo_violations));
-  fn("seu_weight_upsets", static_cast<double>(m.seu_weight_upsets));
-  fn("seu_config_upsets", static_cast<double>(m.seu_config_upsets));
-  fn("seu_corrected", static_cast<double>(m.seu_corrected));
-  fn("seu_detected", static_cast<double>(m.seu_detected));
-  fn("seu_undetected", static_cast<double>(m.seu_undetected));
-  fn("silent_corruptions", static_cast<double>(m.silent_corruptions));
-  fn("seu_detection_latency_s", m.seu_detection_latency_s);
-  fn("drift_detections", static_cast<double>(m.drift_detections));
-  fn("seu_scrubs", static_cast<double>(m.seu_scrubs));
-  fn("seu_reloads", static_cast<double>(m.seu_reloads));
-  fn("scrub_overhead_s", m.scrub_overhead_s);
-  fn("post_recovery_accuracy", m.post_recovery_accuracy);
-  fn("duration_s", m.duration_s);
-}
+using EdgeField = MetricField<EdgeMetrics>;
 
-void check_metric_finite(const char* name, double value) {
-  ADAPEX_CHECK(std::isfinite(value),
-               std::string("EdgeMetrics::") + name +
-                   " is not finite — refusing to serialize");
+constexpr EdgeField kEdgeFields[] = {
+    {"offered", &EdgeMetrics::offered},
+    {"served", &EdgeMetrics::served},
+    {"dropped", &EdgeMetrics::dropped},
+    {"inference_loss_pct", &EdgeMetrics::inference_loss_pct,
+     Pooling::kDerived},
+    {"accuracy", &EdgeMetrics::accuracy, Pooling::kServed},
+    {"avg_latency_ms", &EdgeMetrics::avg_latency_ms, Pooling::kServed},
+    {"avg_power_w", &EdgeMetrics::avg_power_w, Pooling::kDerived},
+    {"energy_j", &EdgeMetrics::energy_j},
+    {"energy_per_inf_j", &EdgeMetrics::energy_per_inf_j, Pooling::kDerived},
+    {"edp", &EdgeMetrics::edp, Pooling::kDerived},
+    {"qoe", &EdgeMetrics::qoe, Pooling::kDerived},
+    {"reconfigurations", &EdgeMetrics::reconfigurations},
+    {"reconfig_failures", &EdgeMetrics::reconfig_failures},
+    {"reconfig_retries", &EdgeMetrics::reconfig_retries},
+    {"slow_reconfigs", &EdgeMetrics::slow_reconfigs},
+    {"stalls", &EdgeMetrics::stalls},
+    {"monitor_dropped", &EdgeMetrics::monitor_dropped},
+    {"monitor_delayed", &EdgeMetrics::monitor_delayed},
+    {"watchdog_recoveries", &EdgeMetrics::watchdog_recoveries},
+    {"recoveries", &EdgeMetrics::recoveries},
+    {"recovery_latency_s", &EdgeMetrics::recovery_latency_s},
+    {"degraded_time_s", &EdgeMetrics::degraded_time_s},
+    {"dead_time_s", &EdgeMetrics::dead_time_s},
+    {"availability_pct", &EdgeMetrics::availability_pct, Pooling::kDerived},
+    {"slo_violations", &EdgeMetrics::slo_violations},
+    {"seu_weight_upsets", &EdgeMetrics::seu_weight_upsets},
+    {"seu_config_upsets", &EdgeMetrics::seu_config_upsets},
+    {"seu_corrected", &EdgeMetrics::seu_corrected},
+    {"seu_detected", &EdgeMetrics::seu_detected},
+    {"seu_undetected", &EdgeMetrics::seu_undetected},
+    {"silent_corruptions", &EdgeMetrics::silent_corruptions},
+    {"seu_detection_latency_s", &EdgeMetrics::seu_detection_latency_s},
+    {"drift_detections", &EdgeMetrics::drift_detections},
+    {"seu_scrubs", &EdgeMetrics::seu_scrubs},
+    {"seu_reloads", &EdgeMetrics::seu_reloads},
+    {"scrub_overhead_s", &EdgeMetrics::scrub_overhead_s},
+    {"post_recovery_accuracy", &EdgeMetrics::post_recovery_accuracy,
+     Pooling::kPostRecovery},
+    {"post_recovery_served", &EdgeMetrics::post_recovery_served},
+    {"duration_s", &EdgeMetrics::duration_s},
+};
+
+/// The request count a weighted field's mean is taken over.
+double pooling_weight(Pooling pooling, const EdgeMetrics& m) {
+  return static_cast<double>(pooling == Pooling::kServed
+                                 ? m.served
+                                 : m.post_recovery_served);
 }
 
 }  // namespace
+
+std::span<const EdgeField> edge_metric_fields() { return kEdgeFields; }
 
 analysis::LintReport lint_edge_scenario(const EdgeScenario& scenario) {
   analysis::LintReport report = lint_scenario_fields(scenario);
@@ -142,40 +112,34 @@ analysis::LintReport lint_edge_scenario(const EdgeScenario& scenario,
   return report;
 }
 
-void require_valid_edge_scenario(const EdgeScenario& scenario) {
-  const analysis::LintReport report = lint_edge_scenario(scenario);
-  if (report.has_errors()) throw ConfigError(report.error_message());
+void derive_ratios(EdgeMetrics& m) {
+  m.inference_loss_pct =
+      m.offered > 0 ? 100.0 * static_cast<double>(m.dropped) / m.offered
+                    : 0.0;
+  m.avg_power_w = m.duration_s > 0.0 ? m.energy_j / m.duration_s : 0.0;
+  m.energy_per_inf_j = m.served > 0 ? m.energy_j / m.served : 0.0;
+  m.edp = m.energy_per_inf_j * (m.avg_latency_ms / 1e3);
+  const double served_fraction =
+      m.offered > 0 ? static_cast<double>(m.served) / m.offered : 0.0;
+  m.qoe = m.accuracy * served_fraction;
+  m.availability_pct =
+      m.duration_s > 0.0
+          ? 100.0 * std::max(0.0, 1.0 - m.dead_time_s / m.duration_s)
+          : 100.0;
 }
 
 Json EdgeMetrics::to_json() const {
   Json j = Json::object();
-  visit_metric_scalars(*this, [&](const char* name, double value) {
-    check_metric_finite(name, value);
-    j[name] = value;
-  });
+  write_fields(j, *this, kEdgeFields, "EdgeMetrics");
   return j;
 }
 
 std::string EdgeMetrics::csv_header() {
-  std::string out;
-  visit_metric_scalars(EdgeMetrics{}, [&](const char* name, double) {
-    if (!out.empty()) out += ",";
-    out += name;
-  });
-  return out;
+  return fields_csv_header(kEdgeFields);
 }
 
 std::string EdgeMetrics::csv_row() const {
-  std::ostringstream os;
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  bool first = true;
-  visit_metric_scalars(*this, [&](const char* name, double value) {
-    check_metric_finite(name, value);
-    if (!first) os << ",";
-    os << value;
-    first = false;
-  });
-  return os.str();
+  return fields_csv_row(*this, kEdgeFields, "EdgeMetrics");
 }
 
 EdgeMetrics simulate_edge_runs(const Library& library,
@@ -183,74 +147,31 @@ EdgeMetrics simulate_edge_runs(const Library& library,
                                const EdgeScenario& scenario, int runs) {
   ADAPEX_CHECK(runs > 0, "need at least one run");
   EdgeMetrics total;
-  // Pooled accumulators: per-request ratios are reweighted by what each
-  // episode actually served, time ratios by what it actually simulated —
-  // an unweighted mean over-counts short or quiet episodes.
-  double latency_weighted_ms = 0.0;
-  double accuracy_weighted = 0.0;
-  double post_recovery_weighted = 0.0;
+  // Weighted fields accumulate mean x weight per episode and are divided by
+  // the pooled weight once every episode is in.
+  std::array<double, std::size(kEdgeFields)> weighted{};
   for (int r = 0; r < runs; ++r) {
     EdgeScenario sc = scenario;
     sc.seed = scenario.seed + static_cast<std::uint64_t>(r);
     EdgeMetrics m = simulate_edge(library, policy, sc);
-    if (r == 0) total.trace = m.trace;
-    total.offered += m.offered;
-    total.served += m.served;
-    total.dropped += m.dropped;
-    accuracy_weighted += m.accuracy * static_cast<double>(m.served);
-    latency_weighted_ms += m.avg_latency_ms * static_cast<double>(m.served);
-    post_recovery_weighted +=
-        m.post_recovery_accuracy * static_cast<double>(m.served);
-    total.energy_j += m.energy_j;
-    total.reconfigurations += m.reconfigurations;
-    total.reconfig_failures += m.reconfig_failures;
-    total.reconfig_retries += m.reconfig_retries;
-    total.slow_reconfigs += m.slow_reconfigs;
-    total.stalls += m.stalls;
-    total.monitor_dropped += m.monitor_dropped;
-    total.monitor_delayed += m.monitor_delayed;
-    total.watchdog_recoveries += m.watchdog_recoveries;
-    total.recoveries += m.recoveries;
-    total.recovery_latency_s += m.recovery_latency_s;
-    total.degraded_time_s += m.degraded_time_s;
-    total.dead_time_s += m.dead_time_s;
-    total.slo_violations += m.slo_violations;
-    total.seu_weight_upsets += m.seu_weight_upsets;
-    total.seu_config_upsets += m.seu_config_upsets;
-    total.seu_corrected += m.seu_corrected;
-    total.seu_detected += m.seu_detected;
-    total.seu_undetected += m.seu_undetected;
-    total.silent_corruptions += m.silent_corruptions;
-    total.seu_detection_latency_s += m.seu_detection_latency_s;
-    total.drift_detections += m.drift_detections;
-    total.seu_scrubs += m.seu_scrubs;
-    total.seu_reloads += m.seu_reloads;
-    total.scrub_overhead_s += m.scrub_overhead_s;
-    total.duration_s += m.duration_s;
+    if (r == 0) total.trace = std::move(m.trace);
+    for (std::size_t i = 0; i < weighted.size(); ++i) {
+      const EdgeField& f = kEdgeFields[i];
+      if (f.pooling == Pooling::kSum) {
+        f.add(total, m);
+      } else if (f.pooling != Pooling::kDerived) {
+        weighted[i] += f.get(m) * pooling_weight(f.pooling, m);
+      }
+    }
   }
-  total.inference_loss_pct =
-      total.offered > 0
-          ? 100.0 * static_cast<double>(total.dropped) / total.offered
-          : 0.0;
-  total.accuracy = total.served > 0 ? accuracy_weighted / total.served : 0.0;
-  total.avg_latency_ms =
-      total.served > 0 ? latency_weighted_ms / total.served : 0.0;
-  total.post_recovery_accuracy =
-      total.served > 0 ? post_recovery_weighted / total.served : 0.0;
-  total.avg_power_w =
-      total.duration_s > 0.0 ? total.energy_j / total.duration_s : 0.0;
-  total.energy_per_inf_j =
-      total.served > 0 ? total.energy_j / total.served : 0.0;
-  total.edp = total.energy_per_inf_j * (total.avg_latency_ms / 1e3);
-  const double served_fraction =
-      total.offered > 0
-          ? static_cast<double>(total.served) / total.offered
-          : 0.0;
-  total.qoe = total.accuracy * served_fraction;
-  total.availability_pct =
-      total.duration_s > 0.0
-          ? 100.0 * std::max(0.0, 1.0 - total.dead_time_s / total.duration_s)
-          : 100.0;
+  for (std::size_t i = 0; i < weighted.size(); ++i) {
+    const EdgeField& f = kEdgeFields[i];
+    if (f.pooling == Pooling::kServed || f.pooling == Pooling::kPostRecovery) {
+      const double weight = pooling_weight(f.pooling, total);
+      f.set(total, weight > 0.0 ? weighted[i] / weight : 0.0);
+    }
+  }
+  derive_ratios(total);
   return total;
 }
 

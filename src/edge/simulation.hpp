@@ -91,9 +91,6 @@ analysis::LintReport lint_edge_scenario(const EdgeScenario& scenario);
 analysis::LintReport lint_edge_scenario(const EdgeScenario& scenario,
                                         const Library& library);
 
-/// Throws ConfigError listing every violation; no-op on a valid scenario.
-void require_valid_edge_scenario(const EdgeScenario& scenario);
-
 /// One sampling-tick snapshot (drives the Figure 3 runtime trace).
 struct TracePoint {
   double time_s = 0.0;
@@ -114,7 +111,9 @@ struct TracePoint {
   bool reloaded = false;        ///< A recovery bitstream reload succeeded.
 };
 
-/// Aggregated episode results.
+/// Aggregated episode results. Every scalar is one row of the EdgeMetrics
+/// field table (edge/metric_fields.hpp), which drives the writers and
+/// simulate_edge_runs' pooling.
 struct EdgeMetrics {
   long offered = 0;
   long served = 0;
@@ -165,6 +164,7 @@ struct EdgeMetrics {
   double scrub_overhead_s = 0.0;        ///< Dark time spent scrubbing.
   double post_recovery_accuracy = 0.0;  ///< Mean served accuracy after the
                                         ///< last SEU recovery (0 when none).
+  long post_recovery_served = 0;        ///< Requests that mean is over.
   /// Simulated episode length backing the time-based ratios (availability,
   /// average power). simulate_edge_runs sums it across episodes so pooled
   /// ratios stay duration-weighted.
@@ -181,6 +181,13 @@ struct EdgeMetrics {
   std::string csv_row() const;
 };
 
+/// Recomputes the six ratio metrics (inference_loss_pct, avg_power_w,
+/// energy_per_inf_j, edp, qoe, availability_pct) from the counters, energy,
+/// dead time, duration, accuracy and latency already in `m`. One episode
+/// (DeviceSim::finalize) and a pool of episodes (simulate_edge_runs) share
+/// it.
+void derive_ratios(EdgeMetrics& m);
+
 /// Runs one episode with the given policy over the library: a size-1 fleet,
 /// simulate_fleet(library, policy, fleet_from_edge(scenario)).devices[0]
 /// (edge/fleet.hpp).
@@ -188,14 +195,15 @@ EdgeMetrics simulate_edge(const Library& library, const RuntimePolicy& policy,
                           const EdgeScenario& scenario);
 
 /// Aggregates `runs` episodes (seeds seed, seed+1, ...) by pooling rather
-/// than averaging per-episode ratios: counters, energy, times, and
-/// duration_s are summed; per-request ratios (loss, accuracy, latency, EDP,
-/// QoE, energy/inference) are recomputed over the pooled requests
-/// (served-weighted), and the time-based ratios (average power,
-/// availability) over the pooled duration — so episodes of different
-/// lengths or traffic volumes are weighted by what they actually served
-/// and simulated instead of counting equally. Traces are kept only for the
-/// first episode.
+/// than averaging per-episode ratios, field by field as the EdgeMetrics
+/// table says: counters, energy, times and duration_s are summed; accuracy
+/// and latency are means over the pooled served requests, and
+/// post_recovery_accuracy over the pooled post-recovery requests; the
+/// ratios are then recomputed by derive_ratios from the pooled sums. So
+/// episodes of different lengths or traffic volumes count by what they
+/// actually served and simulated, and an episode that never recovered does
+/// not dilute the post-recovery mean. Traces are kept only for the first
+/// episode.
 EdgeMetrics simulate_edge_runs(const Library& library,
                                const RuntimePolicy& policy,
                                const EdgeScenario& scenario, int runs);

@@ -153,7 +153,7 @@ Accelerator compile_accelerator(BranchyModel& model,
   // Precondition: the design-level lint rules must hold. All violations are
   // reported at once in a single ConfigError (analysis/lint.hpp), replacing
   // the old first-check-wins ADAPEX_CHECK aborts.
-  analysis::require_valid_design(model, folding, config);
+  analysis::lint_design(model, folding, config).throw_if_errors();
 
   const std::vector<LayerSite> sites =
       walk_compute_layers(model, config.in_channels, config.image_size);

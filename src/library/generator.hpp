@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "analysis/device.hpp"
+#include "analysis/diagnostics.hpp"
 #include "data/dataset.hpp"
 #include "finn/accelerator.hpp"
 #include "finn/reconfig.hpp"
@@ -164,6 +165,29 @@ struct LibraryGenSpec {
 
 /// Fills prune_rates_pct / conf_thresholds_pct with the paper's sweeps.
 void set_paper_sweeps(LibraryGenSpec& spec);
+
+/// Lint rules RG1-RG5 over the crash-safety knobs of a generation spec
+/// (catalog in analysis/lint.hpp):
+///   RG1 (error)   journal_dir exists as a non-directory, or cannot be
+///                 created/written (probed with a temp file).
+///   RG2 (error)   max_point_retries < 0; (warning) > 8 — that many
+///                 retries of a deterministic failure only burn time and
+///                 fork the seed stream further from the canonical run.
+///   RG3 (warning) PartialPolicy::kEmitPartial together with
+///                 verify_dataflow: a verifier-rejected point would be
+///                 quarantined and silently missing instead of failing the
+///                 run loudly.
+///   RG4 (error)   checksum_mode is not one of fnv1a64 | crc32.
+///   RG5 (warning) journal_dir is a relative path — resumability then
+///                 depends on the working directory of the next run.
+/// and the packed-inference rules RQ2-RQ3 (RQ1, the freeze-before-pack
+/// precondition, is enforced at runtime by nn/quant.hpp freeze_packed):
+///   RQ2 (error)   eval_path is not one of auto | float | packed;
+///       (warning) an explicit spec eval_path contradicts a set
+///                 ADAPEX_PACKED environment override (the spec wins).
+///   RQ3 (error)   ADAPEX_PACKED is set to something other than 0|1|auto.
+/// generate_library runs it as a precondition (throw_if_errors).
+analysis::LintReport lint_gen_spec(const LibraryGenSpec& spec);
 
 /// Runs the full design-time flow and returns the Library.
 Library generate_library(const LibraryGenSpec& spec);

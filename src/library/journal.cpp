@@ -1,15 +1,11 @@
 #include "library/journal.hpp"
 
-#include <unistd.h>
-
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <system_error>
 
 #include "common/integrity.hpp"
-#include "library/generator.hpp"
-#include "nn/quant.hpp"
 
 namespace adapex {
 
@@ -241,128 +237,6 @@ void GenerationJournal::record_meta(double reference_accuracy) const {
   Json j = Json::object();
   j["reference_accuracy"] = reference_accuracy;
   atomic_write_file(meta_path(), seal_document(kMetaKind, j, checksum_mode_));
-}
-
-analysis::LintReport lint_gen_spec(const LibraryGenSpec& spec) {
-  analysis::LintReport report;
-
-  // RG1: the journal directory must be creatable and writable; probed with
-  // an actual temp file because access bits alone miss read-only mounts.
-  if (!spec.journal_dir.empty()) {
-    const std::filesystem::path dir(spec.journal_dir);
-    std::error_code ec;
-    if (std::filesystem::exists(dir, ec) &&
-        !std::filesystem::is_directory(dir, ec)) {
-      report.add("RG1", analysis::Severity::kError, "journal_dir",
-                 "journal_dir '" + spec.journal_dir +
-                     "' exists and is not a directory",
-                 "point journal_dir at a (creatable) directory");
-    } else {
-      std::filesystem::create_directories(dir, ec);
-      const std::string probe = (dir / (".rg1_probe." +
-                                        std::to_string(::getpid())))
-                                    .string();
-      bool writable = !ec;
-      if (writable) {
-        try {
-          write_file(probe, "probe");
-          std::filesystem::remove(probe, ec);
-        } catch (const Error&) {
-          writable = false;
-        }
-      }
-      if (!writable) {
-        report.add("RG1", analysis::Severity::kError, "journal_dir",
-                   "journal_dir '" + spec.journal_dir +
-                       "' cannot be created or written",
-                   "check permissions / choose a writable directory");
-      }
-    }
-
-    // RG5: a relative journal path resumes only from the same CWD.
-    if (dir.is_relative()) {
-      report.add("RG5", analysis::Severity::kWarning, "journal_dir",
-                 "journal_dir '" + spec.journal_dir +
-                     "' is relative: resuming from another working "
-                     "directory will silently start a fresh journal",
-                 "use an absolute path");
-    }
-  }
-
-  // RG2: retry-count bounds.
-  if (spec.max_point_retries < 0) {
-    report.add("RG2", analysis::Severity::kError, "max_point_retries",
-               "max_point_retries must be >= 0, got " +
-                   std::to_string(spec.max_point_retries),
-               "0 disables retries");
-  } else if (spec.max_point_retries > 8) {
-    report.add("RG2", analysis::Severity::kWarning, "max_point_retries",
-               std::to_string(spec.max_point_retries) +
-                   " retries per point: deterministic failures will burn "
-                   "that many full retrain passes, and every retry forks "
-                   "the seed stream further from the canonical run",
-               "keep retries <= 8");
-  }
-
-  // RG3: emitting partial libraries can mask verifier rejections.
-  if (spec.partial_policy == PartialPolicy::kEmitPartial &&
-      spec.verify_dataflow) {
-    report.add("RG3", analysis::Severity::kWarning, "partial_policy",
-               "emit_partial together with verify_dataflow: a point the "
-               "dataflow verifier rejects is quarantined and silently "
-               "missing from the Library instead of failing the run",
-               "use PartialPolicy::kFail when verifying, or audit the "
-               "GenerationReport for quarantined points");
-  }
-
-  // RG4: checksum-mode well-formedness.
-  if (!checksum_mode_valid(spec.checksum_mode)) {
-    report.add("RG4", analysis::Severity::kError, "checksum_mode",
-               "unknown checksum_mode '" + spec.checksum_mode + "'",
-               "use fnv1a64 or crc32");
-  }
-
-  // RQ2: eval-path well-formedness and spec/environment consistency. (RQ1,
-  // the freeze-before-pack precondition, is enforced at runtime by
-  // freeze_packed — eligibility depends on the trained model, which a spec
-  // lint cannot see.)
-  const bool eval_path_valid = spec.eval_path == "auto" ||
-                               spec.eval_path == "float" ||
-                               spec.eval_path == "packed";
-  if (!eval_path_valid) {
-    report.add("RQ2", analysis::Severity::kError, "eval_path",
-               "unknown eval_path '" + spec.eval_path + "'",
-               "use auto, float, or packed");
-  }
-
-  // RQ3: the ADAPEX_PACKED override must parse; an explicit spec path that
-  // contradicts it is surfaced so nobody is surprised which path ran (the
-  // spec wins over the environment).
-  try {
-    const PackedMode mode = packed_mode_from_env();
-    if (eval_path_valid &&
-        ((spec.eval_path == "float" && mode == PackedMode::kOn) ||
-         (spec.eval_path == "packed" && mode == PackedMode::kOff))) {
-      report.add("RQ2", analysis::Severity::kWarning, "eval_path",
-                 "spec eval_path '" + spec.eval_path +
-                     "' overrides the conflicting ADAPEX_PACKED=" +
-                     (mode == PackedMode::kOn ? "1" : "0") +
-                     " environment setting",
-                 "drop one of the two overrides (spec wins)");
-    }
-  } catch (const ConfigError& e) {
-    report.add("RQ3", analysis::Severity::kError, "eval_path", e.what(),
-               "use ADAPEX_PACKED=0, 1, or auto");
-  }
-
-  return report;
-}
-
-void require_valid_gen_spec(const LibraryGenSpec& spec) {
-  const analysis::LintReport report = lint_gen_spec(spec);
-  if (report.has_errors()) {
-    throw ConfigError("generation spec: " + report.error_message());
-  }
 }
 
 }  // namespace adapex

@@ -17,68 +17,47 @@ constexpr std::uint64_t kDelayStream = 0xFA04;
 constexpr std::uint64_t kWeightStream = 0xFA05;
 constexpr std::uint64_t kConfigStream = 0xFA06;
 
-void check_prob(analysis::LintReport& report, const char* rule,
-                const char* field, double p) {
-  if (!(p >= 0.0 && p <= 1.0)) {
-    report.add(rule, analysis::Severity::kError, "faults",
-               std::string(field) + " = " + std::to_string(p) +
-                   " is not a probability",
-               "use a value in [0, 1]");
-  }
-}
-
 }  // namespace
 
 analysis::LintReport lint_fault_spec(const FaultSpec& spec) {
   analysis::LintReport report;
-  check_prob(report, "RF1", "reconfig_fail_prob", spec.reconfig_fail_prob);
-  check_prob(report, "RF1", "reconfig_slow_prob", spec.reconfig_slow_prob);
-  check_prob(report, "RF1", "stall_prob", spec.stall_prob);
-  check_prob(report, "RF1", "monitor_drop_prob", spec.monitor_drop_prob);
-  check_prob(report, "RF1", "monitor_delay_prob", spec.monitor_delay_prob);
-  if (!(spec.reconfig_slow_factor >= 1.0)) {
-    report.add("RF2", analysis::Severity::kError, "faults",
-               "reconfig_slow_factor = " +
-                   std::to_string(spec.reconfig_slow_factor) + " is below 1",
-               "a slow load takes at least the nominal time");
-  }
-  if (!(spec.stall_duration_s >= 0.0)) {
-    report.add("RF3", analysis::Severity::kError, "faults",
-               "stall_duration_s = " + std::to_string(spec.stall_duration_s) +
-                   " is negative",
-               "use a non-negative window");
-  }
+  analysis::SpecCheck c(report, "faults");
+  auto probability = [&](const char* rule, const char* field, double p) {
+    c.within(rule, field, p, 0.0, 1.0, "use a value in [0, 1]");
+  };
+  probability("RF1", "reconfig_fail_prob", spec.reconfig_fail_prob);
+  probability("RF1", "reconfig_slow_prob", spec.reconfig_slow_prob);
+  probability("RF1", "stall_prob", spec.stall_prob);
+  probability("RF1", "monitor_drop_prob", spec.monitor_drop_prob);
+  probability("RF1", "monitor_delay_prob", spec.monitor_delay_prob);
+  c.at_least("RF2", "reconfig_slow_factor", spec.reconfig_slow_factor, 1.0,
+             "a slow load takes at least the nominal time");
+  c.non_negative("RF3", "stall_duration_s", spec.stall_duration_s,
+                 "use a non-negative window");
   // RF4: SEU rates and severities.
-  check_prob(report, "RF4", "seu_weight_prob", spec.seu_weight_prob);
-  check_prob(report, "RF4", "seu_config_prob", spec.seu_config_prob);
-  check_prob(report, "RF4", "seu_weight_accuracy_drop",
-             spec.seu_weight_accuracy_drop);
-  check_prob(report, "RF4", "seu_config_accuracy_drop",
-             spec.seu_config_accuracy_drop);
-  check_prob(report, "RF4", "seu_exit_rate_shift", spec.seu_exit_rate_shift);
-  if (!(spec.seu_hang_frac >= 0.0 && spec.seu_exit_corrupt_frac >= 0.0 &&
-        spec.seu_hang_frac + spec.seu_exit_corrupt_frac <= 1.0)) {
-    report.add("RF4", analysis::Severity::kError, "faults",
-               "seu_hang_frac = " + std::to_string(spec.seu_hang_frac) +
-                   " and seu_exit_corrupt_frac = " +
-                   std::to_string(spec.seu_exit_corrupt_frac) +
-                   " must be non-negative and sum to at most 1",
-               "the remainder is the wrong-class fraction");
-  }
+  probability("RF4", "seu_weight_prob", spec.seu_weight_prob);
+  probability("RF4", "seu_config_prob", spec.seu_config_prob);
+  probability("RF4", "seu_weight_accuracy_drop",
+              spec.seu_weight_accuracy_drop);
+  probability("RF4", "seu_config_accuracy_drop",
+              spec.seu_config_accuracy_drop);
+  probability("RF4", "seu_exit_rate_shift", spec.seu_exit_rate_shift);
+  const char* fractions = "the remainder is the wrong-class fraction";
+  (void)(c.non_negative("RF4", "seu_hang_frac", spec.seu_hang_frac,
+                        fractions) &&
+         c.non_negative("RF4", "seu_exit_corrupt_frac",
+                        spec.seu_exit_corrupt_frac, fractions) &&
+         c.within("RF4", "seu_hang_frac + seu_exit_corrupt_frac",
+                  spec.seu_hang_frac + spec.seu_exit_corrupt_frac, 0.0, 1.0,
+                  fractions));
   // RF5: scrubbing needs a usable schedule.
-  if (spec.mitigation.scrubbing && !(spec.mitigation.scrub_period_s > 0.0)) {
-    report.add("RF5", analysis::Severity::kError, "faults",
-               "mitigation.scrub_period_s = " +
-                   std::to_string(spec.mitigation.scrub_period_s) +
-                   " is not positive while scrubbing is enabled",
+  if (spec.mitigation.scrubbing) {
+    c.positive("RF5", "mitigation.scrub_period_s",
+               spec.mitigation.scrub_period_s,
                "scrub passes need a positive period");
-  }
-  if (spec.mitigation.scrubbing && !(spec.mitigation.scrub_time_ms >= 0.0)) {
-    report.add("RF5", analysis::Severity::kError, "faults",
-               "mitigation.scrub_time_ms = " +
-                   std::to_string(spec.mitigation.scrub_time_ms) +
-                   " is negative",
-               "a scrub pass cannot take negative time");
+    c.non_negative("RF5", "mitigation.scrub_time_ms",
+                   spec.mitigation.scrub_time_ms,
+                   "a scrub pass cannot take negative time");
   }
   return report;
 }
@@ -106,11 +85,6 @@ analysis::LintReport lint_fault_spec(const FaultSpec& spec,
   return report;
 }
 
-void require_valid_fault_spec(const FaultSpec& spec) {
-  const analysis::LintReport report = lint_fault_spec(spec);
-  if (report.has_errors()) throw ConfigError(report.error_message());
-}
-
 FaultInjector::FaultInjector(const FaultSpec& spec, std::uint64_t episode_seed)
     : spec_(spec),
       reconfig_rng_(derive_seed(episode_seed, kReconfigStream)),
@@ -119,7 +93,7 @@ FaultInjector::FaultInjector(const FaultSpec& spec, std::uint64_t episode_seed)
       delay_rng_(derive_seed(episode_seed, kDelayStream)),
       weight_rng_(derive_seed(episode_seed, kWeightStream)),
       config_rng_(derive_seed(episode_seed, kConfigStream)) {
-  require_valid_fault_spec(spec);
+  lint_fault_spec(spec).throw_if_errors();
 }
 
 void FaultInjector::set_rate_scale(double transient, double seu) {

@@ -95,9 +95,6 @@ analysis::LintReport lint_fault_spec(const FaultSpec& spec);
 analysis::LintReport lint_fault_spec(const FaultSpec& spec,
                                      const Library& library);
 
-/// Throws ConfigError listing every violation; no-op on a valid spec.
-void require_valid_fault_spec(const FaultSpec& spec);
-
 /// How one configuration-memory upset manifests.
 enum class ConfigUpset {
   kNone,        ///< No upset this period.

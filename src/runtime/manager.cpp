@@ -46,80 +46,36 @@ const char* to_string(FailurePolicy p) {
 
 analysis::LintReport lint_runtime_policy(const RuntimePolicy& policy) {
   analysis::LintReport report;
-  auto bad = [&](const char* rule, const std::string& message,
-                 const std::string& hint) {
-    report.add(rule, analysis::Severity::kError, "runtime-policy", message,
-               hint);
-  };
-  if (!(policy.max_accuracy_loss >= 0.0 && policy.max_accuracy_loss <= 1.0)) {
-    bad("RP1",
-        "max_accuracy_loss = " + std::to_string(policy.max_accuracy_loss) +
-            " is outside [0, 1]",
-        "express the accuracy budget as a fraction");
-  }
-  if (!(policy.ips_headroom > 0.0)) {
-    bad("RP2",
-        "ips_headroom = " + std::to_string(policy.ips_headroom) +
-            " is not positive",
-        "use a multiplier >= 1 to leave drain margin");
-  }
+  analysis::SpecCheck c(report, "runtime-policy");
+  c.within("RP1", "max_accuracy_loss", policy.max_accuracy_loss, 0.0, 1.0,
+           "express the accuracy budget as a fraction");
+  c.positive("RP2", "ips_headroom", policy.ips_headroom,
+             "use a multiplier >= 1 to leave drain margin");
   const BackoffPolicy& b = policy.backoff;
-  if (!(b.initial_s > 0.0)) {
-    bad("RP3", "backoff.initial_s = " + std::to_string(b.initial_s) +
-                   " is not positive",
-        "the first retry needs a positive delay");
-  }
-  if (!(b.multiplier >= 1.0)) {
-    bad("RP4", "backoff.multiplier = " + std::to_string(b.multiplier) +
-                   " is below 1",
-        "exponential backoff must not shrink");
-  }
-  if (!(b.max_s >= b.initial_s)) {
-    bad("RP5", "backoff.max_s = " + std::to_string(b.max_s) +
-                   " is below backoff.initial_s",
-        "the cap must cover the first delay");
-  }
-  if (!(b.jitter >= 0.0 && b.jitter < 1.0)) {
-    bad("RP6", "backoff.jitter = " + std::to_string(b.jitter) +
-                   " is outside [0, 1)",
-        "jitter is a +- fraction of the delay");
-  }
-  if (b.degrade_after < 1) {
-    bad("RP7", "backoff.degrade_after = " + std::to_string(b.degrade_after) +
-                   " is below 1",
-        "at least one failure must precede Degraded");
-  }
-  if (!(b.probe_cooldown_s >= 0.0)) {
-    bad("RP8", "backoff.probe_cooldown_s = " +
-                   std::to_string(b.probe_cooldown_s) + " is negative",
-        "use a non-negative cooldown");
-  }
+  c.positive("RP3", "backoff.initial_s", b.initial_s,
+             "the first retry needs a positive delay");
+  c.at_least("RP4", "backoff.multiplier", b.multiplier, 1.0,
+             "exponential backoff must not shrink");
+  c.at_least("RP5", "backoff.max_s", b.max_s, b.initial_s,
+             "the cap must cover the first delay");
+  c.within("RP6", "backoff.jitter", b.jitter, 0.0, 1.0,
+           "jitter is a +- fraction of the delay", analysis::Ends::kOpenHigh);
+  c.at_least("RP7", "backoff.degrade_after", b.degrade_after, 1,
+             "at least one failure must precede Degraded");
+  c.non_negative("RP8", "backoff.probe_cooldown_s", b.probe_cooldown_s,
+                 "use a non-negative cooldown");
   const DriftPolicy& dr = policy.drift;
-  if (dr.window < 1 || dr.min_samples < 1 || dr.min_samples > dr.window) {
-    bad("RP9",
-        "drift.window = " + std::to_string(dr.window) +
-            " / drift.min_samples = " + std::to_string(dr.min_samples) +
-            " is not a valid detection window",
-        "need window >= 1 and min_samples in [1, window]");
-  }
-  if (!(dr.accuracy_tolerance > 0.0 && dr.accuracy_tolerance <= 1.0)) {
-    bad("RP10",
-        "drift.accuracy_tolerance = " + std::to_string(dr.accuracy_tolerance) +
-            " is outside (0, 1]",
-        "a zero tolerance would fire on numerical noise");
-  }
-  if (!(dr.exit_rate_tolerance > 0.0 && dr.exit_rate_tolerance <= 1.0)) {
-    bad("RP11",
-        "drift.exit_rate_tolerance = " +
-            std::to_string(dr.exit_rate_tolerance) + " is outside (0, 1]",
-        "a zero tolerance would fire on numerical noise");
-  }
+  const char* window = "need window >= 1 and min_samples in [1, window]";
+  (void)(c.at_least("RP9", "drift.window", dr.window, 1, window) &&
+         c.within("RP9", "drift.min_samples", dr.min_samples, 1, dr.window,
+                  window));
+  c.within("RP10", "drift.accuracy_tolerance", dr.accuracy_tolerance, 0.0,
+           1.0, "a zero tolerance would fire on numerical noise",
+           analysis::Ends::kOpenLow);
+  c.within("RP11", "drift.exit_rate_tolerance", dr.exit_rate_tolerance, 0.0,
+           1.0, "a zero tolerance would fire on numerical noise",
+           analysis::Ends::kOpenLow);
   return report;
-}
-
-void require_valid_runtime_policy(const RuntimePolicy& policy) {
-  const analysis::LintReport report = lint_runtime_policy(policy);
-  if (report.has_errors()) throw ConfigError(report.error_message());
 }
 
 RuntimeManager::RuntimeManager(const Library& library, RuntimePolicy policy,
@@ -127,7 +83,7 @@ RuntimeManager::RuntimeManager(const Library& library, RuntimePolicy policy,
     : library_(&library),
       policy_(policy),
       jitter_state_(derive_seed(seed, kJitterStream)) {
-  require_valid_runtime_policy(policy);
+  lint_runtime_policy(policy).throw_if_errors();
   ADAPEX_CHECK(!library.entries.empty(), "empty library");
   for (std::size_t i = 0; i < library.entries.size(); ++i) {
     const LibraryEntry& e = library.entries[i];

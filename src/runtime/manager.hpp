@@ -122,9 +122,6 @@ struct RuntimePolicy {
 /// Validates a policy without throwing; one diagnostic per bad field.
 analysis::LintReport lint_runtime_policy(const RuntimePolicy& policy);
 
-/// Throws ConfigError listing every violation; no-op on a valid policy.
-void require_valid_runtime_policy(const RuntimePolicy& policy);
-
 /// The manager's reaction to a workload sample.
 struct Decision {
   int entry_index = -1;      ///< Active entry after the decision.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -450,7 +451,7 @@ TEST(FleetLint, AggregatesEveryViolation) {
   for (const std::string& rule : want) {
     EXPECT_TRUE(got.count(rule)) << "missing rule " << rule;
   }
-  EXPECT_THROW(require_valid_fleet_scenario(sc), ConfigError);
+  EXPECT_THROW(lint_fleet_scenario(sc).throw_if_errors(), ConfigError);
 }
 
 TEST(FleetLint, SingleDeviceStaggerWarns) {
@@ -478,6 +479,45 @@ TEST(FleetJson, ScenarioRoundTrips) {
   EXPECT_EQ(back.tenants.size(), sc.tenants.size());
   EXPECT_EQ(back.base.seed, sc.base.seed);
   EXPECT_EQ(back.stagger.enabled, sc.stagger.enabled);
+}
+
+TEST(FleetJson, IntegerFieldsRejectFractionsOverflowAndBadSeeds) {
+  const struct {
+    const char* key;
+    const char* value;
+  } cases[] = {
+      {"queue_capacity", "2.5"},
+      {"queue_capacity", "1e20"},
+      {"seed", "-1"},
+      {"seed", "1152921504606846977"},  // 2^60 + 1
+  };
+  for (const auto& c : cases) {
+    Json j = small_fleet(3).to_json();
+    j["base"][c.key] = Json::parse(c.value);
+    try {
+      FleetScenario::from_json(j);
+      ADD_FAILURE() << c.key << " = " << c.value << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.key), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(FleetJson, SeedsBeyondExactJsonRangeAreNotWritten) {
+  FleetScenario sc = small_fleet(3);
+  sc.base.seed = (std::uint64_t{1} << 60) + 1;
+  EXPECT_THROW(sc.to_json(), ConfigError);
+  sc.base.seed = (std::uint64_t{1} << 53) - 1;  // the largest exact seed
+  EXPECT_EQ(FleetScenario::from_json(sc.to_json()).base.seed, sc.base.seed);
+}
+
+TEST(FleetJson, TenantMetricsRefuseNonFiniteValues) {
+  TenantMetrics t;
+  t.name = "t";
+  EXPECT_NO_THROW(t.to_json());
+  t.accuracy = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(t.to_json(), Error);
 }
 
 TEST(FleetJson, MetricsSerializeFinite) {

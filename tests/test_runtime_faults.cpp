@@ -154,7 +154,7 @@ TEST(FaultInjector, ValidationAggregatesEveryViolation) {
   f.reconfig_slow_factor = 0.5;
   f.stall_duration_s = -1.0;
   try {
-    require_valid_fault_spec(f);
+    lint_fault_spec(f).throw_if_errors();
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     const std::string msg = e.what();
@@ -163,7 +163,7 @@ TEST(FaultInjector, ValidationAggregatesEveryViolation) {
     EXPECT_NE(msg.find("reconfig_slow_factor"), std::string::npos);
     EXPECT_NE(msg.find("stall_duration_s"), std::string::npos);
   }
-  EXPECT_NO_THROW(require_valid_fault_spec(mixed_faults()));
+  EXPECT_NO_THROW(lint_fault_spec(mixed_faults()).throw_if_errors());
 }
 
 TEST(FaultInjector, SeuLintRejectsBadRatesAndSeverities) {
@@ -176,7 +176,7 @@ TEST(FaultInjector, SeuLintRejectsBadRatesAndSeverities) {
   f.seu_hang_frac = 0.8;
   f.seu_exit_corrupt_frac = 0.5;  // fractions sum to 1.3 > 1
   try {
-    require_valid_fault_spec(f);
+    lint_fault_spec(f).throw_if_errors();
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     const std::string msg = e.what();
@@ -222,7 +222,7 @@ TEST(RuntimePolicyValidation, DriftPolicyLintedAsRp9ToRp11) {
   p.drift.accuracy_tolerance = 0.0;
   p.drift.exit_rate_tolerance = 1.5;
   try {
-    require_valid_runtime_policy(p);
+    lint_runtime_policy(p).throw_if_errors();
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     const std::string msg = e.what();
@@ -242,7 +242,7 @@ TEST(RuntimePolicyValidation, RejectsBadFieldsAggregated) {
   p.backoff.multiplier = 0.5;
   p.backoff.jitter = 1.5;
   try {
-    require_valid_runtime_policy(p);
+    lint_runtime_policy(p).throw_if_errors();
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     const std::string msg = e.what();
@@ -273,7 +273,7 @@ TEST(EdgeScenarioValidation, RejectsBadFieldsAggregated) {
     EXPECT_NE(msg.find("queue_capacity"), std::string::npos);
     EXPECT_NE(msg.find("stall_prob"), std::string::npos);
   }
-  EXPECT_NO_THROW(require_valid_edge_scenario(EdgeScenario{}));
+  EXPECT_NO_THROW(lint_edge_scenario(EdgeScenario{}).throw_if_errors());
 }
 
 TEST(RuntimeManager, CurrentBeforeFirstSelectFailsClearly) {

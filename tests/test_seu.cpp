@@ -2,15 +2,17 @@
 // stream independence, the drift detector, the manager's scrub/reload
 // recovery path, mitigation behaviour in the edge simulation (ECC,
 // scrubbing, TMR), the zero-rate invariant, the mitigation cost model, and
-// the EdgeMetrics writers.
+// the EdgeMetrics writers and episode pooling.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <thread>
 #include <vector>
 
+#include "edge/metric_fields.hpp"
 #include "edge/simulation.hpp"
 #include "finn/accelerator.hpp"
 #include "finn/mitigation.hpp"
@@ -492,6 +494,93 @@ TEST(EdgeMetricsWriters, ZeroSampleEpisodeStaysFinite) {
   EXPECT_DOUBLE_EQ(m.accuracy, 0.0);
   EXPECT_NO_THROW(m.to_json());
   EXPECT_NO_THROW(m.csv_row());
+}
+
+/// An SEU setup where some seeds recover by reload and others never do.
+EdgeScenario partly_recovering_scenario() {
+  EdgeScenario sc = steady_scenario(9);
+  sc.faults = seu_faults(0.02, 0.0132);
+  sc.faults.seu_hang_frac = 0.0;
+  return sc;
+}
+
+TEST(EdgeMetricsPooling, OneRunPoolsToTheEpisodeItself) {
+  const Library lib = controlled_library();
+  const RuntimePolicy pol{AdaptPolicy::kAdaPEx, 0.10};
+  const EdgeScenario sc = partly_recovering_scenario();
+  EXPECT_EQ(simulate_edge_runs(lib, pol, sc, 1).to_json().dump(),
+            simulate_edge(lib, pol, sc).to_json().dump());
+}
+
+TEST(EdgeMetricsPooling, EveryFieldPoolsByItsKind) {
+  const Library lib = controlled_library();
+  const RuntimePolicy pol{AdaptPolicy::kAdaPEx, 0.10};
+  const EdgeScenario sc = partly_recovering_scenario();
+  constexpr int kRuns = 5;
+  std::vector<EdgeMetrics> episodes;
+  for (int r = 0; r < kRuns; ++r) {
+    EdgeScenario run = sc;
+    run.seed = sc.seed + static_cast<std::uint64_t>(r);
+    episodes.push_back(simulate_edge(lib, pol, run));
+  }
+  const EdgeMetrics pooled = simulate_edge_runs(lib, pol, sc, kRuns);
+  for (const MetricField<EdgeMetrics>& f : edge_metric_fields()) {
+    if (f.pooling == Pooling::kDerived) continue;  // derive_ratios' job
+    double sum = 0.0;
+    double weighted = 0.0;
+    double weight = 0.0;
+    for (const EdgeMetrics& m : episodes) {
+      const double w = static_cast<double>(
+          f.pooling == Pooling::kPostRecovery ? m.post_recovery_served
+                                              : m.served);
+      sum += f.get(m);
+      weighted += f.get(m) * w;
+      weight += w;
+    }
+    if (f.pooling == Pooling::kSum) {
+      EXPECT_EQ(f.get(pooled), sum) << f.name;
+    } else {
+      EXPECT_DOUBLE_EQ(f.get(pooled), weight > 0.0 ? weighted / weight : 0.0)
+          << f.name;
+    }
+  }
+}
+
+TEST(EdgeMetricsPooling, PostRecoveryAccuracyWeighsOnlyRecoveredRequests) {
+  // Runs that never reload serve no post-recovery requests; weighting the
+  // pooled mean by every served request let them drag it far below every
+  // recovered run's value.
+  const Library lib = controlled_library();
+  const RuntimePolicy pol{AdaptPolicy::kAdaPEx, 0.10};
+  const EdgeScenario sc = partly_recovering_scenario();
+  constexpr int kRuns = 8;
+  double weighted = 0.0;
+  long served = 0;
+  double lo = 1.0;
+  double hi = 0.0;
+  int unrecovered = 0;
+  for (int r = 0; r < kRuns; ++r) {
+    EdgeScenario run = sc;
+    run.seed = sc.seed + static_cast<std::uint64_t>(r);
+    const EdgeMetrics m = simulate_edge(lib, pol, run);
+    if (m.post_recovery_served == 0) {
+      ++unrecovered;
+      continue;
+    }
+    weighted += m.post_recovery_accuracy *
+                static_cast<double>(m.post_recovery_served);
+    served += m.post_recovery_served;
+    lo = std::min(lo, m.post_recovery_accuracy);
+    hi = std::max(hi, m.post_recovery_accuracy);
+  }
+  ASSERT_GT(unrecovered, 0);
+  ASSERT_GT(served, 0);
+  const EdgeMetrics pooled = simulate_edge_runs(lib, pol, sc, kRuns);
+  EXPECT_EQ(pooled.post_recovery_served, served);
+  EXPECT_DOUBLE_EQ(pooled.post_recovery_accuracy,
+                   weighted / static_cast<double>(served));
+  EXPECT_GE(pooled.post_recovery_accuracy, lo);
+  EXPECT_LE(pooled.post_recovery_accuracy, hi);
 }
 
 TEST(MitigationCostModel, OverheadsMatchTheModel) {
