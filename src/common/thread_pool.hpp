@@ -1,12 +1,18 @@
 // Small work-stealing thread pool.
 //
-// Built for the library generator's design-point fan-out: a few dozen
-// coarse tasks (seconds each), submitted up front, then a single barrier.
-// Each worker owns a deque; submit() deals tasks round-robin, a worker pops
-// from the front of its own deque and steals from the back of a victim's
-// when it runs dry. Queues are mutex-guarded — task granularity here is
-// milliseconds-to-seconds, so lock-free deques would buy nothing — which
-// also keeps the pool trivially ThreadSanitizer-clean.
+// Built for the library generator's design-point sweep: a few dozen coarse
+// tasks (seconds each) and a single barrier. Each worker owns a deque;
+// submit() deals tasks round-robin, a worker pops from the front of its own
+// deque and steals from the back of a victim's when it runs dry. Queues are
+// mutex-guarded — task granularity here is milliseconds-to-seconds, so
+// lock-free deques would buy nothing — which also keeps the pool trivially
+// ThreadSanitizer-clean.
+//
+// Continuations: a running task may submit() further tasks (that is how the
+// generator chains "train a base model, then sweep its design points"), and
+// wait() covers them — a continuation is counted before the task that
+// submitted it finishes, so the barrier cannot open between the two. Tasks
+// must not call wait() themselves.
 //
 // Determinism contract: the pool schedules tasks in an arbitrary order on
 // arbitrary threads. Callers that need deterministic output (the library
@@ -16,18 +22,18 @@
 //
 // Exception contract: a task that throws no longer escapes into the worker
 // thread (which would std::terminate the process). The first exception is
-// captured, every task still queued at that point is drained without
-// running (the sweep is already doomed; finishing it would only delay the
-// report), and the next wait() rethrows the captured exception. After the
-// rethrow the pool is reusable: submit()/wait() cycles behave as if freshly
-// constructed. Callers that need per-task failure isolation (retry,
-// quarantine) must catch inside the task — the library generator does —
-// and then this capture path is only a backstop.
+// captured, every task still queued at that point — continuations submitted
+// after it included — is drained without running (the sweep is already
+// doomed; finishing it would only delay the report), and the next wait()
+// rethrows the captured exception. After the rethrow the pool is reusable:
+// submit()/wait() cycles behave as if freshly constructed. Callers that need
+// per-task failure isolation (retry, quarantine) must catch inside the task
+// — the library generator does — and then this capture path is only a
+// backstop.
 
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -67,27 +73,31 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Enqueues a task. Tasks must not themselves call submit() or wait() on
-  /// this pool (single fan-out + barrier usage).
+  /// Enqueues a task. May be called from a running task of this pool (a
+  /// continuation); the next wait() then also waits for it.
   void submit(std::function<void()> task) {
     ADAPEX_CHECK(task != nullptr, "thread pool: null task");
-    {
-      std::lock_guard<std::mutex> lock(sleep_mutex_);
-      ++pending_;
-    }
     Queue& q = queues_[next_queue_.fetch_add(1, std::memory_order_relaxed) %
                        queues_.size()];
     {
-      std::lock_guard<std::mutex> lock(q.mutex);
-      q.tasks.push_back(std::move(task));
+      // The push and both counts move together under the sleep mutex, so a
+      // worker that sees queued_ > 0 is guaranteed a task to pop.
+      std::lock_guard<std::mutex> lock(sleep_mutex_);
+      ++pending_;
+      {
+        std::lock_guard<std::mutex> qlock(q.mutex);
+        q.tasks.push_back(std::move(task));
+      }
+      ++queued_;
     }
     work_available_.notify_one();
   }
 
-  /// Blocks until every submitted task has finished running (or been
-  /// drained after a failure). If any task threw, rethrows the *first*
-  /// captured exception and resets the failure state, leaving the pool
-  /// reusable for subsequent submit()/wait() rounds.
+  /// Blocks until every submitted task — continuations submitted by running
+  /// tasks included — has finished running (or been drained after a
+  /// failure). Must not be called from a task. If any task threw, rethrows
+  /// the *first* captured exception and resets the failure state, leaving
+  /// the pool reusable for subsequent submit()/wait() rounds.
   void wait() {
     std::unique_lock<std::mutex> lock(sleep_mutex_);
     all_done_.wait(lock, [this] { return pending_ == 0; });
@@ -140,32 +150,38 @@ class ThreadPool {
 
   void worker_loop(std::size_t self) {
     for (;;) {
+      {
+        // Claim one queued task under the lock before popping it: the count
+        // is checked and decremented atomically with the sleep decision, so
+        // a submit() can never slip in between a failed pop and the wait.
+        std::unique_lock<std::mutex> lock(sleep_mutex_);
+        work_available_.wait(lock, [this] { return stop_ || queued_ > 0; });
+        if (queued_ == 0) return;  // stopped and fully drained
+        --queued_;
+      }
+      // Every claim is backed by a pushed task that no other claim owns, so
+      // the scan finds one; a racing thief can only make it look again.
       std::function<void()> task;
-      if (try_pop(self, task)) {
-        // Once a task has failed the remaining queued tasks are drained
-        // unrun: the relaxed-then-confirm pattern keeps the hot path at one
-        // atomic load while the capture itself is serialized under the
-        // sleep mutex (first writer wins).
-        if (!failed_.load(std::memory_order_acquire)) {
-          try {
-            task();
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(sleep_mutex_);
-            if (!first_error_) {
-              first_error_ = std::current_exception();
-              failed_.store(true, std::memory_order_release);
-            }
+      while (!try_pop(self, task)) {
+      }
+      // Once a task has failed the remaining queued tasks are drained
+      // unrun: the relaxed-then-confirm pattern keeps the hot path at one
+      // atomic load while the capture itself is serialized under the sleep
+      // mutex (first writer wins).
+      if (!failed_.load(std::memory_order_acquire)) {
+        try {
+          task();
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(sleep_mutex_);
+          if (!first_error_) {
+            first_error_ = std::current_exception();
+            failed_.store(true, std::memory_order_release);
           }
         }
-        std::lock_guard<std::mutex> lock(sleep_mutex_);
-        if (--pending_ == 0) all_done_.notify_all();
-        continue;
       }
-      std::unique_lock<std::mutex> lock(sleep_mutex_);
-      if (stop_) return;
-      // Re-check under the lock: a task may have been submitted between the
-      // failed pop and acquiring the lock; waking spuriously is harmless.
-      work_available_.wait_for(lock, std::chrono::milliseconds(50));
+      task = nullptr;  // release captures before the barrier can open
+      std::lock_guard<std::mutex> lock(sleep_mutex_);
+      if (--pending_ == 0) all_done_.notify_all();
     }
   }
 
@@ -176,7 +192,10 @@ class ThreadPool {
   std::mutex sleep_mutex_;
   std::condition_variable work_available_;
   std::condition_variable all_done_;
+  /// Submitted tasks not yet finished (or drained); wait() blocks on 0.
   std::size_t pending_ = 0;
+  /// Pushed tasks not yet claimed by a worker; workers sleep on 0.
+  std::size_t queued_ = 0;
   bool stop_ = false;
   /// First task exception of the current submit/wait round, rethrown (and
   /// cleared) by wait(). Guarded by sleep_mutex_; failed_ mirrors its

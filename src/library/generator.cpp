@@ -155,9 +155,17 @@ void progress(const LibraryGenSpec& spec, const std::string& msg) {
 /// reported in one structured ConfigError (see analysis/lint.hpp).
 void verify_base_design(BranchyModel& model, const LibraryGenSpec& spec,
                         const char* family) {
-  auto sites = walk_compute_layers(model, spec.accel.in_channels,
-                                   spec.accel.image_size);
-  const FoldingConfig folding = styled_folding(sites, spec.folding_style);
+  std::vector<LayerSite> sites;
+  try {
+    sites = walk_compute_layers(model, spec.accel.in_channels,
+                                spec.accel.image_size);
+  } catch (const Error&) {
+    // The strict walk rejects the geometry (e.g. AcceleratorConfig input
+    // channels that do not match the CNV); the lenient design rules below
+    // report every violation with an empty folding instead of the first.
+  }
+  const FoldingConfig folding =
+      sites.empty() ? FoldingConfig{} : styled_folding(sites, spec.folding_style);
   const analysis::LintReport report =
       analysis::lint_design(model, folding, spec.accel);
   if (report.has_errors()) {
@@ -199,9 +207,10 @@ PackedMode eval_mode_from_spec(const LibraryGenSpec& spec) {
   return PackedMode::kEnv;
 }
 
-/// Serializes on_progress calls and releases per-design-point messages in
-/// sweep order: a point's message is held until every earlier point has
-/// reported, so the progress stream reads identically at any thread count.
+/// Serializes on_progress calls and releases messages in their serial
+/// order: message k is held until messages 0..k-1 have been published, so
+/// the progress stream reads identically at any thread count even though
+/// base training, the reference evaluation, and the design points overlap.
 class OrderedProgressSink {
  public:
   explicit OrderedProgressSink(const LibraryGenSpec& spec) : spec_(spec) {}
@@ -578,42 +587,21 @@ Library generate_library(const LibraryGenSpec& spec) {
   lib.static_power_w = spec.power.static_w;
   lib.mitigation = spec.mitigation;
 
-  // Train each needed family once, serially: design points fork from these.
+  // Build each needed base model and check it against the design rules on
+  // the calling thread, in family order, before any epoch is spent: a spec
+  // that violates them fails with the same ConfigError at every thread
+  // count, and no training task is ever started for it.
   BranchyModel base_plain;
   if (need_plain) {
     Rng init_rng(spec.seed);
     base_plain = build_cnv(spec.cnv, init_rng);
     verify_base_design(base_plain, spec, "no-exit CNV:");
-    progress(spec, "training no-exit CNV (" +
-                       std::to_string(spec.initial_train.epochs) + " epochs)");
-    train_model(base_plain, data->train, spec.dataset.flip_symmetry,
-                spec.initial_train);
   }
-
   BranchyModel base_ee;
   if (need_ee) {
     Rng ee_rng(spec.seed + 1);
     base_ee = build_cnv_with_exits(spec.cnv, spec.exits, ee_rng);
     verify_base_design(base_ee, spec, "early-exit CNV:");
-    progress(spec, "training early-exit CNV (joint loss, " +
-                       std::to_string(spec.initial_train.epochs) + " epochs)");
-    train_model(base_ee, data->train, spec.dataset.flip_symmetry,
-                spec.initial_train);
-  }
-
-  // Reference accuracy: unpruned no-exit model (journaled in meta.json so a
-  // fully-replayed resume never retrains just to recompute one scalar).
-  if (have_meta) {
-    lib.reference_accuracy = journal_ref;
-    progress(spec, "journal: replayed reference accuracy " +
-                       std::to_string(journal_ref));
-  } else {
-    auto eval = evaluate_exits(base_plain, data->test, /*batch_size=*/32,
-                               /*num_threads=*/0, eval_mode_from_spec(spec));
-    lib.reference_accuracy = apply_threshold(eval, 2.0).accuracy;
-    progress(spec, "reference accuracy (FINN, unpruned): " +
-                       std::to_string(lib.reference_accuracy));
-    journal.record_meta(lib.reference_accuracy);
   }
 
   // Pre-assign each design point a contiguous accelerator-id block (styled
@@ -705,39 +693,105 @@ Library generate_library(const LibraryGenSpec& spec) {
     return msg;
   };
 
-  // Fan the still-undone design points out over the pool. From here on the
-  // base models, dataset, and spec are read-only shared state; each task
-  // writes only its own pre-assigned slots, so assembling rows in sweep
-  // order below yields the same bytes at any thread count. Only undone
-  // indices are submitted (dense `todo` positions), so the ordered progress
-  // sink never waits on a replayed point that will not report.
+  // The still-undone design points, in sweep order. Only these report, so
+  // the ordered progress sink never waits on a replayed point.
   std::vector<std::size_t> todo;
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (!done[i]) todo.push_back(i);
   }
+
+  // Progress slots in the serial order of the messages: the base-training
+  // banners, the reference accuracy, then one slot per undone point.
+  std::size_t next_slot = 0;
+  const std::size_t plain_slot = need_plain ? next_slot++ : 0;
+  const std::size_t ee_slot = need_ee ? next_slot++ : 0;
+  const std::size_t reference_slot = next_slot++;
+  const std::size_t first_point_slot = next_slot;
+  OrderedProgressSink sink(spec);
+
+  // The steps of the generation graph. Each family's base trains once and
+  // its design points fork from it; every step writes only its own state
+  // (one base model, one report field, the reference accuracy, or slot i),
+  // so the steps may run in any order their dependencies allow.
+  auto train_base = [&](BranchyModel& base, std::size_t slot,
+                        const std::string& banner, double& wall_s) {
+    sink.publish(slot, banner);
+    const auto t_base = std::chrono::steady_clock::now();
+    train_model(base, data->train, spec.dataset.flip_symmetry,
+                spec.initial_train);
+    wall_s = seconds_since(t_base);
+  };
+  const std::string epochs = std::to_string(spec.initial_train.epochs);
+  auto train_plain = [&] {
+    train_base(base_plain, plain_slot,
+               "training no-exit CNV (" + epochs + " epochs)",
+               report.base_wall_s.plain);
+  };
+  auto train_ee = [&] {
+    train_base(base_ee, ee_slot,
+               "training early-exit CNV (joint loss, " + epochs + " epochs)",
+               report.base_wall_s.early_exit);
+  };
+  // Reference accuracy: unpruned no-exit model (journaled in meta.json so a
+  // fully-replayed resume never retrains just to recompute one scalar).
+  auto reference = [&](std::size_t eval_threads) {
+    if (have_meta) {
+      lib.reference_accuracy = journal_ref;
+      sink.publish(reference_slot, "journal: replayed reference accuracy " +
+                                       std::to_string(journal_ref));
+      return;
+    }
+    auto eval = evaluate_exits(base_plain, data->test, /*batch_size=*/32,
+                               eval_threads, eval_mode_from_spec(spec));
+    lib.reference_accuracy = apply_threshold(eval, 2.0).accuracy;
+    sink.publish(reference_slot, "reference accuracy (FINN, unpruned): " +
+                                     std::to_string(lib.reference_accuracy));
+    journal.record_meta(lib.reference_accuracy);
+  };
+  auto sweep_point = [&](std::size_t t) {
+    const std::size_t i = todo[t];
+    attempt_point(i);  // never throws: failures quarantine in-slot
+    sink.publish(first_point_slot + t, outcome_message(i));
+  };
+
   const std::size_t num_threads = std::min(
       resolve_thread_count(spec), std::max<std::size_t>(todo.size(), 1));
 
   if (num_threads <= 1) {
-    for (std::size_t i : todo) {
-      attempt_point(i);
-      progress(spec, outcome_message(i));
-    }
+    if (need_plain) train_plain();
+    if (need_ee) train_ee();
+    reference(/*eval_threads=*/0);
+    for (std::size_t t = 0; t < todo.size(); ++t) sweep_point(t);
   } else {
     progress(spec, "sweeping " + std::to_string(todo.size()) +
                        " design points on " + std::to_string(num_threads) +
                        " threads");
-    OrderedProgressSink sink(spec);
+    // Dependency-driven schedule: dataset -> {plain base -> reference eval
+    // -> plain points, EE base -> EE points}. Both base trainings start at
+    // once and each submits its family's points as continuations, so one
+    // family's points fill idle workers while the other base still trains.
+    // The reference eval runs serially inside its task (pool tasks must not
+    // spin up nested pools); evaluation is bitwise thread-count independent.
     ThreadPool pool(num_threads);
-    for (std::size_t t = 0; t < todo.size(); ++t) {
-      pool.submit([&, t] {
-        const std::size_t i = todo[t];
-        attempt_point(i);  // never throws: failures quarantine in-slot
-        sink.publish(t, outcome_message(i));
-      });
-    }
+    auto submit_family = [&](bool exits) {
+      for (std::size_t t = 0; t < todo.size(); ++t) {
+        if ((points[todo[t]].variant != ModelVariant::kNoExit) == exits) {
+          pool.submit([&, t] { sweep_point(t); });
+        }
+      }
+    };
+    pool.submit([&] {
+      if (need_ee) train_ee();
+      submit_family(/*exits=*/true);
+    });
+    pool.submit([&] {
+      if (need_plain) train_plain();
+      reference(/*eval_threads=*/1);
+      submit_family(/*exits=*/false);
+    });
     // attempt_point contains every expected failure; the pool's capture
-    // path is only a backstop (e.g. bad_alloc while recording an error).
+    // path covers the base trainings and the reference evaluation, and
+    // drains the continuations a failed step would have fed.
     pool.wait();
   }
 

@@ -12,17 +12,23 @@
 // pruning pass. Test-set evaluation runs once per pruned model; confidence
 // thresholds are applied as post-processing (nn/eval.hpp).
 //
-// Parallelism and determinism: after the two base models are trained, every
-// (variant, prune-rate) design point is an independent task — it clones the
-// trained base, prunes, retrains, compiles, and evaluates entirely on
-// task-local state — executed on a work-stealing pool
-// (common/thread_pool.hpp). Retrain seeds are derived per design point with
-// derive_seed(spec.seed, variant, rate) (common/rng.hpp) rather than from
-// the loop schedule, results land in pre-assigned slots, and Library rows
+// Parallelism and determinism: generation is a dependency graph on one
+// work-stealing pool (common/thread_pool.hpp):
+//
+//   dataset -+- plain base -- reference eval -- plain design points
+//            +- EE base ------------------------ EE design points
+//
+// Both base trainings start at once; when a base finishes, its task submits
+// that family's (variant, prune-rate) design points as continuations, so
+// one family's points run while the other base still trains. Every design
+// point clones the trained base, prunes, retrains, compiles, and evaluates
+// entirely on task-local state. Retrain seeds are derived per design point
+// with derive_seed(spec.seed, variant, rate) (common/rng.hpp) rather than
+// from the schedule, results land in pre-assigned slots, and Library rows
 // are assembled in sweep order after the barrier, so the generated Library
-// is byte-identical for every thread count (ADAPEX_THREADS=1 reproduces the
-// serial path exactly). Progress messages are buffered per design point and
-// flushed in sweep order through a mutex-guarded sink.
+// is byte-identical for every thread count (ADAPEX_THREADS=1 runs the graph
+// serially in its canonical order). Every progress message is released in
+// that serial order through one mutex-guarded sink.
 //
 // Crash safety and failure isolation (library/journal.hpp): with
 // `journal_dir` set, every completed design point is checkpointed to disk
@@ -95,7 +101,7 @@ struct LibraryGenSpec {
   /// Device whose resource caps bound reach-aware reallocation.
   analysis::DeviceProfile reach_device = analysis::DeviceProfile::zcu104();
   std::uint64_t seed = 7;
-  /// Design-point parallelism: 0 resolves ADAPEX_THREADS (default:
+  /// Generation parallelism: 0 resolves ADAPEX_THREADS (default:
   /// hardware_concurrency), 1 runs serially on the calling thread. The
   /// generated Library is byte-identical at every thread count, so this is
   /// deliberately NOT part of the artifact cache key.
@@ -159,7 +165,9 @@ struct LibraryGenSpec {
   std::function<void(std::size_t, int)> point_fault_hook;
   /// Progress sink (e.g. [](const std::string& s){ std::cerr << s << "\n"; }).
   /// May be called from worker threads, but calls are serialized under a
-  /// mutex and design-point messages arrive in sweep order.
+  /// mutex and messages arrive in the serial run's order (base training,
+  /// reference accuracy, then design points in sweep order); a parallel run
+  /// adds one "sweeping N design points" banner first.
   std::function<void(const std::string&)> on_progress;
 };
 

@@ -104,6 +104,10 @@ Json GenerationReport::to_json() const {
   j["compute_wall_s"] = compute_wall_s;
   j["checkpoint_wall_s"] = checkpoint_wall_s;
   j["checkpoint_overhead"] = checkpoint_overhead();
+  Json base = Json::object();
+  base["plain"] = base_wall_s.plain;
+  base["early_exit"] = base_wall_s.early_exit;
+  j["base_wall_s"] = std::move(base);
   Json pts = Json::array();
   for (const auto& p : points) pts.push_back(p.to_json());
   j["points"] = std::move(pts);

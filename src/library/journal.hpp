@@ -88,9 +88,19 @@ struct GenerationReport {
   /// True when the emitted Library is missing quarantined points
   /// (PartialPolicy::kEmitPartial only).
   bool partial = false;
-  double total_wall_s = 0.0;       ///< Whole generate_library() call.
+  /// Whole generate_library() call. With more than one thread the base
+  /// trainings overlap each other and the sweep, so this is not the sum of
+  /// base_wall_s and the point walls.
+  double total_wall_s = 0.0;
   double compute_wall_s = 0.0;     ///< Sum of point wall_s (CPU-ish basis).
   double checkpoint_wall_s = 0.0;  ///< Sum of point checkpoint_s.
+  /// Base-model training wall time per family; 0 for a family this run did
+  /// not train (a journal replay left it nothing to compute).
+  struct BaseWall {
+    double plain = 0.0;       ///< no-exit CNV
+    double early_exit = 0.0;  ///< early-exit CNV (joint loss)
+  };
+  BaseWall base_wall_s;
 
   std::size_t count(PointStatus status) const;
   std::size_t ok() const;  ///< computed + replayed + retried.

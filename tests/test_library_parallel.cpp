@@ -99,6 +99,87 @@ TEST(ThreadPool, ReusableAfterFailure) {
   EXPECT_EQ(count.load(), 100);
 }
 
+TEST(ThreadPool, ContinuationRunsBeforeWaitReturns) {
+  // A running task may submit follow-up tasks, which may submit their own;
+  // wait() covers the whole chain even though only the roots were
+  // submitted from outside the pool.
+  ThreadPool pool(4);
+  std::atomic<int> roots{0}, children{0}, grandchildren{0};
+  for (int i = 0; i < 8; ++i) {
+    pool.submit([&] {
+      roots.fetch_add(1, std::memory_order_relaxed);
+      pool.submit([&] {
+        children.fetch_add(1, std::memory_order_relaxed);
+        pool.submit(
+            [&] { grandchildren.fetch_add(1, std::memory_order_relaxed); });
+      });
+    });
+  }
+  pool.wait();
+  EXPECT_EQ(roots.load(), 8);
+  EXPECT_EQ(children.load(), 8);
+  EXPECT_EQ(grandchildren.load(), 8);
+}
+
+TEST(ThreadPool, ContinuationExceptionIsRethrownByWait) {
+  ThreadPool pool(2);
+  pool.submit([&pool] {
+    pool.submit([] { throw ConfigError("continuation failed"); });
+  });
+  try {
+    pool.wait();
+    FAIL() << "wait() must rethrow the continuation's exception";
+  } catch (const ConfigError& e) {
+    EXPECT_STREQ(e.what(), "continuation failed");
+  }
+  // The failure state was reset: the next round runs normally.
+  std::atomic<int> count{0};
+  pool.submit([&] {
+    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+  });
+  EXPECT_NO_THROW(pool.wait());
+  EXPECT_EQ(count.load(), 1);
+}
+
+TEST(ThreadPool, FailureDrainsQueuedContinuations) {
+  // Single worker: deterministic order. A task queues continuations and
+  // then throws; they are drained unrun, and so is a grandchild that a
+  // drained continuation would have submitted.
+  ThreadPool pool(1);
+  std::atomic<int> ran{0};
+  pool.submit([&] {
+    for (int i = 0; i < 16; ++i) {
+      pool.submit([&] {
+        ran.fetch_add(1, std::memory_order_relaxed);
+        pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+      });
+    }
+    throw ConfigError("parent failed");
+  });
+  EXPECT_THROW(pool.wait(), ConfigError);
+  EXPECT_EQ(ran.load(), 0);
+}
+
+TEST(ThreadPool, SubmitWaitStressNeverHangs) {
+  // Many short rounds mixing outside submissions with continuations at
+  // varying fan-out. A barrier that opened before a continuation finished
+  // shows up as a wrong count; a worker that slept through a submission
+  // (the lost-wakeup race) as a stalled round.
+  ThreadPool pool(4);
+  for (int round = 0; round < 500; ++round) {
+    std::atomic<int> count{0};
+    const int fan = 1 + round % 7;
+    for (int i = 0; i < fan; ++i) {
+      pool.submit([&] {
+        count.fetch_add(1, std::memory_order_relaxed);
+        pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+      });
+    }
+    pool.wait();
+    ASSERT_EQ(count.load(), 2 * fan) << "round " << round;
+  }
+}
+
 TEST(ThreadPool, EnvThreadCountParsing) {
   ASSERT_EQ(setenv("ADAPEX_THREADS", "6", 1), 0);
   EXPECT_EQ(ThreadPool::env_thread_count(), 6u);
@@ -130,13 +211,21 @@ TEST(SeedDerivation, UniqueAcrossSweepAndRoots) {
 }
 
 TEST(LibraryParallel, ByteIdenticalAcrossThreadCounts) {
+  GenerationReport report1, report4;
   auto serial = fast_spec();
   serial.num_threads = 1;
+  serial.report = &report1;
   const Library lib1 = generate_library(serial);
 
   auto parallel = fast_spec();
   parallel.num_threads = 4;
+  parallel.report = &report4;
   const Library lib4 = generate_library(parallel);
+  // Both runs trained both base models, overlapped or not.
+  for (const GenerationReport* r : {&report1, &report4}) {
+    EXPECT_GT(r->base_wall_s.plain, 0.0);
+    EXPECT_GT(r->base_wall_s.early_exit, 0.0);
+  }
 
   // Compare the saved artifacts byte for byte, not just the in-memory rows.
   const std::string p1 = "/tmp/adapex_parallel_t1.json";
@@ -181,6 +270,56 @@ TEST(LibraryParallel, OrderedProgressAtAnyThreadCount) {
     if (!m.starts_with("sweeping")) filtered.push_back(m);
   }
   EXPECT_EQ(filtered, serial_msgs);
+}
+
+/// Runs generate_library and returns the what() of the error it throws
+/// ("" if it returns).
+std::string generation_error(const LibraryGenSpec& spec) {
+  try {
+    generate_library(spec);
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(LibraryParallel, BaseDesignFailureSameErrorAtAnyThreadCount) {
+  // An accelerator input that does not match the CNV fails the base design
+  // check of both families. The check runs before any training task is
+  // scheduled, so every thread count reports the same structured error
+  // (the no-exit family's, first in family order).
+  auto spec = fast_spec();
+  spec.accel.in_channels = 1;  // the CNV takes RGB
+  std::string serial_error;
+  for (int threads : {1, 4}) {
+    spec.num_threads = threads;
+    try {
+      generate_library(spec);
+      FAIL() << "a base design violating R2 must not generate";
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("no-exit CNV:", 0), 0u) << what;
+      EXPECT_NE(what.find("R2"), std::string::npos) << what;
+      if (threads == 1) serial_error = what;
+      EXPECT_EQ(what, serial_error);
+    }
+  }
+}
+
+TEST(LibraryParallel, BaseTrainingFailureSurfacesAtAnyThreadCount) {
+  // Base training fails inside a pool task at 4 threads. Three loss weights
+  // suit the early-exit CNV but not the plain one, so only the plain task
+  // throws while the early-exit task trains on and submits its design
+  // points, which the failure drains. wait() must rethrow the same error
+  // the serial run throws, with no hang and no terminate.
+  auto spec = fast_spec();
+  spec.initial_train.exit_weights = {1.0, 0.3, 0.3};
+  spec.initial_train.epochs = 1;  // the early-exit base still trains fully
+  spec.num_threads = 1;
+  const std::string serial = generation_error(spec);
+  EXPECT_NE(serial.find("exit_weights arity"), std::string::npos) << serial;
+  spec.num_threads = 4;
+  EXPECT_EQ(generation_error(spec), serial);
 }
 
 TEST(LibraryCacheKey, SensitiveToEveryGenerationKnob) {

@@ -305,6 +305,50 @@ TEST(LibraryResume, RetryRecoversTransientFaultOnForkedSeed) {
   std::filesystem::remove_all(spec.journal_dir);
 }
 
+TEST(LibraryResume, OneFamilyLeftResumesByteIdenticalInParallel) {
+  // Under the parallel schedule each family's points are continuations of
+  // that family's base training. A resume with only one family left trains
+  // only that base (the reference accuracy replays from meta.json), and
+  // must still land on the bytes of the uninterrupted run.
+  auto spec = fast_spec();
+  spec.num_threads = 4;
+  spec.journal_dir = scratch_dir("resume_one_family");
+  const std::string key = library_cache_key(spec);
+  GenerationReport first;
+  spec.report = &first;
+  const std::string ref_bytes = generate_library(spec).to_json().dump(1);
+  // The sweep is variant-major with kNoExit first: the plain points are
+  // the first prune_rates_pct.size() indices.
+  const std::size_t plain_points = spec.prune_rates_pct.size();
+
+  for (const bool plain_left : {false, true}) {
+    SCOPED_TRACE(plain_left ? "only plain points left"
+                            : "only early-exit points left");
+    // Drop one family's checkpoints, as if the run died before writing
+    // them; the other family and meta.json stay journaled.
+    GenerationReport report;
+    spec.report = &report;
+    std::size_t dropped = 0;
+    for (std::size_t i = 0; i < first.points.size(); ++i) {
+      if ((i < plain_points) == plain_left) {
+        ASSERT_TRUE(std::filesystem::remove(spec.journal_dir + "/" + key +
+                                            "/point_" + std::to_string(i) +
+                                            ".json"));
+        ++dropped;
+      }
+    }
+    const Library resumed = generate_library(spec);
+    EXPECT_EQ(resumed.to_json().dump(1), ref_bytes);
+    EXPECT_EQ(report.count(PointStatus::kComputed), dropped);
+    EXPECT_EQ(report.count(PointStatus::kReplayed),
+              report.points.size() - dropped);
+    EXPECT_EQ(report.base_wall_s.plain > 0.0, plain_left);
+    EXPECT_EQ(report.base_wall_s.early_exit > 0.0, !plain_left);
+  }
+
+  std::filesystem::remove_all(spec.journal_dir);
+}
+
 TEST(LibraryResume, PartialLibraryIsNeverCached) {
   const std::string dir = scratch_dir("cache_partial");
   auto spec = fast_spec();
