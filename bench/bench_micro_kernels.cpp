@@ -1,10 +1,12 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: the conv/GEMM
 // training kernels, the early-exit evaluation path, the accelerator
-// compile, and the event-driven pipeline simulator. These bound the cost of
-// a library-generation run and catch performance regressions.
+// compile, the event-driven pipeline simulator, and one dataflow
+// cross-validation. These bound the cost of a library-generation run and
+// catch performance regressions.
 
 #include <benchmark/benchmark.h>
 
+#include "analysis/dataflow.hpp"
 #include "core/adapex.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
@@ -229,13 +231,20 @@ void BM_CompileAccelerator(benchmark::State& state) {
 }
 BENCHMARK(BM_CompileAccelerator);
 
-void BM_PipelineSim(benchmark::State& state) {
+/// The 0.25-width CNV with its paper exits, styled folding.
+Accelerator small_cnv_accelerator() {
   Rng rng(4);
   CnvConfig cfg = CnvConfig{}.scaled(0.25);
   BranchyModel model = build_cnv_with_exits(cfg, paper_exits_config(false), rng);
   auto sites = walk_compute_layers(model, cfg.in_channels, cfg.image_size);
-  auto folding = styled_folding(sites);
-  Accelerator acc = compile_accelerator(model, folding, AcceleratorConfig{});
+  return compile_accelerator(model, styled_folding(sites), AcceleratorConfig{});
+}
+
+/// A mid-threshold exit mix, like the rows of a verify_dataflow Library.
+const std::vector<double> kVerifyMix = {0.3, 0.2, 0.5};
+
+void BM_PipelineSim(benchmark::State& state) {
+  const Accelerator acc = small_cnv_accelerator();
   std::vector<int> exits(static_cast<std::size_t>(state.range(0)));
   for (std::size_t i = 0; i < exits.size(); ++i) exits[i] = static_cast<int>(i % 3);
   for (auto _ : state) {
@@ -245,6 +254,41 @@ void BM_PipelineSim(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PipelineSim)->Arg(128)->Arg(1024);
+
+// The paced, unbounded, link-recording run cross_validate and size_fifos
+// measure occupancy with, at a cross-validation-sized stream.
+void BM_PipelineSimPaced(benchmark::State& state) {
+  const Accelerator acc = small_cnv_accelerator();
+  const auto exits = analysis::make_gated_stimulus(
+      kVerifyMix, static_cast<std::size_t>(state.range(0)));
+  PipelineSimOptions paced;
+  paced.injection_interval_cycles =
+      gated_steady_ii(acc, realized_fractions(acc, exits));
+  paced.fifo_depth = 0;
+  paced.record_link_occupancy = true;
+  for (auto _ : state) {
+    auto result = simulate_pipeline(acc, exits, paced);
+    benchmark::DoNotOptimize(result.links.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PipelineSimPaced)->Arg(10240);
+
+// One dataflow cross-validation: two analyses plus the free and paced
+// simulator runs, what a verify_dataflow generation pays per distinct
+// (accelerator, exit distribution).
+void BM_CrossValidate(benchmark::State& state) {
+  const Accelerator acc = small_cnv_accelerator();
+  for (auto _ : state) {
+    const auto cv = analysis::cross_validate(acc, kVerifyMix);
+    if (!cv.passed) {
+      state.SkipWithError(cv.summary().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(cv.measured_ii_cycles);
+  }
+}
+BENCHMARK(BM_CrossValidate)->Unit(benchmark::kMillisecond);
 
 void BM_EdgeEpisode(benchmark::State& state) {
   // A synthetic two-entry library keeps this independent of training.

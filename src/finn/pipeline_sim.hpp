@@ -18,6 +18,16 @@
 //     dataflow verifier's cross-validation both measure link occupancy here,
 //     through this one shared measurement path.
 //
+// The engine streams: images are simulated in order, in blocks of up to 32
+// (never more than fifo_depth), each block walking the modules in a
+// topological order of the fork tree (module indices need not be
+// topological). Only per-module state is kept — the current block's
+// begin/data-ready instants, the instant the output slot freed, and with
+// bounded FIFOs a rolling window of the last fifo_depth begin instants —
+// plus, per recorded link, the departures of the images still pending on
+// it. Memory is O(modules) plus the pending images per link, not
+// O(images x modules); link high-water marks are computed online.
+//
 // Used in tests to validate the analytical initiation-interval and latency
 // estimates, by analysis::cross_validate() to check the static dataflow
 // bounds, and available to users who want trace-level behaviour.
@@ -74,7 +84,9 @@ struct PipelineSimResult {
 };
 
 /// Simulates `exit_of_image.size()` back-to-back images; exit_of_image[i]
-/// gives the output index (0..num_exits) image i is accepted at.
+/// gives the output index (0..num_exits) image i is accepted at. Module 0
+/// is the injection point the steady-state and latency figures are read
+/// at. Throws when the module graph has a cycle.
 PipelineSimResult simulate_pipeline(const Accelerator& acc,
                                     const std::vector<int>& exit_of_image,
                                     const PipelineSimOptions& options = {});

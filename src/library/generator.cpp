@@ -194,6 +194,10 @@ struct DesignPointResult {
   /// recorded into the GenerationReport. Not journaled: a replayed point
   /// evaluated nothing in this run.
   std::string eval_path;
+  /// Wall time in the dataflow verifier calls and the number of
+  /// cross_validate runs (PointOutcome.verify_s / cross_validations).
+  double verify_s = 0.0;
+  int cross_validations = 0;
 };
 
 /// Maps the spec's eval_path knob to the evaluate_exits mode. "auto" stays
@@ -387,15 +391,28 @@ DesignPointResult run_design_point(const LibraryGenSpec& spec,
     // Dataflow verification runs on the untaxed rows: the mitigation
     // throughput factor below is a modeled derate the reach-scaled II
     // cannot see, so the agreement contract is checked where the models
-    // coincide.
+    // coincide. R12 checks every row; cross-validation depends only on
+    // (accelerator, exit distribution), so thresholds that realize the
+    // same distribution are simulated once, at the first of them in row
+    // order — a failure still names the same threshold.
     if (spec.verify_dataflow) {
+      const auto t_verify = std::chrono::steady_clock::now();
+      std::vector<const std::vector<double>*> validated;
       for (const auto& entry : entries) {
         analysis::LintReport drift = analysis::lint_entry_reach(acc, entry);
         if (drift.has_errors()) {
           throw ConfigError(drift.error_message());
         }
+        const bool seen = std::any_of(
+            validated.begin(), validated.end(),
+            [&](const std::vector<double>* f) {
+              return *f == entry.exit_fractions;
+            });
+        if (seen) continue;
+        validated.push_back(&entry.exit_fractions);
         const analysis::CrossValidation cv =
             analysis::cross_validate(acc, entry.exit_fractions);
+        ++result.cross_validations;
         if (!cv.passed) {
           throw ConfigError("dataflow cross-validation failed for " +
                             std::string(to_string(point.variant)) + " rate " +
@@ -404,6 +421,7 @@ DesignPointResult run_design_point(const LibraryGenSpec& spec,
                             cv.summary() + "\n" + cv.lint.error_message());
         }
       }
+      result.verify_s += seconds_since(t_verify);
     }
 
     if (spec.mitigation.any()) {
@@ -454,6 +472,7 @@ DesignPointResult run_design_point(const LibraryGenSpec& spec,
           pruned_sites, regime, spec.reach_device.caps, ra_opts);
       const Accelerator acc_ra = compile_accelerator(model, ra, spec.accel);
 
+      const auto t_verify = std::chrono::steady_clock::now();
       analysis::DataflowOptions dopts;
       dopts.device = spec.reach_device;
       const analysis::DataflowReport dataflow =
@@ -469,6 +488,8 @@ DesignPointResult run_design_point(const LibraryGenSpec& spec,
       cv_opts.dataflow.device = spec.reach_device;
       const analysis::CrossValidation cv =
           analysis::cross_validate(acc_ra, regime, cv_opts);
+      ++result.cross_validations;
+      result.verify_s += seconds_since(t_verify);
       if (!cv.passed) {
         throw ConfigError("reach-aware cross-validation failed (" +
                           std::string(to_string(point.variant)) + " rate " +
@@ -646,6 +667,8 @@ Library generate_library(const LibraryGenSpec& spec) {
         out.attempts = attempt + 1;
         out.error = last_error;
         out.eval_path = results[i].eval_path;
+        out.verify_s = results[i].verify_s;
+        out.cross_validations = results[i].cross_validations;
         if (journal.enabled()) {
           const auto t_ckpt = std::chrono::steady_clock::now();
           JournalPoint jp;
@@ -801,6 +824,7 @@ Library generate_library(const LibraryGenSpec& spec) {
   for (const auto& o : outcomes) {
     report.compute_wall_s += o.wall_s;
     report.checkpoint_wall_s += o.checkpoint_s;
+    report.verify_wall_s += o.verify_s;
   }
   report.total_wall_s = seconds_since(t_start);
 

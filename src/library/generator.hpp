@@ -106,13 +106,17 @@ struct LibraryGenSpec {
   /// generated Library is byte-identical at every thread count, so this is
   /// deliberately NOT part of the artifact cache key.
   int num_threads = 0;
-  /// Cross-validate every Library row against the dataflow verifier
+  /// Check every Library row against the dataflow verifier
   /// (analysis/dataflow.hpp): the entry's recorded throughput must match
-  /// the reach-scaled static model (R12) and the static II/occupancy
+  /// the reach-scaled static model (R12), and the static II/occupancy
   /// bounds must bracket the transaction-level simulator on the entry's
-  /// exit distribution. Failures throw ConfigError. Off by default (it
-  /// simulates two streams per row); like num_threads it does not change
-  /// the generated Library, so it must never enter an artifact cache key.
+  /// exit distribution — cross-validated once per distinct distribution
+  /// per accelerator, since the check depends on nothing else. Failures
+  /// throw ConfigError naming the first threshold that fails. Off by
+  /// default (it simulates two streams per distinct distribution); like
+  /// num_threads it does not change the generated Library, so it must
+  /// never enter an artifact cache key. The time it takes is reported in
+  /// GenerationReport (verify_s, cross_validations, verify_wall_s).
   bool verify_dataflow = false;
   /// Which inference path evaluates each design point's test sweep (and
   /// the base model's reference accuracy): "auto" (default) defers to the

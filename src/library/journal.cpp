@@ -59,6 +59,8 @@ Json PointOutcome::to_json() const {
   j["attempts"] = attempts;
   j["wall_s"] = wall_s;
   j["checkpoint_s"] = checkpoint_s;
+  j["verify_s"] = verify_s;
+  j["cross_validations"] = cross_validations;
   if (!error.empty()) j["error"] = error;
   if (!eval_path.empty()) j["eval_path"] = eval_path;
   return j;
@@ -103,6 +105,7 @@ Json GenerationReport::to_json() const {
   j["total_wall_s"] = total_wall_s;
   j["compute_wall_s"] = compute_wall_s;
   j["checkpoint_wall_s"] = checkpoint_wall_s;
+  j["verify_wall_s"] = verify_wall_s;
   j["checkpoint_overhead"] = checkpoint_overhead();
   Json base = Json::object();
   base["plain"] = base_wall_s.plain;

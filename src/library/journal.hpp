@@ -26,8 +26,8 @@
 // uninterrupted run.
 //
 // GenerationReport is the sweep's flight record: per-point outcome
-// (computed / replayed / retried / quarantined), attempts, wall time, and
-// the checkpoint-overhead share. PartialPolicy decides what a still-failing
+// (computed / replayed / retried / quarantined), attempts, wall time, the
+// checkpoint-overhead share, and the dataflow-verify time. PartialPolicy decides what a still-failing
 // point does to the sweep: fail it (default), or emit a partial Library
 // whose missing points are explicit in the report.
 
@@ -78,6 +78,14 @@ struct PointOutcome {
   /// Inference path that evaluated the point: "packed" or "float" (empty
   /// for replayed/quarantined points, which evaluated nothing this run).
   std::string eval_path;
+  /// Share of wall_s in the dataflow verifier (lint_entry_reach,
+  /// analyze_dataflow and cross_validate calls) on the successful attempt;
+  /// 0 when nothing was verified this run.
+  double verify_s = 0.0;
+  /// cross_validate runs on the successful attempt: one per distinct exit
+  /// distribution per accelerator under verify_dataflow, plus one per
+  /// reach regime.
+  int cross_validations = 0;
 
   Json to_json() const;
 };
@@ -94,6 +102,7 @@ struct GenerationReport {
   double total_wall_s = 0.0;
   double compute_wall_s = 0.0;     ///< Sum of point wall_s (CPU-ish basis).
   double checkpoint_wall_s = 0.0;  ///< Sum of point checkpoint_s.
+  double verify_wall_s = 0.0;      ///< Sum of point verify_s.
   /// Base-model training wall time per family; 0 for a family this run did
   /// not train (a journal replay left it nothing to compute).
   struct BaseWall {

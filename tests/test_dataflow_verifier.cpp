@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "analysis/dataflow.hpp"
 #include "analysis/lint.hpp"
@@ -471,6 +473,49 @@ TEST(DataflowRules, GenerateLibraryVerifiesEveryRow) {
   spec.verify_dataflow = true;
   const Library lib = generate_library(spec);
   EXPECT_FALSE(lib.entries.empty());
+}
+
+// Cross-validation depends only on (accelerator, exit distribution):
+// thresholds 0% and 5% both send every image out at exit 0 (a 10-class
+// softmax is never less than 10% confident), so that distribution is
+// simulated once per accelerator while R12 still checks every row.
+TEST(DataflowRules, GenerateLibraryCrossValidatesEachDistributionOnce) {
+  auto spec = make_gen_spec(cifar10_like_spec(), ExperimentScale::tiny());
+  // Minimal training: only the row distributions matter here.
+  spec.dataset.train_size = 64;
+  spec.dataset.test_size = 64;
+  spec.initial_train.epochs = 1;
+  spec.prune_rates_pct = {0};
+  spec.conf_thresholds_pct = {0, 5, 50, 100};
+  spec.variants = {ModelVariant::kNoExit, ModelVariant::kNotPrunedExits};
+  spec.verify_dataflow = true;
+  GenerationReport report;
+  spec.report = &report;
+  const Library lib = generate_library(spec);
+
+  std::vector<std::pair<int, std::vector<double>>> distinct;
+  for (const LibraryEntry& e : lib.entries) {
+    const std::pair<int, std::vector<double>> key{e.accel_id,
+                                                  e.exit_fractions};
+    if (std::find(distinct.begin(), distinct.end(), key) == distinct.end()) {
+      distinct.push_back(key);
+    }
+  }
+  int cross_validations = 0;
+  double verify_s = 0.0;
+  for (const PointOutcome& p : report.points) {
+    cross_validations += p.cross_validations;
+    verify_s += p.verify_s;
+    EXPECT_GT(p.verify_s, 0.0);
+    EXPECT_LE(p.verify_s, p.wall_s);
+  }
+  EXPECT_EQ(static_cast<std::size_t>(cross_validations), distinct.size());
+  EXPECT_LT(static_cast<std::size_t>(cross_validations), lib.entries.size());
+  EXPECT_EQ(report.verify_wall_s, verify_s);
+  const Json j = report.to_json();
+  EXPECT_EQ(j.at("verify_wall_s").as_number(), report.verify_wall_s);
+  EXPECT_EQ(j.at("points").as_array().front().at("cross_validations").as_int(),
+            report.points.front().cross_validations);
 }
 
 }  // namespace

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <string>
 
+#include "analysis/dataflow.hpp"
 #include "finn/accelerator.hpp"
 #include "finn/pipeline_sim.hpp"
 #include "finn/reconfig.hpp"
@@ -252,6 +256,338 @@ TEST(PipelineSim, AgreesWithAnalyticUnderExitMix) {
   const double analytic_ii = fx.acc.fclk_hz() / perf.ips;
   // Transaction-level sim and the occupancy model agree within 15%.
   EXPECT_NEAR(sim.steady_ii_cycles, analytic_ii, 0.15 * analytic_ii);
+}
+
+// ---------------------------------------------------------------------------
+// Differential check of the streaming simulator against a deliberately
+// naive module-major reference: the full begin/ready history of every
+// module, each image resolved recursively through its predecessor chain
+// (so any index order works), and link occupancy swept afterwards from the
+// complete arrival/departure histories.
+
+/// Occupancy sweep over one link's full histories: an image is resident at
+/// time t when it arrived at or before t and the consumer had not begun it
+/// strictly before t; the maximum is attained at an arrival instant.
+LinkOccupancy reference_sweep(int producer, int consumer,
+                              const std::vector<double>& arrivals,
+                              const std::vector<double>& departures) {
+  LinkOccupancy occ;
+  occ.producer = producer;
+  occ.consumer = consumer;
+  const std::size_t n = arrivals.size();
+  std::size_t a = 0;
+  std::size_t d = 0;
+  while (a < n) {
+    const double t = arrivals[a];
+    while (d < a && departures[d] < t) ++d;
+    while (a < n && arrivals[a] <= t) ++a;
+    const int resident = static_cast<int>(a - d);
+    if (resident > occ.high_water_images) {
+      occ.high_water_images = resident;
+      occ.peak_time_cycles = t;
+    }
+  }
+  return occ;
+}
+
+double reference_pace(const std::vector<double>& events) {
+  const std::size_t n = events.size();
+  const std::size_t half = n / 2;
+  if (n >= 4 && half + 1 < n) {
+    return (events[n - 1] - events[half]) / static_cast<double>(n - 1 - half);
+  }
+  return events.back() / static_cast<double>(n);
+}
+
+PipelineSimResult reference_simulate(const Accelerator& acc,
+                                     const std::vector<int>& exits,
+                                     const PipelineSimOptions& options) {
+  const std::size_t num_modules = acc.modules.size();
+  const std::size_t n = exits.size();
+  const std::vector<int> pred = module_predecessors(acc);
+  std::vector<std::vector<std::size_t>> consumers(num_modules);
+  for (std::size_t m = 0; m < num_modules; ++m) {
+    if (pred[m] >= 0) consumers[static_cast<std::size_t>(pred[m])].push_back(m);
+  }
+  const bool paced = options.injection_interval_cycles > 0.0;
+  const bool bounded = options.fifo_depth > 0;
+  const std::size_t depth =
+      bounded ? static_cast<std::size_t>(options.fifo_depth) : 0;
+
+  std::vector<std::vector<double>> begin(num_modules, std::vector<double>(n));
+  std::vector<std::vector<double>> ready(num_modules, std::vector<double>(n));
+  std::vector<double> freed_prev(num_modules, 0.0);
+  PipelineSimResult result;
+  result.completion_cycles.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<char> done(num_modules, 0);
+    std::function<void(std::size_t)> visit = [&](std::size_t m) {
+      if (done[m] != 0) return;
+      double arrive =
+          paced ? static_cast<double>(i) * options.injection_interval_cycles
+                : 0.0;
+      if (pred[m] >= 0) {
+        const std::size_t p = static_cast<std::size_t>(pred[m]);
+        visit(p);
+        arrive = ready[p][i];
+      }
+      begin[m][i] = std::max(arrive, freed_prev[m]);
+      ready[m][i] = begin[m][i] + (module_touches(acc.modules[m], exits[i])
+                                       ? static_cast<double>(acc.modules[m].cycles)
+                                       : 0.0);
+      double freed = ready[m][i];
+      if (bounded && i >= depth) {
+        for (std::size_t c : consumers[m]) {
+          freed = std::max(freed, begin[c][i - depth]);
+        }
+      }
+      freed_prev[m] = freed;
+      done[m] = 1;
+    };
+    for (std::size_t m = 0; m < num_modules; ++m) visit(m);
+    result.completion_cycles[i] =
+        ready[static_cast<std::size_t>(
+            acc.paths[static_cast<std::size_t>(exits[i])].back())][i];
+  }
+  result.first_latency_cycles = result.completion_cycles.front();
+  double latency_sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    latency_sum += result.completion_cycles[i] - begin[0][i];
+  }
+  result.avg_latency_cycles = latency_sum / static_cast<double>(n);
+  result.steady_ii_cycles =
+      n >= 4 ? reference_pace(begin[0])
+             : result.completion_cycles.back() / static_cast<double>(n);
+  for (std::size_t m = 0; m < num_modules; ++m) {
+    result.module_begin_ii_cycles.push_back(reference_pace(begin[m]));
+  }
+  if (options.record_link_occupancy) {
+    for (std::size_t c = 0; c < num_modules; ++c) {
+      if (pred[c] < 0) continue;
+      const std::size_t p = static_cast<std::size_t>(pred[c]);
+      result.links.push_back(reference_sweep(pred[c], static_cast<int>(c),
+                                             ready[p], begin[c]));
+    }
+  }
+  return result;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Every PipelineSimResult field, bitwise; returns the first difference.
+std::string sim_difference(const PipelineSimResult& a,
+                           const PipelineSimResult& b) {
+  if (!same_bits(a.steady_ii_cycles, b.steady_ii_cycles)) return "steady_ii";
+  if (!same_bits(a.first_latency_cycles, b.first_latency_cycles)) {
+    return "first_latency";
+  }
+  if (!same_bits(a.avg_latency_cycles, b.avg_latency_cycles)) {
+    return "avg_latency";
+  }
+  if (a.completion_cycles.size() != b.completion_cycles.size()) {
+    return "completion size";
+  }
+  for (std::size_t i = 0; i < a.completion_cycles.size(); ++i) {
+    if (!same_bits(a.completion_cycles[i], b.completion_cycles[i])) {
+      return "completion[" + std::to_string(i) + "]";
+    }
+  }
+  if (a.module_begin_ii_cycles.size() != b.module_begin_ii_cycles.size()) {
+    return "module_begin_ii size";
+  }
+  for (std::size_t m = 0; m < a.module_begin_ii_cycles.size(); ++m) {
+    if (!same_bits(a.module_begin_ii_cycles[m], b.module_begin_ii_cycles[m])) {
+      return "module_begin_ii[" + std::to_string(m) + "]";
+    }
+  }
+  if (a.links.size() != b.links.size()) return "links size";
+  for (std::size_t l = 0; l < a.links.size(); ++l) {
+    const LinkOccupancy& x = a.links[l];
+    const LinkOccupancy& y = b.links[l];
+    if (x.producer != y.producer || x.consumer != y.consumer ||
+        x.high_water_images != y.high_water_images ||
+        !same_bits(x.peak_time_cycles, y.peak_time_cycles)) {
+      return "links[" + std::to_string(l) + "]";
+    }
+  }
+  return "";
+}
+
+/// Random fork tree shaped like a compiled early-exit accelerator: a
+/// backbone with a Branch after each of `num_exits` attachment points, a
+/// 1-3 module head per exit, ~1 in 5 modules with zero cycles (tied
+/// timestamps), and module indices shuffled so the tree is generally not
+/// topologically indexed.
+Accelerator random_fork_tree(Rng& rng, int num_exits) {
+  std::vector<HlsModule> mods;
+  auto add = [&](HlsModuleKind kind, int exit_level, int exit_head) {
+    HlsModule m;
+    m.kind = kind;
+    m.name = "m" + std::to_string(mods.size());
+    m.cycles = rng.bernoulli(0.2)
+                   ? 0
+                   : 1 + static_cast<long>(rng.uniform_index(200));
+    m.exit_level = exit_level;
+    m.exit_head = exit_head;
+    mods.push_back(m);
+    return static_cast<int>(mods.size()) - 1;
+  };
+  std::vector<int> backbone;
+  std::vector<std::vector<int>> paths;
+  for (int e = 0; e <= num_exits; ++e) {
+    const int segment = 1 + static_cast<int>(rng.uniform_index(3));
+    for (int s = 0; s < segment; ++s) {
+      backbone.push_back(add(HlsModuleKind::kMvtu, e, -1));
+    }
+    if (e == num_exits) break;
+    backbone.push_back(add(HlsModuleKind::kBranch, e, -1));
+    std::vector<int> path = backbone;
+    const int head = 1 + static_cast<int>(rng.uniform_index(3));
+    for (int h = 0; h < head; ++h) {
+      path.push_back(add(HlsModuleKind::kMvtu, e + 1, e));
+    }
+    paths.push_back(path);
+  }
+  paths.push_back(backbone);
+
+  std::vector<int> perm(mods.size());
+  for (std::size_t k = 0; k < perm.size(); ++k) perm[k] = static_cast<int>(k);
+  for (std::size_t k = perm.size(); k > 1; --k) {
+    std::swap(perm[k - 1], perm[rng.uniform_index(k)]);
+  }
+  Accelerator acc;
+  acc.num_exits = num_exits;
+  acc.modules.resize(mods.size());
+  for (std::size_t k = 0; k < mods.size(); ++k) {
+    acc.modules[static_cast<std::size_t>(perm[k])] = mods[k];
+  }
+  for (auto& path : paths) {
+    for (int& m : path) m = perm[static_cast<std::size_t>(m)];
+  }
+  acc.paths = std::move(paths);
+  return acc;
+}
+
+TEST(PipelineSim, NonTopologicalIndexOrderSimulatesTheSameChain) {
+  auto module = [](const char* name, long cycles) {
+    HlsModule m;
+    m.name = name;
+    m.cycles = cycles;
+    return m;
+  };
+  const HlsModule a = module("a", 10);
+  const HlsModule b = module("b", 100);
+  const HlsModule c = module("c", 20);
+  Accelerator ordered;
+  ordered.modules = {a, b, c};
+  ordered.paths = {{0, 1, 2}};
+  Accelerator shuffled;
+  shuffled.modules = {a, c, b};
+  shuffled.paths = {{0, 2, 1}};
+
+  std::vector<PipelineSimOptions> modes(3);
+  modes[1].fifo_depth = 0;
+  modes[2].fifo_depth = 0;
+  modes[2].injection_interval_cycles = 150.0;
+  for (const PipelineSimOptions& opt : modes) {
+    const std::vector<int> exits(64, 0);
+    const auto x = simulate_pipeline(ordered, exits, opt);
+    const auto y = simulate_pipeline(shuffled, exits, opt);
+    EXPECT_EQ(x.first_latency_cycles, 130.0);
+    EXPECT_EQ(y.first_latency_cycles, 130.0);
+    EXPECT_EQ(x.steady_ii_cycles, y.steady_ii_cycles);
+    EXPECT_EQ(x.avg_latency_cycles, y.avg_latency_cycles);
+    EXPECT_EQ(x.completion_cycles, y.completion_cycles);
+    // Module-indexed outputs: b and c swap indices between the two trees.
+    ASSERT_EQ(y.module_begin_ii_cycles.size(), 3u);
+    EXPECT_EQ(x.module_begin_ii_cycles[0], y.module_begin_ii_cycles[0]);
+    EXPECT_EQ(x.module_begin_ii_cycles[1], y.module_begin_ii_cycles[2]);
+    EXPECT_EQ(x.module_begin_ii_cycles[2], y.module_begin_ii_cycles[1]);
+    ASSERT_EQ(x.links.size(), 2u);
+    ASSERT_EQ(y.links.size(), 2u);
+    // x: a->b, b->c; y (by consumer index): b->c as 2->1, a->b as 0->2.
+    EXPECT_EQ(x.links[0].high_water_images, y.links[1].high_water_images);
+    EXPECT_EQ(x.links[0].peak_time_cycles, y.links[1].peak_time_cycles);
+    EXPECT_EQ(x.links[1].high_water_images, y.links[0].high_water_images);
+    EXPECT_EQ(x.links[1].peak_time_cycles, y.links[0].peak_time_cycles);
+    EXPECT_EQ(y.links[0].producer, 2);
+    EXPECT_EQ(y.links[0].consumer, 1);
+  }
+}
+
+TEST(PipelineSim, StreamingMatchesNaiveReferenceBitwise) {
+  Rng rng(2024);
+  int checked = 0;
+  for (int round = 0; round < 40; ++round) {
+    const int num_exits = 1 + static_cast<int>(rng.uniform_index(3));
+    const Accelerator acc = random_fork_tree(rng, num_exits);
+    // Stream lengths from 1 to 5000, biased towards the short runs where
+    // the fill transient and the n < 4 pace fallback matter.
+    const std::size_t n =
+        round % 4 == 0 ? 1 + rng.uniform_index(5000)
+                       : 1 + rng.uniform_index(round % 2 == 0 ? 8 : 600);
+    std::vector<int> exits(n);
+    if (round % 3 == 0) {
+      std::vector<double> fractions(static_cast<std::size_t>(num_exits) + 1);
+      double sum = 0.0;
+      for (double& f : fractions) sum += (f = rng.uniform(0.05, 1.0));
+      for (double& f : fractions) f /= sum;
+      exits = analysis::make_gated_stimulus(fractions, n);
+    } else {
+      for (int& e : exits) {
+        e = static_cast<int>(
+            rng.uniform_index(static_cast<std::uint64_t>(num_exits) + 1));
+      }
+    }
+    std::vector<PipelineSimOptions> modes;
+    // Depth 40 exceeds the simulator's 32-image block.
+    for (long depth : {1L, 2L, 3L, 40L}) {
+      PipelineSimOptions closed;
+      closed.fifo_depth = depth;
+      modes.push_back(closed);
+    }
+    PipelineSimOptions paced;
+    paced.fifo_depth = 0;
+    paced.injection_interval_cycles = rng.uniform(1.0, 250.0);
+    modes.push_back(paced);
+    PipelineSimOptions free_run;
+    free_run.fifo_depth = 0;
+    modes.push_back(free_run);
+    for (PipelineSimOptions opt : modes) {
+      for (bool record : {true, false}) {
+        opt.record_link_occupancy = record;
+        const std::string diff =
+            sim_difference(simulate_pipeline(acc, exits, opt),
+                           reference_simulate(acc, exits, opt));
+        EXPECT_EQ(diff, "") << "round " << round << " images " << n
+                            << " depth " << opt.fifo_depth << " interval "
+                            << opt.injection_interval_cycles << " record "
+                            << record;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 40 * 6 * 2);
+}
+
+TEST(PipelineSim, StreamingMatchesNaiveReferenceOnCompiledCnv) {
+  CompiledFixture fx(true);
+  const auto exits = analysis::make_gated_stimulus({0.45, 0.3, 0.25}, 10240);
+  PipelineSimOptions paced;
+  paced.fifo_depth = 0;
+  paced.injection_interval_cycles =
+      gated_steady_ii(fx.acc, realized_fractions(fx.acc, exits));
+  PipelineSimOptions free_run;
+  free_run.fifo_depth = 0;
+  free_run.record_link_occupancy = false;
+  for (const PipelineSimOptions& opt :
+       {PipelineSimOptions{}, paced, free_run}) {
+    EXPECT_EQ(sim_difference(simulate_pipeline(fx.acc, exits, opt),
+                             reference_simulate(fx.acc, exits, opt)),
+              "");
+  }
 }
 
 TEST(Reconfig, TimeModel) {
