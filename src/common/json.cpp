@@ -1,5 +1,6 @@
 #include "common/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -17,58 +18,73 @@ Json& JsonObject::operator[](const std::string& key) {
 }
 
 const Json& JsonObject::at(const std::string& key) const {
-  for (const auto& [k, v] : items_) {
-    if (k == key) return *v;
-  }
-  throw ParseError("JSON object has no key '" + key + "'");
+  const Json* v = find(key);
+  if (v == nullptr) throw ParseError("JSON object has no key '" + key + "'");
+  return *v;
 }
 
 bool JsonObject::contains(const std::string& key) const {
+  return find(key) != nullptr;
+}
+
+const Json* JsonObject::find(std::string_view key) const {
   for (const auto& [k, v] : items_) {
-    if (k == key) return true;
+    if (k == key) return v.get();
   }
-  return false;
+  return nullptr;
+}
+
+void Json::type_error(const char* expected) const {
+  static constexpr const char* kNames[] = {"null",   "a bool",  "a number",
+                                           "a string", "an array", "an object"};
+  throw ParseError(std::string("expected ") + expected + ", got " +
+                   kNames[value_.index()]);
+}
+
+double Json::whole_number(double lo, double hi) const {
+  constexpr double kExact = 9007199254740991.0;  // 2^53 - 1
+  lo = std::max(lo, -kExact);
+  hi = std::min(hi, kExact);
+  const double d = as_number();
+  if (!(d >= lo && d <= hi && d == std::trunc(d))) {
+    throw ParseError("expected an integer in [" + Json(lo).dump() + ", " +
+                     Json(hi).dump() + "], got " + Json(d).dump());
+  }
+  return d;
 }
 
 bool Json::as_bool() const {
-  ADAPEX_CHECK(is_bool(), "JSON value is not a bool");
+  if (!is_bool()) type_error("a bool");
   return std::get<bool>(value_);
 }
 
 double Json::as_number() const {
-  ADAPEX_CHECK(is_number(), "JSON value is not a number");
+  if (!is_number()) type_error("a number");
   return std::get<double>(value_);
 }
 
-std::int64_t Json::as_int() const {
-  const double d = as_number();
-  ADAPEX_CHECK(std::abs(d - std::llround(d)) < 1e-9,
-               "JSON number is not integral");
-  return std::llround(d);
-}
-
 const std::string& Json::as_string() const {
-  ADAPEX_CHECK(is_string(), "JSON value is not a string");
+  if (!is_string()) type_error("a string");
   return std::get<std::string>(value_);
 }
 
 const Json::Array& Json::as_array() const {
-  ADAPEX_CHECK(is_array(), "JSON value is not an array");
+  if (!is_array()) type_error("an array");
   return std::get<Array>(value_);
 }
 
 Json::Array& Json::as_array() {
-  ADAPEX_CHECK(is_array(), "JSON value is not an array");
+  if (!is_array()) type_error("an array");
   return std::get<Array>(value_);
 }
 
 const JsonObject& Json::as_object() const {
-  ADAPEX_CHECK(is_object(), "JSON value is not an object");
+  if (!is_object()) type_error("an object");
   return std::get<JsonObject>(value_);
 }
 
 JsonObject& Json::as_object() {
-  ADAPEX_CHECK(is_object(), "JSON value is not an object");
+  if (!is_object()) type_error("an object");
   return std::get<JsonObject>(value_);
 }
 

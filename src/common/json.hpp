@@ -8,9 +8,12 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -27,6 +30,8 @@ class JsonObject {
   Json& operator[](const std::string& key);
   const Json& at(const std::string& key) const;
   bool contains(const std::string& key) const;
+  /// The value of `key`, or null when the object has no such key.
+  const Json* find(std::string_view key) const;
   std::size_t size() const { return items_.size(); }
   auto begin() const { return items_.begin(); }
   auto end() const { return items_.end(); }
@@ -62,9 +67,19 @@ class Json {
   bool is_array() const { return std::holds_alternative<Array>(value_); }
   bool is_object() const { return std::holds_alternative<JsonObject>(value_); }
 
+  // Typed accessors: a value of another type is a ParseError.
   bool as_bool() const;
   double as_number() const;
-  std::int64_t as_int() const;
+  /// The number as a T. A fraction, or a value outside T or outside the
+  /// integers a double carries exactly (|n| <= 2^53 - 1), is a ParseError:
+  /// never a narrowing cast.
+  template <typename T = std::int64_t>
+  T as_int() const {
+    static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
+    return static_cast<T>(
+        whole_number(static_cast<double>(std::numeric_limits<T>::min()),
+                     static_cast<double>(std::numeric_limits<T>::max())));
+  }
   const std::string& as_string() const;
   const Array& as_array() const;
   Array& as_array();
@@ -87,6 +102,8 @@ class Json {
 
  private:
   void dump_to(std::string& out, int indent, int depth) const;
+  [[noreturn]] void type_error(const char* expected) const;
+  double whole_number(double lo, double hi) const;
 
   std::variant<std::nullptr_t, bool, double, std::string, Array, JsonObject>
       value_;

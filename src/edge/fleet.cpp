@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <queue>
 #include <set>
@@ -33,134 +32,129 @@ WorkloadPattern pattern_from_string(const std::string& s) {
   throw ConfigError("unknown workload pattern: " + s);
 }
 
-double num_or(const Json& j, const char* key, double fallback) {
-  return j.contains(key) ? j.at(key).as_number() : fallback;
-}
+// Scenario tables. A scenario is read under Presence::kDefaulted: every key
+// is optional and a missing one keeps its member initializer.
+constexpr Field<FaultSpec> kFaultFields[] = {
+    {"reconfig_fail_prob", &FaultSpec::reconfig_fail_prob},
+    {"reconfig_slow_prob", &FaultSpec::reconfig_slow_prob},
+    {"reconfig_slow_factor", &FaultSpec::reconfig_slow_factor},
+    {"stall_prob", &FaultSpec::stall_prob},
+    {"stall_duration_s", &FaultSpec::stall_duration_s},
+    {"monitor_drop_prob", &FaultSpec::monitor_drop_prob},
+    {"monitor_delay_prob", &FaultSpec::monitor_delay_prob},
+    {"seu_weight_prob", &FaultSpec::seu_weight_prob},
+    {"seu_config_prob", &FaultSpec::seu_config_prob},
+    {"seu_weight_accuracy_drop", &FaultSpec::seu_weight_accuracy_drop},
+    {"seu_config_accuracy_drop", &FaultSpec::seu_config_accuracy_drop},
+    {"seu_exit_rate_shift", &FaultSpec::seu_exit_rate_shift},
+    {"seu_hang_frac", &FaultSpec::seu_hang_frac},
+    {"seu_exit_corrupt_frac", &FaultSpec::seu_exit_corrupt_frac},
+    member_field<&FaultSpec::mitigation, kSeuMitigationFields>("mitigation"),
+};
 
-/// `j[key]` as a whole number in [lo, hi]. A fraction, NaN or out-of-range
-/// value is a ConfigError naming the key, never a truncating cast.
-double whole_number(const Json& j, const char* key, double lo, double hi) {
-  const double v = j.at(key).as_number();
-  if (!(v >= lo && v <= hi && v == std::trunc(v))) {
-    throw ConfigError(std::string("fleet scenario: ") + key + " = " +
-                      j.at(key).dump() + " is not a whole number in [" +
-                      Json(lo).dump() + ", " + Json(hi).dump() + "]");
-  }
-  return v;
-}
+constexpr Field<WorkloadSpec> kWorkloadFields[] = {
+    member_field<&WorkloadSpec::pattern, pattern_from_string>("pattern"),
+    {"base_ips", &WorkloadSpec::base_ips},
+    {"duration_s", &WorkloadSpec::duration_s},
+    {"period_s", &WorkloadSpec::period_s},
+    {"deviation", &WorkloadSpec::deviation},
+    {"spike_start_s", &WorkloadSpec::spike_start_s},
+    {"spike_duration_s", &WorkloadSpec::spike_duration_s},
+    {"spike_multiplier", &WorkloadSpec::spike_multiplier},
+    optional_field<&WorkloadSpec::trace>("trace"),
+};
 
-int int_or(const Json& j, const char* key, int fallback) {
-  return j.contains(key) ? static_cast<int>(whole_number(
-                               j, key, std::numeric_limits<int>::min(),
-                               std::numeric_limits<int>::max()))
-                         : fallback;
-}
+/// The EdgeScenario knobs a fleet uses; tenants own the workload fields.
+constexpr Field<EdgeScenario> kBaseFields[] = {
+    {"duration_s", &EdgeScenario::duration_s},
+    {"sample_period_s", &EdgeScenario::sample_period_s},
+    {"reselect_threshold", &EdgeScenario::reselect_threshold},
+    {"queue_capacity", &EdgeScenario::queue_capacity},
+    {"watchdog_periods", &EdgeScenario::watchdog_periods},
+    {"seed", &EdgeScenario::seed},
+    member_field<&EdgeScenario::faults, kFaultFields>("faults"),
+};
 
-bool bool_or(const Json& j, const char* key, bool fallback) {
-  return j.contains(key) ? j.at(key).as_bool() : fallback;
-}
+constexpr Field<FleetDeviceSpec> kDeviceFields[] = {
+    {"name", &FleetDeviceSpec::name},
+    {"speed_factor", &FleetDeviceSpec::speed_factor},
+    {"domain", &FleetDeviceSpec::domain},
+};
 
-std::string str_or(const Json& j, const char* key, const std::string& fb) {
-  return j.contains(key) ? j.at(key).as_string() : fb;
-}
+constexpr Field<TenantSpec> kTenantSpecFields[] = {
+    {"name", &TenantSpec::name},
+    member_field<&TenantSpec::workload, kWorkloadFields>("workload"),
+    {"slo_latency_ms", &TenantSpec::slo_latency_ms},
+    {"min_accuracy", &TenantSpec::min_accuracy},
+    {"priority", &TenantSpec::priority},
+};
 
-FaultSpec fault_spec_from_json(const Json& j, const FaultSpec& base) {
-  FaultSpec f = base;
-  f.reconfig_fail_prob = num_or(j, "reconfig_fail_prob", f.reconfig_fail_prob);
-  f.reconfig_slow_prob = num_or(j, "reconfig_slow_prob", f.reconfig_slow_prob);
-  f.reconfig_slow_factor =
-      num_or(j, "reconfig_slow_factor", f.reconfig_slow_factor);
-  f.stall_prob = num_or(j, "stall_prob", f.stall_prob);
-  f.stall_duration_s = num_or(j, "stall_duration_s", f.stall_duration_s);
-  f.monitor_drop_prob = num_or(j, "monitor_drop_prob", f.monitor_drop_prob);
-  f.monitor_delay_prob = num_or(j, "monitor_delay_prob", f.monitor_delay_prob);
-  f.seu_weight_prob = num_or(j, "seu_weight_prob", f.seu_weight_prob);
-  f.seu_config_prob = num_or(j, "seu_config_prob", f.seu_config_prob);
-  f.seu_weight_accuracy_drop =
-      num_or(j, "seu_weight_accuracy_drop", f.seu_weight_accuracy_drop);
-  f.seu_config_accuracy_drop =
-      num_or(j, "seu_config_accuracy_drop", f.seu_config_accuracy_drop);
-  f.seu_exit_rate_shift =
-      num_or(j, "seu_exit_rate_shift", f.seu_exit_rate_shift);
-  f.seu_hang_frac = num_or(j, "seu_hang_frac", f.seu_hang_frac);
-  f.seu_exit_corrupt_frac =
-      num_or(j, "seu_exit_corrupt_frac", f.seu_exit_corrupt_frac);
-  if (j.contains("mitigation")) {
-    const Json& m = j.at("mitigation");
-    f.mitigation.ecc_weights =
-        bool_or(m, "ecc_weights", f.mitigation.ecc_weights);
-    f.mitigation.scrubbing = bool_or(m, "scrubbing", f.mitigation.scrubbing);
-    f.mitigation.scrub_period_s =
-        num_or(m, "scrub_period_s", f.mitigation.scrub_period_s);
-    f.mitigation.scrub_time_ms =
-        num_or(m, "scrub_time_ms", f.mitigation.scrub_time_ms);
-    f.mitigation.tmr_exit_heads =
-        bool_or(m, "tmr_exit_heads", f.mitigation.tmr_exit_heads);
-  }
-  return f;
-}
+constexpr Field<FailureDomain> kDomainFields[] = {
+    {"name", &FailureDomain::name},
+    {"spike_prob", &FailureDomain::spike_prob},
+    {"spike_duration_s", &FailureDomain::spike_duration_s},
+    {"transient_mult", &FailureDomain::transient_mult},
+    {"seu_mult", &FailureDomain::seu_mult},
+};
 
-Json fault_spec_to_json(const FaultSpec& f) {
-  Json j = Json::object();
-  j["reconfig_fail_prob"] = f.reconfig_fail_prob;
-  j["reconfig_slow_prob"] = f.reconfig_slow_prob;
-  j["reconfig_slow_factor"] = f.reconfig_slow_factor;
-  j["stall_prob"] = f.stall_prob;
-  j["stall_duration_s"] = f.stall_duration_s;
-  j["monitor_drop_prob"] = f.monitor_drop_prob;
-  j["monitor_delay_prob"] = f.monitor_delay_prob;
-  j["seu_weight_prob"] = f.seu_weight_prob;
-  j["seu_config_prob"] = f.seu_config_prob;
-  j["seu_weight_accuracy_drop"] = f.seu_weight_accuracy_drop;
-  j["seu_config_accuracy_drop"] = f.seu_config_accuracy_drop;
-  j["seu_exit_rate_shift"] = f.seu_exit_rate_shift;
-  j["seu_hang_frac"] = f.seu_hang_frac;
-  j["seu_exit_corrupt_frac"] = f.seu_exit_corrupt_frac;
-  Json m = Json::object();
-  m["ecc_weights"] = f.mitigation.ecc_weights;
-  m["scrubbing"] = f.mitigation.scrubbing;
-  m["scrub_period_s"] = f.mitigation.scrub_period_s;
-  m["scrub_time_ms"] = f.mitigation.scrub_time_ms;
-  m["tmr_exit_heads"] = f.mitigation.tmr_exit_heads;
-  j["mitigation"] = std::move(m);
-  return j;
-}
+bool never(const FleetScenario&) { return false; }
 
-WorkloadSpec workload_from_json(const Json& j) {
-  WorkloadSpec w;
-  w.pattern = pattern_from_string(str_or(j, "pattern", "random_deviation"));
-  w.base_ips = num_or(j, "base_ips", w.base_ips);
-  w.duration_s = num_or(j, "duration_s", w.duration_s);
-  w.period_s = num_or(j, "period_s", w.period_s);
-  w.deviation = num_or(j, "deviation", w.deviation);
-  w.spike_start_s = num_or(j, "spike_start_s", w.spike_start_s);
-  w.spike_duration_s = num_or(j, "spike_duration_s", w.spike_duration_s);
-  w.spike_multiplier = num_or(j, "spike_multiplier", w.spike_multiplier);
-  if (j.contains("trace")) {
-    for (const Json& v : j.at("trace").as_array()) {
-      w.trace.push_back(v.as_number());
-    }
-  }
-  return w;
-}
+constexpr Field<FleetFaultSpec> kFleetFaultFields[] = {
+    member_field<&FleetFaultSpec::domains, kDomainFields>("domains"),
+};
 
-Json workload_to_json(const WorkloadSpec& w) {
-  Json j = Json::object();
-  j["pattern"] = to_string(w.pattern);
-  j["base_ips"] = w.base_ips;
-  j["duration_s"] = w.duration_s;
-  j["period_s"] = w.period_s;
-  j["deviation"] = w.deviation;
-  j["spike_start_s"] = w.spike_start_s;
-  j["spike_duration_s"] = w.spike_duration_s;
-  j["spike_multiplier"] = w.spike_multiplier;
-  if (!w.trace.empty()) {
-    Json t = Json::array();
-    for (double v : w.trace) t.push_back(v);
-    j["trace"] = std::move(t);
-  }
-  return j;
-}
+constexpr Field<BatchingPolicy> kBatchingFields[] = {
+    {"enabled", &BatchingPolicy::enabled},
+    {"max_batch", &BatchingPolicy::max_batch},
+    {"max_wait_ms", &BatchingPolicy::max_wait_ms},
+    {"setup_ms", &BatchingPolicy::setup_ms},
+};
+
+constexpr Field<AdmissionPolicy> kAdmissionFields[] = {
+    {"enabled", &AdmissionPolicy::enabled},
+    {"high_watermark", &AdmissionPolicy::high_watermark},
+    {"low_watermark", &AdmissionPolicy::low_watermark},
+};
+
+constexpr Field<CircuitBreakerPolicy> kBreakerFields[] = {
+    {"open_after_failures", &CircuitBreakerPolicy::open_after_failures},
+    {"wedge_threshold_s", &CircuitBreakerPolicy::wedge_threshold_s},
+    {"open_duration_s", &CircuitBreakerPolicy::open_duration_s},
+    {"half_open_probes", &CircuitBreakerPolicy::half_open_probes},
+};
+
+constexpr Field<StaggerPolicy> kStaggerFields[] = {
+    {"enabled", &StaggerPolicy::enabled},
+    {"min_capacity_fraction", &StaggerPolicy::min_capacity_fraction},
+    {"max_defer_s", &StaggerPolicy::max_defer_s},
+};
+
+constexpr Field<FleetScenario> kScenarioFields[] = {
+    member_field<&FleetScenario::base, kBaseFields>("base"),
+    member_field<&FleetScenario::devices, kDeviceFields>("devices"),
+    member_field<&FleetScenario::tenants, kTenantSpecFields>("tenants"),
+    // Domains are written at the top level. The struct-shaped alias
+    // {"fleet_faults": {"domains": [...]}} is read but never written; a
+    // top-level "domains" key, read after it, wins.
+    member_field<&FleetScenario::fleet_faults, kFleetFaultFields, never>(
+        "fleet_faults"),
+    {"domains",
+     [](const FleetScenario& s, const KeyPath& at) {
+       return write_json(s.fleet_faults.domains, at, kDomainFields);
+     },
+     [](const Json* v, FleetScenario& s, const KeyPath& at) {
+       if (at.present(v)) {
+         read_json(*v, s.fleet_faults.domains, at, kDomainFields);
+       }
+     }},
+    member_field<&FleetScenario::batching, kBatchingFields>("batching"),
+    member_field<&FleetScenario::admission, kAdmissionFields>("admission"),
+    member_field<&FleetScenario::breaker, kBreakerFields>("breaker"),
+    member_field<&FleetScenario::stagger, kStaggerFields>("stagger"),
+    {"orchestrator_period_s", &FleetScenario::orchestrator_period_s},
+    {"balance_hysteresis", &FleetScenario::balance_hysteresis},
+    {"eject_after_watchdog", &FleetScenario::eject_after_watchdog},
+};
 
 constexpr MetricField<FleetMetrics> kFleetFields[] = {
     {"offered", &FleetMetrics::offered},
@@ -185,7 +179,8 @@ constexpr MetricField<FleetMetrics> kFleetFields[] = {
     {"duration_s", &FleetMetrics::duration_s},
 };
 
-constexpr MetricField<TenantMetrics> kTenantFields[] = {
+constexpr Field<TenantMetrics> kTenantFields[] = {
+    {"name", &TenantMetrics::name},
     {"offered", &TenantMetrics::offered},
     {"served", &TenantMetrics::served},
     {"dropped", &TenantMetrics::dropped},
@@ -431,106 +426,8 @@ analysis::LintReport lint_fleet_scenario(const FleetScenario& s,
 // ---------------------------------------------------------------------------
 
 FleetScenario FleetScenario::from_json(const Json& j) {
-  FleetScenario s;
-  if (j.contains("base")) {
-    const Json& b = j.at("base");
-    s.base.duration_s = num_or(b, "duration_s", s.base.duration_s);
-    s.base.sample_period_s = num_or(b, "sample_period_s",
-                                    s.base.sample_period_s);
-    s.base.reselect_threshold =
-        num_or(b, "reselect_threshold", s.base.reselect_threshold);
-    s.base.queue_capacity = int_or(b, "queue_capacity", s.base.queue_capacity);
-    s.base.watchdog_periods =
-        int_or(b, "watchdog_periods", s.base.watchdog_periods);
-    if (b.contains("seed")) {
-      s.base.seed = static_cast<std::uint64_t>(whole_number(
-          b, "seed", 0.0, static_cast<double>(kMaxJsonSeed)));
-    }
-    if (b.contains("faults")) {
-      s.base.faults = fault_spec_from_json(b.at("faults"), s.base.faults);
-    }
-  }
-  if (j.contains("devices")) {
-    for (const Json& d : j.at("devices").as_array()) {
-      FleetDeviceSpec spec;
-      spec.name = str_or(d, "name", "");
-      spec.speed_factor = num_or(d, "speed_factor", 1.0);
-      spec.domain = int_or(d, "domain", -1);
-      s.devices.push_back(std::move(spec));
-    }
-  }
-  if (j.contains("tenants")) {
-    for (const Json& t : j.at("tenants").as_array()) {
-      TenantSpec spec;
-      spec.name = str_or(t, "name", "");
-      if (t.contains("workload")) {
-        spec.workload = workload_from_json(t.at("workload"));
-      }
-      spec.slo_latency_ms = num_or(t, "slo_latency_ms", 0.0);
-      spec.min_accuracy = num_or(t, "min_accuracy", 0.0);
-      spec.priority = int_or(t, "priority", 0);
-      s.tenants.push_back(std::move(spec));
-    }
-  }
-  // Domains live at the top level in to_json, but accept the nested
-  // struct-shaped spelling {"fleet_faults": {"domains": [...]}} too.
-  const Json* domain_list = nullptr;
-  if (j.contains("domains")) {
-    domain_list = &j.at("domains");
-  } else if (j.contains("fleet_faults") &&
-             j.at("fleet_faults").contains("domains")) {
-    domain_list = &j.at("fleet_faults").at("domains");
-  }
-  if (domain_list != nullptr) {
-    for (const Json& d : domain_list->as_array()) {
-      FailureDomain dom;
-      dom.name = str_or(d, "name", "");
-      dom.spike_prob = num_or(d, "spike_prob", 0.0);
-      dom.spike_duration_s = num_or(d, "spike_duration_s", 5.0);
-      dom.transient_mult = num_or(d, "transient_mult", 1.0);
-      dom.seu_mult = num_or(d, "seu_mult", 1.0);
-      s.fleet_faults.domains.push_back(std::move(dom));
-    }
-  }
-  if (j.contains("batching")) {
-    const Json& b = j.at("batching");
-    s.batching.enabled = bool_or(b, "enabled", false);
-    s.batching.max_batch = int_or(b, "max_batch", s.batching.max_batch);
-    s.batching.max_wait_ms = num_or(b, "max_wait_ms", s.batching.max_wait_ms);
-    s.batching.setup_ms = num_or(b, "setup_ms", s.batching.setup_ms);
-  }
-  if (j.contains("admission")) {
-    const Json& a = j.at("admission");
-    s.admission.enabled = bool_or(a, "enabled", false);
-    s.admission.high_watermark =
-        num_or(a, "high_watermark", s.admission.high_watermark);
-    s.admission.low_watermark =
-        num_or(a, "low_watermark", s.admission.low_watermark);
-  }
-  if (j.contains("breaker")) {
-    const Json& b = j.at("breaker");
-    s.breaker.open_after_failures =
-        int_or(b, "open_after_failures", s.breaker.open_after_failures);
-    s.breaker.wedge_threshold_s =
-        num_or(b, "wedge_threshold_s", s.breaker.wedge_threshold_s);
-    s.breaker.open_duration_s =
-        num_or(b, "open_duration_s", s.breaker.open_duration_s);
-    s.breaker.half_open_probes =
-        int_or(b, "half_open_probes", s.breaker.half_open_probes);
-  }
-  if (j.contains("stagger")) {
-    const Json& g = j.at("stagger");
-    s.stagger.enabled = bool_or(g, "enabled", false);
-    s.stagger.min_capacity_fraction =
-        num_or(g, "min_capacity_fraction", s.stagger.min_capacity_fraction);
-    s.stagger.max_defer_s = num_or(g, "max_defer_s", s.stagger.max_defer_s);
-  }
-  s.orchestrator_period_s =
-      num_or(j, "orchestrator_period_s", s.orchestrator_period_s);
-  s.balance_hysteresis = num_or(j, "balance_hysteresis", s.balance_hysteresis);
-  s.eject_after_watchdog =
-      int_or(j, "eject_after_watchdog", s.eject_after_watchdog);
-  return s;
+  return read_document(j, kScenarioFields,
+                       KeyPath("FleetScenario", Presence::kDefaulted));
 }
 
 Json FleetScenario::to_json() const {
@@ -539,73 +436,7 @@ Json FleetScenario::to_json() const {
                       " is above 2^53 - 1, the largest a JSON number "
                       "carries exactly");
   }
-  Json j = Json::object();
-  Json b = Json::object();
-  b["duration_s"] = base.duration_s;
-  b["sample_period_s"] = base.sample_period_s;
-  b["reselect_threshold"] = base.reselect_threshold;
-  b["queue_capacity"] = base.queue_capacity;
-  b["watchdog_periods"] = base.watchdog_periods;
-  b["seed"] = static_cast<double>(base.seed);
-  b["faults"] = fault_spec_to_json(base.faults);
-  j["base"] = std::move(b);
-  Json devs = Json::array();
-  for (const FleetDeviceSpec& d : devices) {
-    Json dj = Json::object();
-    dj["name"] = d.name;
-    dj["speed_factor"] = d.speed_factor;
-    dj["domain"] = d.domain;
-    devs.push_back(std::move(dj));
-  }
-  j["devices"] = std::move(devs);
-  Json tens = Json::array();
-  for (const TenantSpec& t : tenants) {
-    Json tj = Json::object();
-    tj["name"] = t.name;
-    tj["workload"] = workload_to_json(t.workload);
-    tj["slo_latency_ms"] = t.slo_latency_ms;
-    tj["min_accuracy"] = t.min_accuracy;
-    tj["priority"] = t.priority;
-    tens.push_back(std::move(tj));
-  }
-  j["tenants"] = std::move(tens);
-  Json doms = Json::array();
-  for (const FailureDomain& d : fleet_faults.domains) {
-    Json dj = Json::object();
-    dj["name"] = d.name;
-    dj["spike_prob"] = d.spike_prob;
-    dj["spike_duration_s"] = d.spike_duration_s;
-    dj["transient_mult"] = d.transient_mult;
-    dj["seu_mult"] = d.seu_mult;
-    doms.push_back(std::move(dj));
-  }
-  j["domains"] = std::move(doms);
-  Json bt = Json::object();
-  bt["enabled"] = batching.enabled;
-  bt["max_batch"] = batching.max_batch;
-  bt["max_wait_ms"] = batching.max_wait_ms;
-  bt["setup_ms"] = batching.setup_ms;
-  j["batching"] = std::move(bt);
-  Json ad = Json::object();
-  ad["enabled"] = admission.enabled;
-  ad["high_watermark"] = admission.high_watermark;
-  ad["low_watermark"] = admission.low_watermark;
-  j["admission"] = std::move(ad);
-  Json br = Json::object();
-  br["open_after_failures"] = breaker.open_after_failures;
-  br["wedge_threshold_s"] = breaker.wedge_threshold_s;
-  br["open_duration_s"] = breaker.open_duration_s;
-  br["half_open_probes"] = breaker.half_open_probes;
-  j["breaker"] = std::move(br);
-  Json st = Json::object();
-  st["enabled"] = stagger.enabled;
-  st["min_capacity_fraction"] = stagger.min_capacity_fraction;
-  st["max_defer_s"] = stagger.max_defer_s;
-  j["stagger"] = std::move(st);
-  j["orchestrator_period_s"] = orchestrator_period_s;
-  j["balance_hysteresis"] = balance_hysteresis;
-  j["eject_after_watchdog"] = eject_after_watchdog;
-  return j;
+  return write_json(*this, "FleetScenario", kScenarioFields);
 }
 
 // ---------------------------------------------------------------------------
@@ -613,21 +444,14 @@ Json FleetScenario::to_json() const {
 // ---------------------------------------------------------------------------
 
 Json TenantMetrics::to_json() const {
-  Json j = Json::object();
-  j["name"] = name;
-  write_fields(j, *this, kTenantFields, "TenantMetrics");
-  return j;
+  return write_json(*this, "TenantMetrics", kTenantFields);
 }
 
 Json FleetMetrics::to_json() const {
-  Json j = Json::object();
-  write_fields(j, *this, kFleetFields, "FleetMetrics");
-  Json tens = Json::array();
-  for (const TenantMetrics& t : tenants) tens.push_back(t.to_json());
-  j["tenants"] = std::move(tens);
-  Json devs = Json::array();
-  for (const EdgeMetrics& d : devices) devs.push_back(d.to_json());
-  j["devices"] = std::move(devs);
+  const KeyPath at("FleetMetrics");
+  Json j = write_json(*this, at, kFleetFields);
+  j["tenants"] = write_json(tenants, at.key("tenants"), kTenantFields);
+  j["devices"] = write_json(devices, at.key("devices"), edge_metric_fields());
   return j;
 }
 

@@ -166,11 +166,11 @@ struct FleetScenario {
   /// Eject a device after this many watchdog recoveries; 0 disables.
   int eject_after_watchdog = 0;
 
-  /// Parses the scenario from JSON (every field optional; unknown keys are
-  /// errors surfaced through lint, not here). Used by `adapex_lint
-  /// --fleet-scenario`. An integer field that is fractional or out of
-  /// range, or a seed outside [0, 2^53 - 1], is a ConfigError naming the
-  /// key.
+  /// Parses the scenario from JSON (every field optional: a missing one
+  /// keeps its initializer above; unknown keys are ignored). Used by
+  /// `adapex_lint --fleet-scenario`. A value of the wrong type, an integer
+  /// field that is fractional or out of range, or a seed outside
+  /// [0, 2^53 - 1], is a ConfigError naming the key path.
   static FleetScenario from_json(const Json& j);
   /// Throws ConfigError for a seed above 2^53 - 1, which a JSON number
   /// cannot carry exactly.

@@ -1,14 +1,13 @@
 // One field table per metrics struct (EdgeMetrics, FleetMetrics,
-// TenantMetrics). Each row names one scalar's JSON/CSV key and its member;
-// the writers below derive `to_json`, `csv_header` and `csv_row` from the
-// table, in table order, and refuse non-finite values. EdgeMetrics rows also
-// carry the pooling kind simulate_edge_runs applies across episodes, so a
-// new metric is one table row and cannot be left out of a writer or of the
-// pooling.
+// TenantMetrics). A MetricField is a common/fields.hpp row over a numeric
+// member: `to_json` goes through the shared write_fields, and the CSV
+// writers below walk the same table in the same order under the same
+// finite-only rule. EdgeMetrics rows also carry the pooling kind
+// simulate_edge_runs applies across episodes, so a new metric is one table
+// row and cannot be left out of a writer or of the pooling.
 
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <iomanip>
 #include <limits>
@@ -17,7 +16,7 @@
 #include <string>
 #include <variant>
 
-#include "common/json.hpp"
+#include "common/fields.hpp"
 #include "edge/simulation.hpp"
 
 namespace adapex {
@@ -32,48 +31,33 @@ enum class Pooling {
 };
 
 template <typename S>
-struct MetricField {
-  using Member = std::variant<int S::*, long S::*, double S::*>;
-
-  constexpr MetricField(const char* field_name, Member field_member,
+struct MetricField : Field<S> {
+  template <typename T>
+  constexpr MetricField(const char* field_name, T S::*field_member,
                         Pooling field_pooling = Pooling::kSum)
-      : name(field_name), member(field_member), pooling(field_pooling) {}
+      : Field<S>(field_name, field_member),
+        number(field_member),
+        pooling(field_pooling) {}
 
-  const char* name;
-  Member member;
+  std::variant<int S::*, long S::*, double S::*> number;  ///< The member.
   Pooling pooling;  ///< Read for EdgeMetrics only.
 
   double get(const S& s) const {
     return std::visit([&](auto p) { return static_cast<double>(s.*p); },
-                      member);
+                      number);
   }
   /// `to.member += from.member`, in the member's own type.
   void add(S& to, const S& from) const {
-    std::visit([&](auto p) { to.*p += from.*p; }, member);
+    std::visit([&](auto p) { to.*p += from.*p; }, number);
   }
   /// Only weighted rows, which are doubles, are ever assigned.
   void set(S& s, double value) const {
-    s.*std::get<double S::*>(member) = value;
-  }
-  /// The value, which must be finite: NaN/Inf never reach an artifact.
-  double finite(const S& s, const char* type) const {
-    const double value = get(s);
-    ADAPEX_CHECK(std::isfinite(value),
-                 std::string(type) + "::" + name +
-                     " is not finite — refusing to serialize");
-    return value;
+    s.*std::get<double S::*>(number) = value;
   }
 };
 
 /// The EdgeMetrics table (edge/simulation.cpp), in JSON/CSV order.
 std::span<const MetricField<EdgeMetrics>> edge_metric_fields();
-
-/// Appends every field of `s` to the JSON object `j`.
-template <typename S, std::size_t N>
-void write_fields(Json& j, const S& s, const MetricField<S> (&fields)[N],
-                  const char* type) {
-  for (const MetricField<S>& f : fields) j[f.name] = f.finite(s, type);
-}
 
 template <typename S, std::size_t N>
 std::string fields_csv_header(const MetricField<S> (&fields)[N]) {
@@ -92,7 +76,7 @@ std::string fields_csv_row(const S& s, const MetricField<S> (&fields)[N],
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
   bool first = true;
   for (const MetricField<S>& f : fields) {
-    const double value = f.finite(s, type);
+    const double value = finite(f.get(s), KeyPath(type).key(f.name));
     if (!first) os << ",";
     os << value;
     first = false;

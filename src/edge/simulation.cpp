@@ -129,9 +129,7 @@ void derive_ratios(EdgeMetrics& m) {
 }
 
 Json EdgeMetrics::to_json() const {
-  Json j = Json::object();
-  write_fields(j, *this, kEdgeFields, "EdgeMetrics");
-  return j;
+  return write_json(*this, "EdgeMetrics", kEdgeFields);
 }
 
 std::string EdgeMetrics::csv_header() {

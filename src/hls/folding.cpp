@@ -49,8 +49,8 @@ FoldingConfig FoldingConfig::from_json(const Json& j,
                  "folding config missing layer: " + site.name);
     const Json& entry = j.at(site.name);
     LayerFold fold;
-    fold.pe = static_cast<int>(entry.at("PE").as_int());
-    fold.simd = static_cast<int>(entry.at("SIMD").as_int());
+    fold.pe = entry.at("PE").as_int<int>();
+    fold.simd = entry.at("SIMD").as_int<int>();
     cfg.folds.push_back(fold);
   }
   validate_folding(sites, cfg);

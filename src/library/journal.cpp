@@ -9,29 +9,6 @@
 
 namespace adapex {
 
-namespace {
-
-constexpr const char* kPointKind = "journal-point";
-constexpr const char* kFailureKind = "journal-failure";
-constexpr const char* kMetaKind = "journal-meta";
-
-std::string seed_to_hex(std::uint64_t seed) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, seed);
-  return buf;
-}
-
-std::uint64_t seed_from_hex(const std::string& hex) {
-  std::uint64_t seed = 0;
-  if (hex.size() != 16 ||
-      std::sscanf(hex.c_str(), "%16" SCNx64, &seed) != 1) {
-    throw ParseError("journal: malformed retrain-seed hex '" + hex + "'");
-  }
-  return seed;
-}
-
-}  // namespace
-
 const char* to_string(PartialPolicy policy) {
   switch (policy) {
     case PartialPolicy::kFail: return "fail";
@@ -50,20 +27,83 @@ const char* to_string(PointStatus status) {
   return "?";
 }
 
+namespace {
+
+constexpr const char* kPointKind = "journal-point";
+constexpr const char* kFailureKind = "journal-failure";
+constexpr const char* kMetaKind = "journal-meta";
+
+/// The 64-bit retrain seed as 16 hex digits: a JSON double would lose bits.
+Json write_seed(const JournalPoint& p, const KeyPath&) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, p.retrain_seed);
+  return Json(buf);
+}
+
+void read_seed(const Json* v, JournalPoint& p, const KeyPath& at) {
+  if (!at.present(v)) return;
+  const std::string hex = at.leaf([&] { return v->as_string(); });
+  if (hex.size() != 16 ||
+      std::sscanf(hex.c_str(), "%16" SCNx64, &p.retrain_seed) != 1) {
+    at.fail("malformed retrain-seed hex '" + hex + "'");
+  }
+}
+
+// PointOutcome and GenerationReport are write-only flight records.
+constexpr Field<PointOutcome> kPointOutcomeFields[] = {
+    {"index", &PointOutcome::index},
+    member_field<&PointOutcome::variant, model_variant_from_string>("variant"),
+    {"rate_pct", &PointOutcome::rate_pct},
+    {"status",
+     [](const PointOutcome& p, const KeyPath&) {
+       return Json(to_string(p.status));
+     },
+     nullptr},
+    {"attempts", &PointOutcome::attempts},
+    {"wall_s", &PointOutcome::wall_s},
+    {"checkpoint_s", &PointOutcome::checkpoint_s},
+    {"verify_s", &PointOutcome::verify_s},
+    {"cross_validations", &PointOutcome::cross_validations},
+    optional_field<&PointOutcome::error>("error"),
+    optional_field<&PointOutcome::eval_path>("eval_path"),
+};
+
+constexpr Field<GenerationReport::BaseWall> kBaseWallFields[] = {
+    {"plain", &GenerationReport::BaseWall::plain},
+    {"early_exit", &GenerationReport::BaseWall::early_exit},
+};
+
+constexpr Field<GenerationReport> kReportFields[] = {
+    {"partial", &GenerationReport::partial},
+    {"total_wall_s", &GenerationReport::total_wall_s},
+    {"compute_wall_s", &GenerationReport::compute_wall_s},
+    {"checkpoint_wall_s", &GenerationReport::checkpoint_wall_s},
+    {"verify_wall_s", &GenerationReport::verify_wall_s},
+    {"checkpoint_overhead",
+     [](const GenerationReport& r, const KeyPath& at) {
+       return Json(finite(r.checkpoint_overhead(), at));
+     },
+     nullptr},
+    member_field<&GenerationReport::base_wall_s, kBaseWallFields>(
+        "base_wall_s"),
+    member_field<&GenerationReport::points, kPointOutcomeFields>("points"),
+};
+
+constexpr Field<JournalPoint> kJournalPointFields[] = {
+    {"index", &JournalPoint::index},
+    member_field<&JournalPoint::variant, model_variant_from_string>("variant"),
+    {"rate_pct", &JournalPoint::rate_pct},
+    {"retrain_seed", write_seed, read_seed},
+    member_field<&JournalPoint::accelerators, kAcceleratorFields>(
+        "accelerators"),
+    member_field<&JournalPoint::entries, kLibraryEntryFields>("entries"),
+    {"progress_msg", &JournalPoint::progress_msg},
+};
+
+}  // namespace
+
 Json PointOutcome::to_json() const {
-  Json j = Json::object();
-  j["index"] = index;
-  j["variant"] = adapex::to_string(variant);
-  j["rate_pct"] = rate_pct;
-  j["status"] = adapex::to_string(status);
-  j["attempts"] = attempts;
-  j["wall_s"] = wall_s;
-  j["checkpoint_s"] = checkpoint_s;
-  j["verify_s"] = verify_s;
-  j["cross_validations"] = cross_validations;
-  if (!error.empty()) j["error"] = error;
-  if (!eval_path.empty()) j["eval_path"] = eval_path;
-  return j;
+  return write_json(*this, "PointOutcome", kPointOutcomeFields);
 }
 
 std::size_t GenerationReport::count(PointStatus status) const {
@@ -100,53 +140,15 @@ std::string GenerationReport::summary() const {
 }
 
 Json GenerationReport::to_json() const {
-  Json j = Json::object();
-  j["partial"] = partial;
-  j["total_wall_s"] = total_wall_s;
-  j["compute_wall_s"] = compute_wall_s;
-  j["checkpoint_wall_s"] = checkpoint_wall_s;
-  j["verify_wall_s"] = verify_wall_s;
-  j["checkpoint_overhead"] = checkpoint_overhead();
-  Json base = Json::object();
-  base["plain"] = base_wall_s.plain;
-  base["early_exit"] = base_wall_s.early_exit;
-  j["base_wall_s"] = std::move(base);
-  Json pts = Json::array();
-  for (const auto& p : points) pts.push_back(p.to_json());
-  j["points"] = std::move(pts);
-  return j;
+  return write_json(*this, "GenerationReport", kReportFields);
 }
 
 Json JournalPoint::to_json() const {
-  Json j = Json::object();
-  j["index"] = index;
-  j["variant"] = adapex::to_string(variant);
-  j["rate_pct"] = rate_pct;
-  j["retrain_seed"] = seed_to_hex(retrain_seed);
-  Json accs = Json::array();
-  for (const auto& a : accelerators) accs.push_back(a.to_json());
-  j["accelerators"] = std::move(accs);
-  Json ents = Json::array();
-  for (const auto& e : entries) ents.push_back(e.to_json());
-  j["entries"] = std::move(ents);
-  j["progress_msg"] = progress_msg;
-  return j;
+  return write_json(*this, "JournalPoint", kJournalPointFields);
 }
 
 JournalPoint JournalPoint::from_json(const Json& j) {
-  JournalPoint p;
-  p.index = static_cast<std::size_t>(j.at("index").as_int());
-  p.variant = model_variant_from_string(j.at("variant").as_string());
-  p.rate_pct = static_cast<int>(j.at("rate_pct").as_int());
-  p.retrain_seed = seed_from_hex(j.at("retrain_seed").as_string());
-  for (const auto& a : j.at("accelerators").as_array()) {
-    p.accelerators.push_back(AcceleratorRecord::from_json(a));
-  }
-  for (const auto& e : j.at("entries").as_array()) {
-    p.entries.push_back(LibraryEntry::from_json(e));
-  }
-  p.progress_msg = j.at("progress_msg").as_string();
-  return p;
+  return read_document(j, kJournalPointFields, "JournalPoint");
 }
 
 GenerationJournal::GenerationJournal(

@@ -22,120 +22,92 @@ ModelVariant model_variant_from_string(const std::string& s) {
 
 namespace {
 
-Json resources_to_json(const Resources& r) {
-  Json j = Json::object();
-  j["lut"] = static_cast<double>(r.lut);
-  j["ff"] = static_cast<double>(r.ff);
-  j["bram"] = static_cast<double>(r.bram);
-  j["dsp"] = static_cast<double>(r.dsp);
-  return j;
-}
+constexpr Field<Resources> kResourceFields[] = {
+    {"lut", &Resources::lut},
+    {"ff", &Resources::ff},
+    {"bram", &Resources::bram},
+    {"dsp", &Resources::dsp},
+};
 
-Resources resources_from_json(const Json& j) {
-  Resources r;
-  r.lut = j.at("lut").as_int();
-  r.ff = j.at("ff").as_int();
-  r.bram = j.at("bram").as_int();
-  r.dsp = j.at("dsp").as_int();
-  return r;
+bool mitigated(const AcceleratorRecord& a) { return a.mitigation.any(); }
+bool reach_folded(const AcceleratorRecord& a) {
+  return a.folding_mode != "styled";
 }
+bool library_mitigated(const Library& lib) { return lib.mitigation.any(); }
 
-Json mitigation_to_json(const SeuMitigation& m) {
-  Json j = Json::object();
-  j["ecc_weights"] = m.ecc_weights;
-  j["scrubbing"] = m.scrubbing;
-  j["scrub_period_s"] = m.scrub_period_s;
-  j["scrub_time_ms"] = m.scrub_time_ms;
-  j["tmr_exit_heads"] = m.tmr_exit_heads;
-  return j;
-}
+}  // namespace
 
-SeuMitigation mitigation_from_json(const Json& j) {
-  SeuMitigation m;
-  m.ecc_weights = j.at("ecc_weights").as_bool();
-  m.scrubbing = j.at("scrubbing").as_bool();
-  m.scrub_period_s = j.at("scrub_period_s").as_number();
-  m.scrub_time_ms = j.at("scrub_time_ms").as_number();
-  m.tmr_exit_heads = j.at("tmr_exit_heads").as_bool();
-  return m;
-}
+// Mitigation keys are written only when a mitigation is enabled, and the
+// reach keys only for non-styled folds, so libraries without them keep
+// their bytes.
+constexpr Field<SeuMitigation> kSeuMitigationFields[] = {
+    {"ecc_weights", &SeuMitigation::ecc_weights},
+    {"scrubbing", &SeuMitigation::scrubbing},
+    {"scrub_period_s", &SeuMitigation::scrub_period_s},
+    {"scrub_time_ms", &SeuMitigation::scrub_time_ms},
+    {"tmr_exit_heads", &SeuMitigation::tmr_exit_heads},
+};
+
+constexpr Field<AcceleratorRecord> kAcceleratorFields[] = {
+    {"id", &AcceleratorRecord::id},
+    member_field<&AcceleratorRecord::variant, model_variant_from_string>(
+        "variant"),
+    {"prune_rate_pct", &AcceleratorRecord::prune_rate_pct},
+    member_field<&AcceleratorRecord::resources, kResourceFields>("resources"),
+    member_field<&AcceleratorRecord::exit_overhead, kResourceFields>(
+        "exit_overhead"),
+    {"reconfig_ms", &AcceleratorRecord::reconfig_ms},
+    member_field<&AcceleratorRecord::mitigation, kSeuMitigationFields,
+                 mitigated>("mitigation"),
+    member_field<&AcceleratorRecord::mitigation_overhead, kResourceFields,
+                 mitigated>("mitigation_overhead"),
+    optional_field<&AcceleratorRecord::folding_mode, reach_folded>(
+        "folding_mode"),
+    optional_field<&AcceleratorRecord::reach_regime, reach_folded>(
+        "reach_regime"),
+};
+
+constexpr Field<LibraryEntry> kLibraryEntryFields[] = {
+    {"accel_id", &LibraryEntry::accel_id},
+    member_field<&LibraryEntry::variant, model_variant_from_string>("variant"),
+    {"prune_rate_pct", &LibraryEntry::prune_rate_pct},
+    {"conf_threshold_pct", &LibraryEntry::conf_threshold_pct},
+    {"accuracy", &LibraryEntry::accuracy},
+    {"exit_fractions", &LibraryEntry::exit_fractions},
+    {"ips", &LibraryEntry::ips},
+    {"latency_ms", &LibraryEntry::latency_ms},
+    {"peak_power_w", &LibraryEntry::peak_power_w},
+    {"energy_per_inf_j", &LibraryEntry::energy_per_inf_j},
+};
+
+namespace {
+
+constexpr Field<Library> kLibraryFields[] = {
+    {"dataset", &Library::dataset},
+    {"reference_accuracy", &Library::reference_accuracy},
+    {"static_power_w", &Library::static_power_w},
+    member_field<&Library::mitigation, kSeuMitigationFields,
+                 library_mitigated>("mitigation"),
+    member_field<&Library::accelerators, kAcceleratorFields>("accelerators"),
+    member_field<&Library::entries, kLibraryEntryFields>("entries"),
+};
 
 }  // namespace
 
 Json AcceleratorRecord::to_json() const {
-  Json j = Json::object();
-  j["id"] = id;
-  j["variant"] = to_string(variant);
-  j["prune_rate_pct"] = prune_rate_pct;
-  j["resources"] = resources_to_json(resources);
-  j["exit_overhead"] = resources_to_json(exit_overhead);
-  j["reconfig_ms"] = reconfig_ms;
-  if (mitigation.any()) {
-    j["mitigation"] = mitigation_to_json(mitigation);
-    j["mitigation_overhead"] = resources_to_json(mitigation_overhead);
-  }
-  if (folding_mode != "styled") {
-    j["folding_mode"] = folding_mode;
-    Json regime = Json::array();
-    for (double f : reach_regime) regime.push_back(f);
-    j["reach_regime"] = std::move(regime);
-  }
-  return j;
+  return write_json(*this, "AcceleratorRecord", kAcceleratorFields);
 }
 
 AcceleratorRecord AcceleratorRecord::from_json(const Json& j) {
-  AcceleratorRecord r;
-  r.id = static_cast<int>(j.at("id").as_int());
-  r.variant = model_variant_from_string(j.at("variant").as_string());
-  r.prune_rate_pct = static_cast<int>(j.at("prune_rate_pct").as_int());
-  r.resources = resources_from_json(j.at("resources"));
-  r.exit_overhead = resources_from_json(j.at("exit_overhead"));
-  r.reconfig_ms = j.at("reconfig_ms").as_number();
-  if (j.contains("mitigation")) {
-    r.mitigation = mitigation_from_json(j.at("mitigation"));
-    r.mitigation_overhead = resources_from_json(j.at("mitigation_overhead"));
-  }
-  if (j.contains("folding_mode")) {
-    r.folding_mode = j.at("folding_mode").as_string();
-    for (const auto& f : j.at("reach_regime").as_array()) {
-      r.reach_regime.push_back(f.as_number());
-    }
-  }
-  return r;
+  return read_document(j, kAcceleratorFields, "AcceleratorRecord");
 }
 
 Json LibraryEntry::to_json() const {
-  Json j = Json::object();
-  j["accel_id"] = accel_id;
-  j["variant"] = to_string(variant);
-  j["prune_rate_pct"] = prune_rate_pct;
-  j["conf_threshold_pct"] = conf_threshold_pct;
-  j["accuracy"] = accuracy;
-  Json fr = Json::array();
-  for (double f : exit_fractions) fr.push_back(f);
-  j["exit_fractions"] = std::move(fr);
-  j["ips"] = ips;
-  j["latency_ms"] = latency_ms;
-  j["peak_power_w"] = peak_power_w;
-  j["energy_per_inf_j"] = energy_per_inf_j;
-  return j;
+  return write_json(*this, "LibraryEntry", kLibraryEntryFields);
 }
 
 LibraryEntry LibraryEntry::from_json(const Json& j) {
-  LibraryEntry e;
-  e.accel_id = static_cast<int>(j.at("accel_id").as_int());
-  e.variant = model_variant_from_string(j.at("variant").as_string());
-  e.prune_rate_pct = static_cast<int>(j.at("prune_rate_pct").as_int());
-  e.conf_threshold_pct = static_cast<int>(j.at("conf_threshold_pct").as_int());
-  e.accuracy = j.at("accuracy").as_number();
-  for (const auto& f : j.at("exit_fractions").as_array()) {
-    e.exit_fractions.push_back(f.as_number());
-  }
-  e.ips = j.at("ips").as_number();
-  e.latency_ms = j.at("latency_ms").as_number();
-  e.peak_power_w = j.at("peak_power_w").as_number();
-  e.energy_per_inf_j = j.at("energy_per_inf_j").as_number();
-  return e;
+  return read_document(j, kLibraryEntryFields, "LibraryEntry");
 }
 
 const AcceleratorRecord& Library::accelerator(int id) const {
@@ -146,35 +118,11 @@ const AcceleratorRecord& Library::accelerator(int id) const {
 }
 
 Json Library::to_json() const {
-  Json j = Json::object();
-  j["dataset"] = dataset;
-  j["reference_accuracy"] = reference_accuracy;
-  j["static_power_w"] = static_power_w;
-  if (mitigation.any()) j["mitigation"] = mitigation_to_json(mitigation);
-  Json accs = Json::array();
-  for (const auto& a : accelerators) accs.push_back(a.to_json());
-  j["accelerators"] = std::move(accs);
-  Json ents = Json::array();
-  for (const auto& e : entries) ents.push_back(e.to_json());
-  j["entries"] = std::move(ents);
-  return j;
+  return write_json(*this, "Library", kLibraryFields);
 }
 
 Library Library::from_json(const Json& j) {
-  Library lib;
-  lib.dataset = j.at("dataset").as_string();
-  lib.reference_accuracy = j.at("reference_accuracy").as_number();
-  lib.static_power_w = j.at("static_power_w").as_number();
-  if (j.contains("mitigation")) {
-    lib.mitigation = mitigation_from_json(j.at("mitigation"));
-  }
-  for (const auto& a : j.at("accelerators").as_array()) {
-    lib.accelerators.push_back(AcceleratorRecord::from_json(a));
-  }
-  for (const auto& e : j.at("entries").as_array()) {
-    lib.entries.push_back(LibraryEntry::from_json(e));
-  }
-  return lib;
+  return read_document(j, kLibraryFields, "Library");
 }
 
 void Library::save(const std::string& path) const {

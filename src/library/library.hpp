@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "common/json.hpp"
+#include "common/fields.hpp"
 #include "finn/mitigation.hpp"
 #include "hls/modules.hpp"
 
@@ -95,5 +95,11 @@ struct Library {
   void save(const std::string& path) const;
   static Library load(const std::string& path);
 };
+
+// Field tables (library.cpp). SeuMitigation's is shared with the fleet
+// scenario's FaultSpec, the other two with the journal's checkpoints.
+extern const Field<SeuMitigation> kSeuMitigationFields[5];
+extern const Field<AcceleratorRecord> kAcceleratorFields[10];
+extern const Field<LibraryEntry> kLibraryEntryFields[10];
 
 }  // namespace adapex

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/fields.hpp"
 #include "tensor/ops.hpp"
 
 namespace adapex {
@@ -34,30 +35,26 @@ ExitOps exit_ops_from_string(const std::string& s) {
   throw ConfigError("unknown exit ops: " + s);
 }
 
+namespace {
+
+constexpr Field<ExitSpec> kExitSpecFields[] = {
+    {"after_block", &ExitSpec::after_block},
+    member_field<&ExitSpec::ops, exit_ops_from_string>("ops"),
+};
+
+constexpr Field<ExitsConfig> kExitsConfigFields[] = {
+    member_field<&ExitsConfig::exits, kExitSpecFields>("exits"),
+    {"pruned", &ExitsConfig::prune_exits},
+};
+
+}  // namespace
+
 Json ExitsConfig::to_json() const {
-  Json j = Json::object();
-  Json arr = Json::array();
-  for (const auto& e : exits) {
-    Json spec = Json::object();
-    spec["after_block"] = e.after_block;
-    spec["ops"] = to_string(e.ops);
-    arr.push_back(std::move(spec));
-  }
-  j["exits"] = std::move(arr);
-  j["pruned"] = prune_exits;
-  return j;
+  return write_json(*this, "ExitsConfig", kExitsConfigFields);
 }
 
 ExitsConfig ExitsConfig::from_json(const Json& j) {
-  ExitsConfig cfg;
-  for (const auto& spec : j.at("exits").as_array()) {
-    ExitSpec e;
-    e.after_block = static_cast<int>(spec.at("after_block").as_int());
-    e.ops = exit_ops_from_string(spec.at("ops").as_string());
-    cfg.exits.push_back(e);
-  }
-  cfg.prune_exits = j.at("pruned").as_bool();
-  return cfg;
+  return read_document(j, kExitsConfigFields, "ExitsConfig");
 }
 
 ExitsConfig paper_exits_config(bool prune_exits) {

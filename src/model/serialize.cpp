@@ -93,24 +93,24 @@ std::unique_ptr<Layer> rebuild_layer(const Json& j, const float*& cursor,
   const std::string kind = j.at("kind").as_string();
   Rng dummy(0);
   if (kind == "conv") {
-    const int in = static_cast<int>(j.at("in").as_int());
-    const int out = static_cast<int>(j.at("out").as_int());
-    const int k = static_cast<int>(j.at("k").as_int());
+    const int in = j.at("in").as_int<int>();
+    const int out = j.at("out").as_int<int>();
+    const int k = j.at("k").as_int<int>();
     auto conv = std::make_unique<QuantConv2d>(
-        in, out, k, static_cast<int>(j.at("wbits").as_int()), dummy);
+        in, out, k, j.at("wbits").as_int<int>(), dummy);
     conv->set_weight(read_tensor(cursor, end, {out, in, k, k}));
     return conv;
   }
   if (kind == "linear") {
-    const int in = static_cast<int>(j.at("in").as_int());
-    const int out = static_cast<int>(j.at("out").as_int());
+    const int in = j.at("in").as_int<int>();
+    const int out = j.at("out").as_int<int>();
     auto fc = std::make_unique<QuantLinear>(
-        in, out, static_cast<int>(j.at("wbits").as_int()), dummy);
+        in, out, j.at("wbits").as_int<int>(), dummy);
     fc->set_weight(read_tensor(cursor, end, {out, in}));
     return fc;
   }
   if (kind == "batchnorm") {
-    const int ch = static_cast<int>(j.at("channels").as_int());
+    const int ch = j.at("channels").as_int<int>();
     auto bn = std::make_unique<BatchNorm>(ch);
     Tensor gamma = read_tensor(cursor, end, {ch});
     Tensor beta = read_tensor(cursor, end, {ch});
@@ -122,15 +122,15 @@ std::unique_ptr<Layer> rebuild_layer(const Json& j, const float*& cursor,
   }
   if (kind == "actquant") {
     auto act =
-        std::make_unique<ActQuant>(static_cast<int>(j.at("bits").as_int()));
+        std::make_unique<ActQuant>(j.at("bits").as_int<int>());
     ADAPEX_CHECK(cursor < end, "model blob truncated");
     act->set_scale(*cursor++);
     return act;
   }
   if (kind == "maxpool") {
     return std::make_unique<MaxPool2d>(
-        static_cast<int>(j.at("k").as_int()),
-        static_cast<int>(j.at("stride").as_int()));
+        j.at("k").as_int<int>(),
+        j.at("stride").as_int<int>());
   }
   if (kind == "flatten") {
     return std::make_unique<Flatten>();
@@ -204,7 +204,7 @@ BranchyModel deserialize_model(const std::string& bytes) {
   ADAPEX_CHECK(blob_bytes % sizeof(float) == 0, "model blob misaligned");
   const std::size_t blob_floats = blob_bytes / sizeof(float);
   ADAPEX_CHECK(blob_floats ==
-                   static_cast<std::size_t>(header.at("blob_floats").as_int()),
+                   header.at("blob_floats").as_int<std::size_t>(),
                "model blob size mismatch");
   std::vector<float> blob(blob_floats);
   std::memcpy(blob.data(),
@@ -218,7 +218,7 @@ BranchyModel deserialize_model(const std::string& bytes) {
     model.add_block(rebuild_sequential(block, cursor, end));
   }
   for (const auto& exit : header.at("exits").as_array()) {
-    model.add_exit(static_cast<int>(exit.at("after_block").as_int()),
+    model.add_exit(exit.at("after_block").as_int<int>(),
                    rebuild_sequential(exit.at("head"), cursor, end));
   }
   ADAPEX_CHECK(cursor == end, "model blob has trailing data");

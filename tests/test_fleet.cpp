@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <set>
@@ -502,6 +503,59 @@ TEST(FleetJson, IntegerFieldsRejectFractionsOverflowAndBadSeeds) {
           << e.what();
     }
   }
+}
+
+TEST(FleetJson, WrongTypesRaiseConfigErrorNamingTheKeyPath) {
+  const struct {
+    const char* path;
+    void (*mutate)(Json&);
+  } cases[] = {
+      {"base.duration_s", [](Json& j) { j["base"]["duration_s"] = "25"; }},
+      {"batching.enabled", [](Json& j) { j["batching"]["enabled"] = 1; }},
+      {"devices", [](Json& j) { j["devices"] = Json::object(); }},
+      {"tenants[1].workload.base_ips",
+       [](Json& j) {
+         j["tenants"].as_array()[1]["workload"]["base_ips"] = "400";
+       }},
+      {"base.faults.mitigation.scrubbing",
+       [](Json& j) { j["base"]["faults"]["mitigation"]["scrubbing"] = 0.5; }},
+  };
+  for (const auto& c : cases) {
+    Json j = small_fleet(3).to_json();
+    c.mutate(j);
+    try {
+      FleetScenario::from_json(j);
+      ADD_FAILURE() << c.path << " of the wrong type was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.path), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(FleetJson, MissingKeysKeepTheirDefaults) {
+  Json j = Json::object();
+  j["devices"] = Json::array();
+  j["devices"].push_back(Json::object());
+  j["tenants"] = Json::array();
+  j["tenants"].push_back(Json::object());
+  j["fleet_faults"]["domains"] = Json::array();
+  j["fleet_faults"]["domains"].push_back(Json::object());
+  const FleetScenario s = FleetScenario::from_json(j);
+  FleetScenario defaults;
+  defaults.devices.resize(1);
+  defaults.tenants.resize(1);
+  defaults.fleet_faults.domains.resize(1);
+  EXPECT_EQ(s.to_json().dump(), defaults.to_json().dump());
+}
+
+TEST(FleetJson, NonFiniteValuesAreNotWritten) {
+  FleetScenario sc = small_fleet(3);
+  sc.balance_hysteresis = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(sc.to_json(), Error);
+  sc = small_fleet(3);
+  sc.tenants[0].workload.trace = {1.0, std::nan("")};
+  EXPECT_THROW(sc.to_json(), Error);
 }
 
 TEST(FleetJson, SeedsBeyondExactJsonRangeAreNotWritten) {

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 
 #include "core/scale.hpp"
 #include "library/cache.hpp"
@@ -115,6 +116,107 @@ TEST(LibraryModel, JsonRoundTrip) {
   }
   EXPECT_EQ(parsed.accelerator(0).resources.lut,
             lib.accelerator(0).resources.lut);
+}
+
+/// A hand-built one-accelerator, one-entry Library as JSON.
+Json small_library_json() {
+  Library lib;
+  lib.dataset = "small";
+  AcceleratorRecord a;
+  a.id = 2;
+  a.variant = ModelVariant::kPrunedExits;
+  a.prune_rate_pct = 50;
+  LibraryEntry e;
+  e.accel_id = 2;
+  e.variant = ModelVariant::kPrunedExits;
+  e.prune_rate_pct = 50;
+  e.conf_threshold_pct = 70;
+  e.exit_fractions = {0.5, 0.5};
+  lib.accelerators = {a};
+  lib.entries = {e};
+  return lib.to_json();
+}
+
+/// The what() of the ParseError Library::from_json raises on `j`.
+std::string library_parse_error(const Json& j) {
+  try {
+    Library::from_json(j);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "accepted " << j.dump();
+  return "";
+}
+
+TEST(LibraryJson, IntegersOutsideIntAreRejectedNotNarrowed) {
+  // A cast of the 64-bit value to int read these as 0, -1 (the no-exit
+  // sentinel) and 50.
+  const struct {
+    const char* key;
+    double value;
+  } cases[] = {
+      {"accel_id", 4294967296.0},
+      {"conf_threshold_pct", 4294967295.0},
+      {"prune_rate_pct", 4294967346.0},
+  };
+  for (const auto& c : cases) {
+    Json j = small_library_json();
+    j["entries"].as_array()[0][c.key] = c.value;
+    const std::string what = library_parse_error(j);
+    EXPECT_NE(what.find(std::string("entries[0].") + c.key),
+              std::string::npos)
+        << what;
+  }
+  Json j = small_library_json();
+  j["accelerators"].as_array()[0]["id"] = 2.5;
+  EXPECT_NE(library_parse_error(j).find("accelerators[0].id"),
+            std::string::npos);
+}
+
+TEST(LibraryJson, WrongTypesRaiseParseErrorNamingTheKeyPath) {
+  Json j = small_library_json();
+  j["entries"].as_array()[0]["accuracy"] = "x";
+  EXPECT_NE(library_parse_error(j).find("entries[0].accuracy"),
+            std::string::npos);
+  j = small_library_json();
+  j["accelerators"].as_array()[0]["resources"] = Json::array();
+  EXPECT_NE(library_parse_error(j).find("accelerators[0].resources"),
+            std::string::npos);
+  EXPECT_THROW(Json::parse("\"x\"").as_number(), ParseError);
+}
+
+/// `j` without `key`.
+Json without(const Json& j, const std::string& key) {
+  Json out = Json::object();
+  for (const auto& [k, v] : j.as_object()) {
+    if (k != key) out[k] = *v;
+  }
+  return out;
+}
+
+TEST(LibraryJson, MissingKeysRaiseParseErrorNamingTheKeyPath) {
+  Json j = small_library_json();
+  j["entries"].as_array()[0] = without(j.at("entries").as_array()[0], "ips");
+  EXPECT_NE(library_parse_error(j).find("entries[0].ips"), std::string::npos);
+  // A conditional key is required once the key it depends on is present.
+  j = small_library_json();
+  Json& accel = j["accelerators"].as_array()[0];
+  accel["mitigation"] = Json::parse(
+      R"({"ecc_weights":true,"scrubbing":false,"scrub_period_s":2,)"
+      R"("scrub_time_ms":4,"tmr_exit_heads":false})");
+  EXPECT_NE(library_parse_error(j).find("accelerators[0].mitigation_overhead"),
+            std::string::npos);
+}
+
+TEST(LibraryJson, NonFiniteValuesAreNotWritten) {
+  // They used to print as `nan`/`inf`, which Json::parse then rejected.
+  LibraryEntry e;
+  e.accuracy = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(e.to_json(), Error);
+  AcceleratorRecord a;
+  a.folding_mode = "reach";
+  a.reach_regime = {0.5, std::numeric_limits<double>::infinity()};
+  EXPECT_THROW(a.to_json(), Error);
 }
 
 TEST(LibraryModel, SaveLoadFile) {
