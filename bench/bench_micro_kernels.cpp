@@ -8,6 +8,7 @@
 
 #include "analysis/dataflow.hpp"
 #include "core/adapex.hpp"
+#include "nn/quant.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 
@@ -135,6 +136,97 @@ void BM_Conv2dBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Conv2dBackward);
+
+// The tiny-preset CNV's conv layers at training batch 16, keyed by output
+// plane size: conv1 (900), conv2 (784), conv3 (144), conv5 (9), conv6 (1).
+struct CnvConvShape {
+  int patch, cin, hw, fout;
+};
+constexpr CnvConvShape kCnvConvShapes[] = {
+    {900, 3, 32, 12}, {784, 12, 30, 12}, {144, 12, 14, 24},
+    {9, 24, 5, 48},   {1, 48, 3, 48},
+};
+
+const CnvConvShape& cnv_conv_shape(const benchmark::State& state) {
+  for (const auto& s : kCnvConvShapes) {
+    if (s.patch == state.range(0)) return s;
+  }
+  return kCnvConvShapes[0];
+}
+
+void cnv_conv_args(benchmark::internal::Benchmark* b) {
+  for (const auto& s : kCnvConvShapes) b->Arg(s.patch);
+}
+
+void BM_Conv2dCnvForward(benchmark::State& state) {
+  const CnvConvShape& s = cnv_conv_shape(state);
+  Rng rng(10);
+  Tensor x({16, s.cin, s.hw, s.hw});
+  x.randn_(rng, 1.0f);
+  Tensor w({s.fout, s.cin, 3, 3});
+  w.randn_(rng, 0.5f);
+  Tensor bias;
+  std::vector<float> scratch;
+  for (auto _ : state) {
+    Tensor y = ops::conv2d_forward(x, w, bias, scratch);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 16L * s.patch * s.fout * s.cin *
+                          9 * 2);
+}
+BENCHMARK(BM_Conv2dCnvForward)->Apply(cnv_conv_args);
+
+void BM_Conv2dCnvBackward(benchmark::State& state) {
+  const CnvConvShape& s = cnv_conv_shape(state);
+  Rng rng(11);
+  Tensor x({16, s.cin, s.hw, s.hw});
+  x.randn_(rng, 1.0f);
+  Tensor w({s.fout, s.cin, 3, 3});
+  w.randn_(rng, 0.5f);
+  Tensor dy({16, s.fout, s.hw - 2, s.hw - 2});
+  dy.randn_(rng, 1.0f);
+  Tensor dw(w.shape());
+  Tensor db;
+  std::vector<float> scratch;
+  for (auto _ : state) {
+    Tensor dx;
+    ops::conv2d_backward(x, w, dy, dx, dw, db, scratch);
+    benchmark::DoNotOptimize(dx.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 16L * s.patch * s.fout * s.cin *
+                          9 * 4);
+}
+BENCHMARK(BM_Conv2dCnvBackward)->Apply(cnv_conv_args);
+
+// The 2-bit activation quantizer on conv2's training output (16x12x28x28).
+void BM_ActQuantForward(benchmark::State& state) {
+  Rng rng(12);
+  Tensor x({16, 12, 28, 28});
+  x.randn_(rng, 1.0f);
+  ActQuantizer aq(2);
+  for (auto _ : state) {
+    Tensor y = aq.forward(x, /*train=*/true);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(x.numel()));
+}
+BENCHMARK(BM_ActQuantForward);
+
+void BM_ActQuantBackward(benchmark::State& state) {
+  Rng rng(13);
+  Tensor x({16, 12, 28, 28});
+  x.randn_(rng, 1.0f);
+  Tensor dy(x.shape());
+  dy.randn_(rng, 1.0f);
+  ActQuantizer aq(2);
+  aq.forward(x, /*train=*/true);
+  for (auto _ : state) {
+    Tensor dx = aq.backward(x, dy);
+    benchmark::DoNotOptimize(dx.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(x.numel()));
+}
+BENCHMARK(BM_ActQuantBackward);
 
 void BM_LinearForward(benchmark::State& state) {
   Rng rng(8);

@@ -356,21 +356,56 @@ class Parser {
     return out;
   }
 
+  bool at_digit() const {
+    return pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0;
+  }
+
+  /// Consumes one or more digits; fails with `what` when there are none.
+  void digits(const char* what) {
+    if (!at_digit()) fail(what);
+    while (at_digit()) ++pos_;
+  }
+
+  // RFC 8259 number: -? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?
+  // The token is validated before conversion, and the conversion must
+  // consume all of it, so "1-2", "1.2.3", "01" and "1.5e" are errors
+  // rather than silently truncated prefixes.
   Json parse_number() {
-    std::size_t start = pos_;
+    const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+    if (pos_ < text_.size() && text_[pos_] == '0') {
       ++pos_;
+    } else {
+      digits("expected a number");
     }
-    if (pos_ == start) fail("expected a number");
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      digits("malformed number: expected a digit after '.'");
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
+        ++pos_;
+      }
+      digits("malformed number: expected an exponent digit");
+    }
+    if (at_digit() || (pos_ < text_.size() &&
+                       (text_[pos_] == '.' || text_[pos_] == 'e' ||
+                        text_[pos_] == 'E' || text_[pos_] == '+' ||
+                        text_[pos_] == '-'))) {
+      fail("malformed number");
+    }
+    const std::string token = text_.substr(start, pos_ - start);
+    std::size_t used = 0;
+    double value = 0.0;
     try {
-      return Json(std::stod(text_.substr(start, pos_ - start)));
+      value = std::stod(token, &used);
     } catch (const std::exception&) {
       fail("malformed number");
     }
+    if (used != token.size()) fail("malformed number");
+    return Json(value);
   }
 
   const std::string& text_;

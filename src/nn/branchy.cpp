@@ -48,12 +48,18 @@ void BranchyModel::backward(const std::vector<Tensor>& grad_logits) {
     exit_grad[e] = exits_[e].head->backward(grad_logits[e]);
   }
   // Walk the backbone in reverse, merging exit gradients at block outputs.
+  // Nobody reads the gradient w.r.t. the model input, so block 0 runs
+  // backward_params: its first layer skips its input-gradient work.
   Tensor g = grad_logits.back();
   for (int b = static_cast<int>(blocks_.size()) - 1; b >= 0; --b) {
     for (std::size_t e = 0; e < exits_.size(); ++e) {
       if (exits_[e].after_block == b) g.add_(exit_grad[e]);
     }
-    g = blocks_[static_cast<std::size_t>(b)]->backward(g);
+    if (b == 0) {
+      blocks_.front()->backward_params(g);
+    } else {
+      g = blocks_[static_cast<std::size_t>(b)]->backward(g);
+    }
   }
 }
 

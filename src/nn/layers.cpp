@@ -40,16 +40,33 @@ Tensor QuantConv2d::forward(const Tensor& input, bool train) {
   return ops::conv2d_forward(input, cached_qweight_, kNoBias, col_scratch_);
 }
 
-Tensor QuantConv2d::backward(const Tensor& grad_output) {
+QuantConv2d::QuantConv2d(Tensor weight, int weight_bits)
+    : weight_bits_(weight_bits) {
+  weight_.value = std::move(weight);
+  weight_.ensure_grad();
+}
+
+void QuantConv2d::backward_into(const Tensor& grad_output, Tensor& grad_input,
+                                bool need_input_grad) {
   ADAPEX_CHECK(!cached_input_.empty(), "backward before forward(train=true)");
-  Tensor grad_input;
   Tensor no_bias_grad;
   weight_.ensure_grad();
   // STE: gradient w.r.t. the quantized weight is applied to the latent float
   // weight directly.
   ops::conv2d_backward(cached_input_, cached_qweight_, grad_output, grad_input,
-                       weight_.grad, no_bias_grad, col_scratch_);
+                       weight_.grad, no_bias_grad, col_scratch_,
+                       need_input_grad);
+}
+
+Tensor QuantConv2d::backward(const Tensor& grad_output) {
+  Tensor grad_input;
+  backward_into(grad_output, grad_input, /*need_input_grad=*/true);
   return grad_input;
+}
+
+void QuantConv2d::backward_params(const Tensor& grad_output) {
+  Tensor unused;
+  backward_into(grad_output, unused, /*need_input_grad=*/false);
 }
 
 std::string QuantConv2d::name() const {
@@ -59,12 +76,7 @@ std::string QuantConv2d::name() const {
 }
 
 std::unique_ptr<Layer> QuantConv2d::clone() const {
-  Rng dummy(0);
-  auto copy = std::make_unique<QuantConv2d>(in_channels(), out_channels(),
-                                            kernel(), weight_bits_, dummy);
-  copy->weight_.value = weight_.value;
-  copy->weight_.ensure_grad();
-  return copy;
+  return std::unique_ptr<Layer>(new QuantConv2d(weight_.value, weight_bits_));
 }
 
 void QuantConv2d::set_weight(Tensor w) {
@@ -109,13 +121,14 @@ std::string QuantLinear::name() const {
          ")";
 }
 
+QuantLinear::QuantLinear(Tensor weight, int weight_bits)
+    : weight_bits_(weight_bits) {
+  weight_.value = std::move(weight);
+  weight_.ensure_grad();
+}
+
 std::unique_ptr<Layer> QuantLinear::clone() const {
-  Rng dummy(0);
-  auto copy = std::make_unique<QuantLinear>(in_features(), out_features(),
-                                            weight_bits_, dummy);
-  copy->weight_.value = weight_.value;
-  copy->weight_.ensure_grad();
-  return copy;
+  return std::unique_ptr<Layer>(new QuantLinear(weight_.value, weight_bits_));
 }
 
 void QuantLinear::set_weight(Tensor w) {
@@ -373,6 +386,13 @@ Tensor Sequential::backward(const Tensor& grad_output) {
     g = (*it)->backward(g);
   }
   return g;
+}
+
+void Sequential::backward_params(const Tensor& grad_output) {
+  if (layers_.empty()) return;
+  Tensor g = grad_output;
+  for (std::size_t i = layers_.size(); i-- > 1;) g = layers_[i]->backward(g);
+  layers_.front()->backward_params(g);
 }
 
 std::vector<Param*> Sequential::params() {

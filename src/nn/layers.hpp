@@ -57,6 +57,14 @@ class Layer {
   /// Must be called after a forward(train=true).
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// backward() for a layer whose input gradient nobody reads (the first
+  /// layer of a model): accumulates the same parameter gradients, bit for
+  /// bit, and may skip computing the input gradient. The default runs
+  /// backward() and discards its result.
+  virtual void backward_params(const Tensor& grad_output) {
+    backward(grad_output);
+  }
+
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<Param*> params() { return {}; }
   /// Read-only view of the trainable parameters (for inspection of models
@@ -80,6 +88,7 @@ class QuantConv2d : public Layer {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Param*> params() override { return {&weight_}; }
   std::vector<const Param*> params() const override { return {&weight_}; }
   LayerKind kind() const override { return LayerKind::kConv; }
@@ -98,6 +107,10 @@ class QuantConv2d : public Layer {
   void set_weight(Tensor w);
 
  private:
+  QuantConv2d(Tensor weight, int weight_bits);
+  void backward_into(const Tensor& grad_output, Tensor& grad_input,
+                     bool need_input_grad);
+
   Param weight_;  // [F, C, k, k]
   int weight_bits_;
   Tensor cached_input_;
@@ -127,6 +140,8 @@ class QuantLinear : public Layer {
   void set_weight(Tensor w);
 
  private:
+  QuantLinear(Tensor weight, int weight_bits);
+
   Param weight_;  // [Out, In]
   int weight_bits_;
   Tensor cached_input_;
@@ -241,6 +256,8 @@ class Sequential : public Layer {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// Backward through every layer; the first one gets backward_params.
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Param*> params() override;
   std::vector<const Param*> params() const override;
   LayerKind kind() const override { return LayerKind::kFlatten; }  // unused

@@ -86,12 +86,31 @@ void quantize_weight_per_channel(const Tensor& weight, int bits, Tensor& out) {
   }
 }
 
+// The ActQuantizer loops are written branch-free, as value selects over
+// unconditional loads with no libm call, so the compiler if-converts and
+// vectorizes them. Each per-element result is bit-identical to the scalar
+// form std::clamp / std::round / short-circuit `&&` spell, including for
+// +-0, subnormals, NaN and +-Inf (tests/test_nn.cpp pins this).
+
 Tensor ActQuantizer::forward(const Tensor& input, bool train) {
+  const float* x = input.data();
+  const std::size_t len = input.numel();
   if (train || !initialized_) {
-    float batch_max = 0.0f;
-    for (std::size_t i = 0; i < input.numel(); ++i) {
-      batch_max = std::max(batch_max, input[i]);
+    // max(0, max_i x_i) over the non-NaN inputs in independent lanes, then
+    // across lanes: `acc < v ? v : acc` never lets a NaN in and only a
+    // strictly larger value replaces +0, so the lane split cannot change
+    // the result of the serial std::max scan.
+    constexpr std::size_t kLanes = 16;
+    float lane[kLanes] = {};
+    std::size_t i = 0;
+    for (; i + kLanes <= len; i += kLanes) {
+      for (std::size_t j = 0; j < kLanes; ++j) {
+        lane[j] = lane[j] < x[i + j] ? x[i + j] : lane[j];
+      }
     }
+    float batch_max = 0.0f;
+    for (; i < len; ++i) batch_max = batch_max < x[i] ? x[i] : batch_max;
+    for (const float v : lane) batch_max = batch_max < v ? v : batch_max;
     if (batch_max > 1e-12f) {
       constexpr float kMomentum = 0.1f;
       scale_ = initialized_ ? (1.0f - kMomentum) * scale_ + kMomentum * batch_max
@@ -100,18 +119,27 @@ Tensor ActQuantizer::forward(const Tensor& input, bool train) {
     }
   }
   Tensor out(input.shape());
+  float* y = out.data();
   const float s = std::max(scale_, 1e-12f);
   if (bits_ <= 0) {
-    // Quantization disabled: plain ReLU.
-    for (std::size_t i = 0; i < input.numel(); ++i) {
-      out[i] = std::max(input[i], 0.0f);
-    }
+    // Quantization disabled: plain ReLU (std::max(x, 0): NaN and -0 pass).
+    for (std::size_t i = 0; i < len; ++i) y[i] = x[i] < 0.0f ? 0.0f : x[i];
     return out;
   }
   const float levels = static_cast<float>((1 << bits_) - 1);
-  for (std::size_t i = 0; i < input.numel(); ++i) {
-    const float clamped = std::clamp(input[i], 0.0f, s);
-    out[i] = std::round(clamped / s * levels) / levels * s;
+  for (std::size_t i = 0; i < len; ++i) {
+    // std::clamp(x, 0, s), as values.
+    float v = x[i] < 0.0f ? 0.0f : x[i];
+    v = s < v ? s : v;
+    const float q = v / s * levels;  // in [0, levels], or -0 or NaN
+    // std::round(q) for q >= 0: truncate through int (exact, q < 2^31; the
+    // select keeps NaN out of the conversion), then round the half away
+    // from zero — q - t is exact, so 0.49999997f stays below the tie.
+    // q <= +0, NaN and -0 keep q itself, as round() does.
+    const float qs = q > 0.0f ? q : 0.0f;
+    const float t = static_cast<float>(static_cast<int>(qs));
+    const float r = qs - t >= 0.5f ? t + 1.0f : t;
+    y[i] = (q > 0.0f ? r : q) / levels * s;
   }
   return out;
 }
@@ -120,9 +148,22 @@ Tensor ActQuantizer::backward(const Tensor& input,
                               const Tensor& grad_output) const {
   Tensor grad(input.shape());
   const float s = std::max(scale_, 1e-12f);
-  for (std::size_t i = 0; i < input.numel(); ++i) {
-    const bool inside = input[i] > 0.0f && (bits_ <= 0 || input[i] < s);
-    grad[i] = inside ? grad_output[i] : 0.0f;
+  const float* x = input.data();
+  const float* g = grad_output.data();
+  float* dx = grad.data();
+  const std::size_t len = input.numel();
+  // STE window (0, s), or (0, inf] with quantization disabled; `&` rather
+  // than `&&` so both compares and the gradient load are unconditional.
+  if (bits_ <= 0) {
+    for (std::size_t i = 0; i < len; ++i) {
+      const float gi = g[i];
+      dx[i] = x[i] > 0.0f ? gi : 0.0f;
+    }
+  } else {
+    for (std::size_t i = 0; i < len; ++i) {
+      const float gi = g[i];
+      dx[i] = (x[i] > 0.0f) & (x[i] < s) ? gi : 0.0f;
+    }
   }
   return grad;
 }

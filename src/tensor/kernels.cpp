@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -93,7 +94,7 @@ struct KernelTable {
   bool (*supported)();
   GemmDirectFn direct;
   GemmDotFn dot;
-  int nr;  // sliver width: columns below this run in the scalar tail
+  int nr;  // sliver width: narrower direct GEMMs take the scalar kernel
 };
 
 constexpr KernelTable kTiers[] = {
@@ -116,11 +117,11 @@ Dispatch& dispatch() {
 
 // ---------------------------------------------------------- adaptive dispatch
 
-// The blocked direct kernels only win when the full-width slivers engage and
-// the zero-skip is not carrying the load: packing a B panel costs a full
-// K x N sweep no matter how many A elements are exactly zero, and columns
-// beyond the last full sliver run scalar. Quantized (W2A2) and pruned
-// weights make both cases common — a naive i-k-j loop that skips a whole
+// The blocked direct kernels only win when at least one full-width sliver
+// engages and the zero-skip is not carrying the load: packing a B panel
+// costs a full K x N sweep no matter how many A elements are exactly zero.
+// Quantized (W2A2) and pruned weights make the latter common — a naive
+// i-k-j loop that skips a whole
 // N-wide B-row sweep per zero beats the blocked kernel outright on an 85%
 // pruned layer — so the public entry points fall back to a scalar kernel
 // with the identical per-element reduction order (see the kernels.hpp
@@ -210,9 +211,10 @@ void gemm_at_b_accumulate(const float* a, const float* b, float* c, int m,
   t.direct(at, b, nullptr, c, m, k, n, Epilogue::kNone);
 }
 
-// The dot kernels need no adaptive gate: with n below one sliver the packed
-// loop never runs and the column tail is exactly the scalar reference, and
-// the dot form has no zero skip for sparsity to feed.
+// The dot kernels need no adaptive gate: columns past the last full sliver
+// (all of them when n is below one sliver) run on a zero-padded sliver with
+// the same per-element reduction, and the dot form has no zero skip for
+// sparsity to feed.
 void gemm_a_bt_accumulate(const float* a, const float* b, float* c, int m,
                           int k, int n) {
   dispatch().active().dot(a, b, nullptr, c, m, k, n, Epilogue::kNone);

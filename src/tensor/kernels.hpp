@@ -65,7 +65,8 @@ void gemm_at_b_accumulate(const float* a, const float* b, float* c, int m,
 /// Each element's accumulator starts at zero, sums in ascending-k order
 /// without a zero skip, and is added to C once — exactly the reference
 /// reduction — vectorized across independent output columns via a packed
-/// transpose of the B panel.
+/// transpose of the B panel. Columns past the last full sliver run through
+/// the same micro-kernel on a zero-padded sliver.
 void gemm_a_bt_accumulate(const float* a, const float* b, float* c, int m,
                           int k, int n);
 

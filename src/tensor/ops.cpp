@@ -30,17 +30,20 @@ int out_dim(int in, int kernel, int stride) {
   return (in - kernel) / stride + 1;
 }
 
-void im2col(const float* img, int channels, int height, int width, int kernel,
-            float* col) {
+namespace {
+
+// im2col / col2im over a column panel with row stride `ld` (>= oh*ow), so a
+// group of images can share one [C*k*k, g*oh*ow] panel.
+void im2col_strided(const float* img, int channels, int height, int width,
+                    int kernel, float* col, std::size_t ld) {
   const int oh = height - kernel + 1;
   const int ow = width - kernel + 1;
-  const std::size_t patch = static_cast<std::size_t>(oh) * ow;
   std::size_t row = 0;
   for (int c = 0; c < channels; ++c) {
     const float* plane = img + static_cast<std::size_t>(c) * height * width;
     for (int ky = 0; ky < kernel; ++ky) {
       for (int kx = 0; kx < kernel; ++kx) {
-        float* dst = col + row * patch;
+        float* dst = col + row * ld;
         for (int y = 0; y < oh; ++y) {
           const float* src = plane + static_cast<std::size_t>(y + ky) * width + kx;
           std::memcpy(dst + static_cast<std::size_t>(y) * ow, src,
@@ -52,17 +55,16 @@ void im2col(const float* img, int channels, int height, int width, int kernel,
   }
 }
 
-void col2im_accumulate(const float* col, int channels, int height, int width,
-                       int kernel, float* img) {
+void col2im_strided(const float* col, std::size_t ld, int channels,
+                    int height, int width, int kernel, float* img) {
   const int oh = height - kernel + 1;
   const int ow = width - kernel + 1;
-  const std::size_t patch = static_cast<std::size_t>(oh) * ow;
   std::size_t row = 0;
   for (int c = 0; c < channels; ++c) {
     float* plane = img + static_cast<std::size_t>(c) * height * width;
     for (int ky = 0; ky < kernel; ++ky) {
       for (int kx = 0; kx < kernel; ++kx) {
-        const float* src = col + row * patch;
+        const float* src = col + row * ld;
         for (int y = 0; y < oh; ++y) {
           float* dst = plane + static_cast<std::size_t>(y + ky) * width + kx;
           const float* s = src + static_cast<std::size_t>(y) * ow;
@@ -72,6 +74,41 @@ void col2im_accumulate(const float* col, int channels, int height, int width,
       }
     }
   }
+}
+
+// Convolutions whose output plane is narrower than one register sliver of
+// the widest kernel tier would run one latency-bound narrow GEMM per image
+// (conv5/conv6 of CNV: 3x3 and 1x1 planes). They instead stack a group of
+// images side by side into one panel of about kGroupCols columns, which
+// bounds the group scratch at C*k*k*kGroupCols floats. The batch is split
+// into equal groups, so no short last group falls back to a narrow GEMM.
+// Grouping only regroups independent output columns, never a per-element
+// reduction.
+constexpr std::size_t kNarrowPatch = 64;
+constexpr std::size_t kGroupCols = 256;
+
+int image_group(int batch, std::size_t patch) {
+  if (patch >= kNarrowPatch || batch <= 1) return 1;
+  const int max_group =
+      static_cast<int>(std::max<std::size_t>(1, kGroupCols / patch));
+  const int groups = (batch + max_group - 1) / max_group;
+  return (batch + groups - 1) / groups;
+}
+
+}  // namespace
+
+void im2col(const float* img, int channels, int height, int width, int kernel,
+            float* col) {
+  const std::size_t patch =
+      static_cast<std::size_t>(height - kernel + 1) * (width - kernel + 1);
+  im2col_strided(img, channels, height, width, kernel, col, patch);
+}
+
+void col2im_accumulate(const float* col, int channels, int height, int width,
+                       int kernel, float* img) {
+  const std::size_t patch =
+      static_cast<std::size_t>(height - kernel + 1) * (width - kernel + 1);
+  col2im_strided(col, patch, channels, height, width, kernel, img);
 }
 
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
@@ -88,21 +125,49 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
   const int oh = out_dim(h, k, 1), ow = out_dim(w, k, 1);
   const int kdim = cin * k * k;
   const std::size_t patch = static_cast<std::size_t>(oh) * ow;
-  col_scratch.resize(static_cast<std::size_t>(kdim) * patch);
+  const std::size_t image = static_cast<std::size_t>(cin) * h * w;
+  const int group = image_group(batch, patch);
+  // A multi-image group's im2col and output panels are per-thread scratch,
+  // so each layer's own col_scratch (kept alive with the model) stays one
+  // image wide. A single image's [F, oh*ow] block of `out` already has the
+  // output panel's layout and is written in place.
+  thread_local std::vector<float> group_col;
+  thread_local std::vector<float> group_out;
+  std::vector<float>& col = group > 1 ? group_col : col_scratch;
+  col.resize(static_cast<std::size_t>(kdim) * group * patch);
+  if (group > 1) {
+    group_out.resize(static_cast<std::size_t>(fout) * group * patch);
+  }
 
   Tensor out({batch, fout, oh, ow});
   const auto epilogue =
       fuse_relu ? kernels::Epilogue::kRelu : kernels::Epilogue::kNone;
-  for (int n = 0; n < batch; ++n) {
-    im2col(input.data() + static_cast<std::size_t>(n) * cin * h * w, cin, h, w,
-           k, col_scratch.data());
-    float* optr = out.data() + static_cast<std::size_t>(n) * fout * patch;
+  for (int n0 = 0; n0 < batch; n0 += group) {
+    const int g = std::min(group, batch - n0);
+    const std::size_t cols = static_cast<std::size_t>(g) * patch;
+    for (int i = 0; i < g; ++i) {
+      im2col_strided(input.data() + static_cast<std::size_t>(n0 + i) * image,
+                     cin, h, w, k, col.data() + i * patch, cols);
+    }
+    float* optr = out.data() + static_cast<std::size_t>(n0) * fout * patch;
+    float* cptr = g == 1 ? optr : group_out.data();
+    if (g > 1 && bias.empty()) std::fill_n(cptr, fout * cols, 0.0f);
     // Bias broadcast and (optionally) ReLU are fused into the kernel's
     // accumulate/store instead of separate fill/activation passes.
-    kernels::gemm_bias_accumulate(weight.data(), col_scratch.data(),
-                                  bias.empty() ? nullptr : bias.data(), optr,
-                                  fout, kdim, static_cast<int>(patch),
+    kernels::gemm_bias_accumulate(weight.data(), col.data(),
+                                  bias.empty() ? nullptr : bias.data(), cptr,
+                                  fout, kdim, static_cast<int>(cols),
                                   epilogue);
+    if (g == 1) continue;
+    // Scatter the [F, g*oh*ow] panel to the images' [F, oh*ow] blocks.
+    for (int i = 0; i < g; ++i) {
+      float* dst = optr + static_cast<std::size_t>(i) * fout * patch;
+      for (int f = 0; f < fout; ++f) {
+        std::memcpy(dst + static_cast<std::size_t>(f) * patch,
+                    cptr + static_cast<std::size_t>(f) * cols + i * patch,
+                    patch * sizeof(float));
+      }
+    }
   }
   return out;
 }
@@ -110,42 +175,72 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
 void conv2d_backward(const Tensor& input, const Tensor& weight,
                      const Tensor& grad_output, Tensor& grad_input,
                      Tensor& grad_weight, Tensor& grad_bias,
-                     std::vector<float>& col_scratch) {
+                     std::vector<float>& col_scratch, bool need_input_grad) {
   const int batch = input.dim(0), cin = input.dim(1), h = input.dim(2),
             w = input.dim(3);
   const int fout = weight.dim(0), k = weight.dim(2);
   const int oh = out_dim(h, k, 1), ow = out_dim(w, k, 1);
   const int kdim = cin * k * k;
   const std::size_t patch = static_cast<std::size_t>(oh) * ow;
+  const std::size_t image = static_cast<std::size_t>(cin) * h * w;
+  const int group = need_input_grad ? image_group(batch, patch) : 1;
   col_scratch.resize(static_cast<std::size_t>(kdim) * patch);
   // Reused across calls (thread_local keeps pool workers independent) so the
-  // training hot loop does not allocate a fresh dcol buffer per image batch.
+  // training hot loop does not allocate fresh panels per image batch.
   thread_local std::vector<float> dcol;
-  dcol.resize(static_cast<std::size_t>(kdim) * patch);
-
-  grad_input = Tensor(input.shape());
-  for (int n = 0; n < batch; ++n) {
-    const float* img = input.data() + static_cast<std::size_t>(n) * cin * h * w;
-    const float* dout =
-        grad_output.data() + static_cast<std::size_t>(n) * fout * patch;
-    // dW += dOut * col^T
-    im2col(img, cin, h, w, k, col_scratch.data());
-    kernels::gemm_a_bt_accumulate(dout, col_scratch.data(), grad_weight.data(),
-                                  fout, static_cast<int>(patch), kdim);
-    // dcol = W^T * dOut
-    std::fill(dcol.begin(), dcol.end(), 0.0f);
-    kernels::gemm_at_b_accumulate(weight.data(), dout, dcol.data(), kdim, fout,
-                                  static_cast<int>(patch));
-    col2im_accumulate(dcol.data(), cin, h, w, k,
-                      grad_input.data() +
-                          static_cast<std::size_t>(n) * cin * h * w);
-    if (!grad_bias.empty()) {
-      for (int f = 0; f < fout; ++f) {
-        const float* drow = dout + static_cast<std::size_t>(f) * patch;
-        float acc = 0.0f;
-        for (std::size_t p = 0; p < patch; ++p) acc += drow[p];
-        grad_bias[static_cast<std::size_t>(f)] += acc;
+  thread_local std::vector<float> dout_panel;
+  if (need_input_grad) {
+    dcol.resize(static_cast<std::size_t>(kdim) * group * patch);
+    if (group > 1) {
+      dout_panel.resize(static_cast<std::size_t>(fout) * group * patch);
+    }
+    grad_input = Tensor(input.shape());
+  }
+  for (int n0 = 0; n0 < batch; n0 += group) {
+    const int g = std::min(group, batch - n0);
+    const std::size_t cols = static_cast<std::size_t>(g) * patch;
+    const float* dout0 =
+        grad_output.data() + static_cast<std::size_t>(n0) * fout * patch;
+    // dW += dOut * col^T: one fresh dot per image, added in ascending image
+    // order (the reduction order is part of the contract; see DESIGN.md).
+    for (int i = 0; i < g; ++i) {
+      const float* dout = dout0 + static_cast<std::size_t>(i) * fout * patch;
+      im2col(input.data() + static_cast<std::size_t>(n0 + i) * image, cin, h,
+             w, k, col_scratch.data());
+      kernels::gemm_a_bt_accumulate(dout, col_scratch.data(),
+                                    grad_weight.data(), fout,
+                                    static_cast<int>(patch), kdim);
+      if (!grad_bias.empty()) {
+        for (int f = 0; f < fout; ++f) {
+          const float* drow = dout + static_cast<std::size_t>(f) * patch;
+          float acc = 0.0f;
+          for (std::size_t p = 0; p < patch; ++p) acc += drow[p];
+          grad_bias[static_cast<std::size_t>(f)] += acc;
+        }
       }
+    }
+    if (!need_input_grad) continue;
+    // dcol = W^T * dOut over the group's [F, g*oh*ow] panel.
+    const float* dpanel = dout0;
+    if (g > 1) {
+      for (int i = 0; i < g; ++i) {
+        const float* dout = dout0 + static_cast<std::size_t>(i) * fout * patch;
+        for (int f = 0; f < fout; ++f) {
+          std::memcpy(dout_panel.data() + static_cast<std::size_t>(f) * cols +
+                          i * patch,
+                      dout + static_cast<std::size_t>(f) * patch,
+                      patch * sizeof(float));
+        }
+      }
+      dpanel = dout_panel.data();
+    }
+    std::fill_n(dcol.data(), static_cast<std::size_t>(kdim) * cols, 0.0f);
+    kernels::gemm_at_b_accumulate(weight.data(), dpanel, dcol.data(), kdim,
+                                  fout, static_cast<int>(cols));
+    for (int i = 0; i < g; ++i) {
+      col2im_strided(dcol.data() + i * patch, cols, cin, h, w, k,
+                     grad_input.data() +
+                         static_cast<std::size_t>(n0 + i) * image);
     }
   }
 }

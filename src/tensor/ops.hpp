@@ -44,19 +44,24 @@ void col2im_accumulate(const float* col, int channels, int height, int width,
                        int kernel, float* img);
 
 /// Convolution forward. input [N,C,H,W], weight [F,C,k,k], bias [F] (may be
-/// empty), output [N,F,oh,ow]. `col_scratch` must hold C*k*k*oh*ow floats.
-/// With fuse_relu the ReLU is applied in the GEMM epilogue — bit-identical
-/// to conv2d_forward followed by relu_forward, without the extra pass.
+/// empty), output [N,F,oh,ow]. `col_scratch` is resized to one image's
+/// C*k*k x oh*ow im2col panel (a group of narrow-plane images shares a
+/// per-thread panel instead). With fuse_relu the ReLU is applied in the GEMM
+/// epilogue — bit-identical to conv2d_forward followed by relu_forward,
+/// without the extra pass.
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, std::vector<float>& col_scratch,
                       bool fuse_relu = false);
 
 /// Convolution backward: fills grad_input (same shape as input), accumulates
-/// into grad_weight/grad_bias. `col_scratch` as in conv2d_forward.
+/// into grad_weight/grad_bias. `col_scratch` as in conv2d_forward. With
+/// need_input_grad == false grad_input is left untouched and its GEMM and
+/// col2im are skipped; the weight and bias gradients are bit-identical.
 void conv2d_backward(const Tensor& input, const Tensor& weight,
                      const Tensor& grad_output, Tensor& grad_input,
                      Tensor& grad_weight, Tensor& grad_bias,
-                     std::vector<float>& col_scratch);
+                     std::vector<float>& col_scratch,
+                     bool need_input_grad = true);
 
 /// Linear forward: input [N,In], weight [Out,In], bias [Out] -> [N,Out].
 /// With fuse_relu the ReLU is applied in the GEMM epilogue — bit-identical

@@ -40,6 +40,31 @@ TEST(Json, ParseErrors) {
   EXPECT_THROW(Json::parse("\"unterminated"), ParseError);
 }
 
+// Numbers follow the RFC 8259 grammar exactly: a malformed token is an
+// error that names its offset, never a silently truncated prefix.
+TEST(Json, MalformedNumbersAreRejected) {
+  for (const char* text :
+       {"[1-2]", "[1.2.3]", "[1.5e]", "[1.]", "[01]", "[1e5e5]",
+        R"({"accuracy": 0.9-1})", "-", "[-]", "[.5]", "[+1]", "[1e+]",
+        "[-01]", "[1.e5]", "[0x10]", "[1E--5]"}) {
+    try {
+      Json::parse(text);
+      ADD_FAILURE() << "parsed malformed number: " << text;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos)
+          << text;
+    }
+  }
+  // The writer's %lld / %.17g forms, and the other grammar corners, parse.
+  EXPECT_EQ(Json::parse("[0]").as_array()[0].as_int(), 0);
+  EXPECT_EQ(Json::parse("-0").as_number(), 0.0);
+  EXPECT_DOUBLE_EQ(Json::parse("0.5").as_number(), 0.5);
+  EXPECT_DOUBLE_EQ(Json::parse("-1.25E+2").as_number(), -125.0);
+  EXPECT_DOUBLE_EQ(Json::parse("1e-3").as_number(), 1e-3);
+  EXPECT_DOUBLE_EQ(Json::parse("0.10000000000000001").as_number(), 0.1);
+  EXPECT_EQ(Json::parse("[10,-7]").as_array()[1].as_int(), -7);
+}
+
 TEST(Json, DumpParseRoundTrip) {
   Json j = Json::object();
   j["name"] = "adapex";

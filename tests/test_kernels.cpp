@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -33,6 +35,10 @@ const Shape kShapes[] = {
     {1, 1, 1},   {1, 7, 1},    {2, 3, 5},    {3, 5, 7},    {4, 8, 8},
     {4, 16, 32}, {5, 17, 33},  {7, 129, 65}, {8, 256, 64}, {9, 257, 129},
     {1, 300, 9}, {13, 31, 97}, {16, 64, 96}, {33, 10, 31},
+    // Dot-kernel column tails at the conv weight-gradient widths (cin*9 =
+    // 27, 108) and around one AVX-512 sliver, with m not a multiple of any
+    // tier's kMR.
+    {5, 900, 27}, {7, 784, 44}, {13, 100, 63}, {11, 9, 65}, {9, 144, 108},
 };
 
 std::vector<float> random_matrix(std::size_t len, std::uint64_t seed,
@@ -349,6 +355,218 @@ TEST(Kernels, FusedForwardOpsMatchUnfusedCompositionBitwise) {
   ASSERT_EQ(lplain.shape(), lfused.shape());
   EXPECT_EQ(0, std::memcmp(lplain.data(), lfused.data(),
                            lplain.numel() * sizeof(float)));
+}
+
+// ---------------------------------------------------------------------------
+// Training-step differential suite: conv2d_forward / conv2d_backward against
+// a per-image composition of the naive kernels::ref GEMMs, bit for bit, at
+// the tiny-CNV layer shapes, on every ISA tier the host supports.
+
+struct ConvCase {
+  int batch, cin, hw, fout;  // 3x3 kernel: output plane (hw-2)^2
+};
+// Output planes 900, 784, 144, 100, 9 and 1 (the tiny CNV's conv1..conv6),
+// cin*9 of 27, 108, 216 and 432, batches 1, 3, 16 and 32, and a batch of 29
+// whose narrow-plane image groups come out uneven.
+const ConvCase kConvCases[] = {
+    {3, 3, 32, 12},  {1, 12, 30, 12}, {3, 12, 14, 24}, {16, 24, 12, 24},
+    {32, 48, 5, 48}, {16, 48, 3, 48}, {3, 24, 5, 17},  {32, 48, 3, 10},
+    {1, 3, 5, 7},    {3, 12, 3, 5},   {16, 24, 3, 24}, {1, 48, 5, 9},
+    {29, 12, 5, 7},
+};
+
+Tensor random_tensor(std::vector<int> shape, std::uint64_t seed,
+                     double zero_fraction) {
+  Tensor t(std::move(shape));
+  Rng rng(seed);
+  for (std::size_t i = 0; i < t.numel(); ++i) {
+    t[i] = rng.bernoulli(zero_fraction)
+               ? 0.0f
+               : static_cast<float>(rng.uniform() * 2.0 - 1.0);
+  }
+  return t;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+/// One image at a time: im2col, bias fill, ref GEMM, then ReLU.
+Tensor ref_conv_forward(const Tensor& x, const Tensor& w, const Tensor& bias,
+                        bool relu) {
+  const int batch = x.dim(0), cin = x.dim(1), h = x.dim(2), wd = x.dim(3);
+  const int fout = w.dim(0), k = w.dim(2), kdim = cin * k * k;
+  const int oh = h - k + 1, ow = wd - k + 1;
+  const std::size_t patch = static_cast<std::size_t>(oh) * ow;
+  std::vector<float> col(static_cast<std::size_t>(kdim) * patch);
+  Tensor out({batch, fout, oh, ow});
+  for (int n = 0; n < batch; ++n) {
+    ops::im2col(x.data() + static_cast<std::size_t>(n) * cin * h * wd, cin, h,
+                wd, k, col.data());
+    float* c = out.data() + static_cast<std::size_t>(n) * fout * patch;
+    if (!bias.empty()) {
+      for (int f = 0; f < fout; ++f) {
+        std::fill_n(c + static_cast<std::size_t>(f) * patch, patch,
+                    bias[static_cast<std::size_t>(f)]);
+      }
+    }
+    kernels::ref::gemm_accumulate(w.data(), col.data(), c, fout, kdim,
+                                  static_cast<int>(patch));
+    if (relu) {
+      for (std::size_t i = 0; i < fout * patch; ++i) c[i] = c[i] > 0.0f ? c[i] : 0.0f;
+    }
+  }
+  return out;
+}
+
+/// One image at a time: dW += dOut col^T, dcol = W^T dOut then col2im, and
+/// the bias row sums, each accumulated in ascending image order.
+void ref_conv_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
+                       Tensor& dx, Tensor& dw, Tensor& db) {
+  const int batch = x.dim(0), cin = x.dim(1), h = x.dim(2), wd = x.dim(3);
+  const int fout = w.dim(0), k = w.dim(2), kdim = cin * k * k;
+  const std::size_t patch =
+      static_cast<std::size_t>(h - k + 1) * static_cast<std::size_t>(wd - k + 1);
+  std::vector<float> col(static_cast<std::size_t>(kdim) * patch);
+  std::vector<float> dcol(col.size());
+  dx = Tensor(x.shape());
+  for (int n = 0; n < batch; ++n) {
+    const std::size_t img = static_cast<std::size_t>(n) * cin * h * wd;
+    const float* dout = dy.data() + static_cast<std::size_t>(n) * fout * patch;
+    ops::im2col(x.data() + img, cin, h, wd, k, col.data());
+    kernels::ref::gemm_a_bt_accumulate(dout, col.data(), dw.data(), fout,
+                                       static_cast<int>(patch), kdim);
+    std::fill(dcol.begin(), dcol.end(), 0.0f);
+    kernels::ref::gemm_at_b_accumulate(w.data(), dout, dcol.data(), kdim,
+                                       fout, static_cast<int>(patch));
+    ops::col2im_accumulate(dcol.data(), cin, h, wd, k, dx.data() + img);
+    for (int f = 0; f < fout; ++f) {
+      float acc = 0.0f;
+      for (std::size_t p = 0; p < patch; ++p) {
+        acc += dout[static_cast<std::size_t>(f) * patch + p];
+      }
+      db[static_cast<std::size_t>(f)] += acc;
+    }
+  }
+}
+
+/// Runs `body` once per ISA tier the host supports, restoring the tier.
+template <typename Fn>
+void for_each_isa(Fn&& body) {
+  const std::string initial = kernels::active_isa();
+  for (const char* isa : {"sse2", "avx2", "avx512"}) {
+    try {
+      kernels::force_isa(isa);
+    } catch (const ConfigError&) {
+      continue;  // host lacks this tier
+    }
+    body(isa);
+  }
+  kernels::force_isa(initial.c_str());
+}
+
+TEST(Kernels, ConvForwardMatchesPerImageReferenceBitwise) {
+  for_each_isa([](const char* isa) {
+    std::uint64_t seed = 500;
+    for (const auto& cc : kConvCases) {
+      // ~40% exact-zero weights exercise the zero skip and the adaptive
+      // density fallback.
+      const Tensor x = random_tensor({cc.batch, cc.cin, cc.hw, cc.hw}, ++seed, 0.1);
+      const Tensor w = random_tensor({cc.fout, cc.cin, 3, 3}, ++seed, 0.4);
+      const Tensor bias = random_tensor({cc.fout}, ++seed, 0.0);
+      for (const bool with_bias : {false, true}) {
+        for (const bool relu : {false, true}) {
+          const Tensor& b = with_bias ? bias : Tensor();
+          std::vector<float> scratch;
+          const Tensor got = ops::conv2d_forward(x, w, b, scratch, relu);
+          ASSERT_TRUE(same_bits(ref_conv_forward(x, w, b, relu), got))
+              << isa << " batch=" << cc.batch << " cin=" << cc.cin
+              << " hw=" << cc.hw << " bias=" << with_bias << " relu=" << relu;
+        }
+      }
+    }
+  });
+}
+
+TEST(Kernels, ConvBackwardMatchesPerImageReferenceBitwise) {
+  for_each_isa([](const char* isa) {
+    std::uint64_t seed = 700;
+    for (const auto& cc : kConvCases) {
+      const int o = cc.hw - 2;
+      const Tensor x = random_tensor({cc.batch, cc.cin, cc.hw, cc.hw}, ++seed, 0.1);
+      const Tensor w = random_tensor({cc.fout, cc.cin, 3, 3}, ++seed, 0.4);
+      const Tensor dy = random_tensor({cc.batch, cc.fout, o, o}, ++seed, 0.2);
+      // Nonzero starting gradients: backward accumulates into them.
+      const Tensor dw0 = random_tensor(w.shape(), ++seed, 0.0);
+      const Tensor db0 = random_tensor({cc.fout}, ++seed, 0.0);
+
+      Tensor dx_ref, dw_ref = dw0, db_ref = db0;
+      ref_conv_backward(x, w, dy, dx_ref, dw_ref, db_ref);
+
+      Tensor dx, dw = dw0, db = db0;
+      std::vector<float> scratch;
+      ops::conv2d_backward(x, w, dy, dx, dw, db, scratch);
+      ASSERT_TRUE(same_bits(dx_ref, dx)) << isa << " dx batch=" << cc.batch
+                                         << " cin=" << cc.cin << " hw=" << cc.hw;
+      ASSERT_TRUE(same_bits(dw_ref, dw)) << isa << " dW batch=" << cc.batch
+                                         << " cin=" << cc.cin << " hw=" << cc.hw;
+      ASSERT_TRUE(same_bits(db_ref, db)) << isa << " db batch=" << cc.batch
+                                         << " cin=" << cc.cin << " hw=" << cc.hw;
+
+      // Skipping the input gradient leaves dx untouched and the parameter
+      // gradients bit-identical.
+      Tensor dx_skip({1}), dw_skip = dw0, db_skip = db0;
+      ops::conv2d_backward(x, w, dy, dx_skip, dw_skip, db_skip, scratch,
+                           /*need_input_grad=*/false);
+      EXPECT_EQ(dx_skip.shape(), std::vector<int>{1});
+      ASSERT_TRUE(same_bits(dw_ref, dw_skip)) << isa << " batch=" << cc.batch;
+      ASSERT_TRUE(same_bits(db_ref, db_skip)) << isa << " batch=" << cc.batch;
+    }
+  });
+}
+
+// BranchyModel::backward skips the model input's gradient (block 0's first
+// conv runs backward_params); every parameter gradient must still equal a
+// full layer-by-layer backward through every layer, bit for bit.
+TEST(Kernels, BranchyBackwardMatchesFullLayerByLayerBackward) {
+  Rng rng(17);
+  CnvConfig cfg = CnvConfig{}.scaled(0.1875);
+  BranchyModel model = build_cnv_with_exits(cfg, paper_exits_config(false), rng);
+  BranchyModel full = model.clone();
+  const Tensor x = random_tensor({5, 3, 32, 32}, 18, 0.0);
+  const auto logits = model.forward(x, true);
+  const auto logits_full = full.forward(x, true);
+  std::vector<Tensor> grads;
+  for (std::size_t o = 0; o < logits.size(); ++o) {
+    ASSERT_TRUE(same_bits(logits[o], logits_full[o]));
+    grads.push_back(random_tensor(logits[o].shape(), 19 + o, 0.0));
+  }
+  model.backward(grads);
+
+  auto backward_all = [](Sequential& seq, Tensor g) {
+    for (std::size_t i = seq.size(); i-- > 0;) g = seq.layer(i).backward(g);
+    return g;
+  };
+  std::vector<Tensor> exit_grad(full.num_exits());
+  for (std::size_t e = 0; e < full.num_exits(); ++e) {
+    exit_grad[e] = backward_all(*full.exit(e).head, grads[e]);
+  }
+  Tensor g = grads.back();
+  for (int b = static_cast<int>(full.num_blocks()) - 1; b >= 0; --b) {
+    for (std::size_t e = 0; e < full.num_exits(); ++e) {
+      if (full.exit(e).after_block == b) g.add_(exit_grad[e]);
+    }
+    g = backward_all(full.block(static_cast<std::size_t>(b)), g);
+  }
+  EXPECT_EQ(g.shape(), x.shape());
+
+  const auto got = model.params();
+  const auto want = full.params();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t p = 0; p < got.size(); ++p) {
+    ASSERT_TRUE(same_bits(want[p]->grad, got[p]->grad)) << "param " << p;
+  }
 }
 
 // End-to-end keystone: a seeded train -> eval pipeline must produce

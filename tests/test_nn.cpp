@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "data/dataset.hpp"
 #include "model/cnv.hpp"
@@ -98,6 +102,172 @@ TEST(Quant, ActQuantizerSteMasksOutsideRange) {
   EXPECT_FLOAT_EQ(dx.at2(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(dx.at2(0, 1), 1.0f);
   EXPECT_FLOAT_EQ(dx.at2(0, 2), 0.0f);
+}
+
+// The ActQuantizer's scalar definition, kept verbatim as the exactness
+// oracle for its branch-free loops.
+struct ScalarActQuant {
+  int bits;
+  float scale = 1.0f;
+  bool initialized = false;
+
+  std::vector<float> forward(const std::vector<float>& x, bool train) {
+    if (train || !initialized) {
+      float batch_max = 0.0f;
+      for (const float v : x) batch_max = std::max(batch_max, v);
+      if (batch_max > 1e-12f) {
+        constexpr float kMomentum = 0.1f;
+        scale = initialized ? (1.0f - kMomentum) * scale + kMomentum * batch_max
+                            : batch_max;
+        initialized = true;
+      }
+    }
+    std::vector<float> out(x.size());
+    const float s = std::max(scale, 1e-12f);
+    if (bits <= 0) {
+      for (std::size_t i = 0; i < x.size(); ++i) out[i] = std::max(x[i], 0.0f);
+      return out;
+    }
+    const float levels = static_cast<float>((1 << bits) - 1);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const float clamped = std::clamp(x[i], 0.0f, s);
+      out[i] = std::round(clamped / s * levels) / levels * s;
+    }
+    return out;
+  }
+
+  std::vector<float> backward(const std::vector<float>& x,
+                              const std::vector<float>& g) const {
+    std::vector<float> grad(x.size());
+    const float s = std::max(scale, 1e-12f);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const bool inside = x[i] > 0.0f && (bits <= 0 || x[i] < s);
+      grad[i] = inside ? g[i] : 0.0f;
+    }
+    return grad;
+  }
+};
+
+/// Index of the first element whose bits differ, or -1.
+long first_mismatch(const float* a, const float* b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::memcmp(a + i, b + i, sizeof(float)) != 0) {
+      return static_cast<long>(i);
+    }
+  }
+  return -1;
+}
+
+/// Inputs around every decision point of the quantizer at scale `s`: signed
+/// zeros, subnormals, NaNs, infinities, each rounding tie k+0.5 (and its
+/// neighbouring floats) of each bit width, 0.49999997f, values at and
+/// around s, plus a spread of random magnitudes.
+std::vector<float> act_quant_probe(float s) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float qnan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> v = {0.0f, -0.0f, inf, -inf, qnan, -qnan,
+                          std::numeric_limits<float>::denorm_min(),
+                          -std::numeric_limits<float>::denorm_min(),
+                          1e-40f, -1e-40f,
+                          std::numeric_limits<float>::min(),
+                          0.49999997f, 0.5f, 1.5f, 2.5f, -0.5f,
+                          s, -s, 2.0f * s, s * 0.5f,
+                          std::numeric_limits<float>::max(),
+                          1e-12f, 1e-13f};
+  std::uint32_t payload_nan_bits = 0x7fc12345u;
+  float payload_nan;
+  std::memcpy(&payload_nan, &payload_nan_bits, sizeof(float));
+  v.push_back(payload_nan);
+  for (const float c : {s, 0.5f, 1.0f, 3.0f}) {
+    float lo = c, hi = c;
+    for (int u = 0; u < 3; ++u) {
+      lo = std::nextafter(lo, 0.0f);
+      hi = std::nextafter(hi, inf);
+      v.push_back(lo);
+      v.push_back(hi);
+    }
+  }
+  for (int bits = 1; bits <= 4; ++bits) {
+    const float levels = static_cast<float>((1 << bits) - 1);
+    for (int k = 0; k <= (1 << bits); ++k) {
+      float x = (static_cast<float>(k) + 0.5f) / levels * s;
+      for (int u = 0; u < 3; ++u) x = std::nextafter(x, 0.0f);
+      for (int u = 0; u < 7; ++u) {
+        v.push_back(x);
+        x = std::nextafter(x, inf);
+      }
+    }
+  }
+  Rng rng(23);
+  for (int i = 0; i < 2000; ++i) {
+    const double mag = std::pow(10.0, rng.uniform() * 8.0 - 6.0);
+    v.push_back(static_cast<float>((rng.uniform() * 2.0 - 1.0) * mag));
+  }
+  return v;
+}
+
+TEST(Quant, ActQuantizerMatchesScalarDefinitionBitwise) {
+  for (const int bits : {-1, 0, 1, 2, 3, 4}) {
+    for (const float s : {1.0f, 0.75f, 3.0f, 1e-13f}) {
+      const std::vector<float> xs = act_quant_probe(s);
+      const Tensor x({1, static_cast<int>(xs.size())}, xs);
+      std::vector<float> gs(xs.size());
+      Rng rng(29);
+      for (auto& g : gs) g = static_cast<float>(rng.uniform() * 2.0 - 1.0);
+      gs[1] = -0.0f;
+      const Tensor g({1, static_cast<int>(gs.size())}, gs);
+
+      // Eval mode at a restored scale.
+      ActQuantizer aq(bits);
+      aq.set_scale(s);
+      ScalarActQuant ref{bits, s, true};
+      const Tensor y = aq.forward(x, /*train=*/false);
+      const std::vector<float> y_ref = ref.forward(xs, false);
+      const long fwd = first_mismatch(y.data(), y_ref.data(), xs.size());
+      ASSERT_EQ(fwd, -1) << "forward x=" << xs[fwd < 0 ? 0 : fwd]
+                         << " bits=" << bits << " s=" << s;
+      const Tensor dx = aq.backward(x, g);
+      const std::vector<float> dx_ref = ref.backward(xs, gs);
+      const long bwd = first_mismatch(dx.data(), dx_ref.data(), xs.size());
+      ASSERT_EQ(bwd, -1) << "backward x=" << xs[bwd < 0 ? 0 : bwd]
+                         << " bits=" << bits << " s=" << s;
+    }
+  }
+}
+
+TEST(Quant, ActQuantizerRunningScaleMatchesScalarDefinition) {
+  const float qnan = std::numeric_limits<float>::quiet_NaN();
+  // Batches of odd lengths (lane tails), NaNs, all-nonpositive batches
+  // (no update), and maxima at different positions — including a maximum
+  // that follows a NaN one 16-float stride later.
+  std::vector<float> nan_then_max(37, 0.25f);
+  nan_then_max[3] = qnan;
+  nan_then_max[3 + 16] = 5.0f;
+  const std::vector<std::vector<float>> batches = {
+      nan_then_max,
+      {-1.0f, -0.0f, 0.0f},
+      {qnan, 0.25f, -3.0f, 0.5f, qnan},
+      {1e-13f, -1.0f},
+      {0.1f, 0.2f, 0.3f, 0.4f, 0.5f, 0.6f, 0.7f, 0.8f, 0.9f, 1.0f, 1.1f,
+       1.2f, 1.3f, 1.4f, 1.5f, 1.6f, 1.7f, 0.05f},
+      {std::numeric_limits<float>::denorm_min(), -0.0f},
+      act_quant_probe(1.0f),
+      {2.0f},
+  };
+  for (const int bits : {0, 2, 4}) {
+    ActQuantizer aq(bits);
+    ScalarActQuant ref{bits};
+    for (const auto& xs : batches) {
+      const Tensor x({1, static_cast<int>(xs.size())}, xs);
+      const Tensor y = aq.forward(x, /*train=*/true);
+      const std::vector<float> y_ref = ref.forward(xs, true);
+      const float scale = aq.scale();
+      ASSERT_EQ(first_mismatch(&scale, &ref.scale, 1), -1)
+          << "bits=" << bits << " batch of " << xs.size();
+      ASSERT_EQ(first_mismatch(y.data(), y_ref.data(), xs.size()), -1)
+          << "bits=" << bits << " batch of " << xs.size();
+    }
+  }
 }
 
 TEST(Layers, ConvShapes) {
