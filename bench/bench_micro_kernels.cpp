@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: the conv/GEMM
-// training kernels, the early-exit evaluation path, the accelerator
+// training kernels, the early-exit evaluation path (float and packed), the
+// accelerator
 // compile, the event-driven pipeline simulator, and one dataflow
 // cross-validation. These bound the cost of a library-generation run and
 // catch performance regressions.
@@ -11,6 +12,7 @@
 #include "nn/quant.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/packed.hpp"
 
 namespace {
 
@@ -286,6 +288,56 @@ void BM_EvaluateExits(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * spec.test_size);
 }
 BENCHMARK(BM_EvaluateExits)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+// Packed im2col of one 32-image batch of 2-bit codes at the tiny-CNV packed
+// conv inputs, keyed by output plane: conv2 (784), conv3 (144), conv4
+// (100), conv5 (9), conv6 (1).
+struct PackShape {
+  int plane, cin, hw;
+};
+constexpr PackShape kPackShapes[] = {
+    {784, 12, 30}, {144, 12, 14}, {100, 24, 12}, {9, 24, 5}, {1, 48, 3},
+};
+
+void BM_PackIm2col(benchmark::State& state) {
+  PackShape s = kPackShapes[0];
+  for (const auto& p : kPackShapes) {
+    if (p.plane == state.range(0)) s = p;
+  }
+  constexpr int kImages = 32;
+  Rng rng(14);
+  std::vector<std::uint8_t> codes(static_cast<std::size_t>(kImages) * s.cin *
+                                  s.hw * s.hw);
+  for (auto& c : codes) c = static_cast<std::uint8_t>(rng.uniform_index(4));
+  packed::PackedActivations acts;
+  for (auto _ : state) {
+    packed::pack_activations_im2col(codes.data(), kImages, s.cin, s.hw, s.hw,
+                                    3, acts);
+    benchmark::DoNotOptimize(acts.lo.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kImages * s.plane * s.cin * 9);
+}
+BENCHMARK(BM_PackIm2col)->Arg(784)->Arg(144)->Arg(100)->Arg(9)->Arg(1);
+
+// One batch-32 packed_forward of a frozen CNV with exits; the argument is
+// the width scale in thousandths (125 = 0.125, 250 = 0.25).
+void BM_PackedForward(benchmark::State& state) {
+  Rng rng(15);
+  CnvConfig cfg = CnvConfig{}.scaled(static_cast<double>(state.range(0)) /
+                                     1000.0);
+  BranchyModel model = build_cnv_with_exits(cfg, paper_exits_config(false), rng);
+  const PackedModel frozen = freeze_packed(model);
+  Tensor x({32, 3, 32, 32});
+  x.randn_(rng, 1.0f);
+  PackedScratch scratch;
+  for (auto _ : state) {
+    auto outs = packed_forward(frozen, x, scratch);
+    benchmark::DoNotOptimize(outs.back().data());
+  }
+  state.SetItemsProcessed(state.iterations() * 32);
+}
+BENCHMARK(BM_PackedForward)->Arg(125)->Arg(250)->Unit(benchmark::kMillisecond);
 
 void BM_TrainEpoch(benchmark::State& state) {
   SyntheticSpec spec = cifar10_like_spec();

@@ -198,6 +198,12 @@ namespace {
 
 class Parser {
  public:
+  /// Deepest array/object nesting a document may have. Parsing recurses
+  /// once per level, so without a bound a hostile document of a few
+  /// hundred KB of '[' overflows the stack; every artifact this project
+  /// writes nests fewer than ten levels.
+  static constexpr int kMaxDepth = 512;
+
   explicit Parser(const std::string& text) : text_(text) {}
 
   Json parse() {
@@ -247,8 +253,15 @@ class Parser {
   Json parse_value() {
     skip_ws();
     char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      }
+      ++depth_;
+      Json v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return Json(parse_string());
     if (c == 't') {
       if (consume_literal("true")) return Json(true);
@@ -410,6 +423,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< Arrays/objects open around pos_.
 };
 
 }  // namespace

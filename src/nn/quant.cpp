@@ -450,33 +450,20 @@ void run_float_front(const PackedStage& st, const Tensor& input,
   const std::size_t plane =
       static_cast<std::size_t>(x.dim(2)) * static_cast<std::size_t>(x.dim(3));
   buf.resize(x.numel());
-  const float s = std::max(st.act_scale, 1e-12f);
-  const float levels = static_cast<float>(st.act_levels);
+  packed::FrontQuant q;
+  q.act_scale = std::max(st.act_scale, 1e-12f);
+  q.act_levels = st.act_levels;
   for (int c = 0; c < f; ++c) {
     const std::size_t i = static_cast<std::size_t>(c);
-    const float mean = st.bn_mean[i];
-    const float inv_std = 1.0f / std::sqrt(st.bn_var[i] + kBnEps);
-    const float gm = st.bn_gamma[i];
-    const float bt = st.bn_beta[i];
+    q.mean = st.bn_mean[i];
+    q.inv_std = 1.0f / std::sqrt(st.bn_var[i] + kBnEps);
+    q.gamma = st.bn_gamma[i];
+    q.beta = st.bn_beta[i];
     for (int b = 0; b < n; ++b) {
       const std::size_t base =
           (static_cast<std::size_t>(b) * f + static_cast<std::size_t>(c)) *
           plane;
-      for (std::size_t p = 0; p < plane; ++p) {
-        const float xhat = (x[base + p] - mean) * inv_std;
-        const float v = gm * xhat + bt;
-        const float clamped = std::clamp(v, 0.0f, s);
-        const float q = clamped / s * levels;
-        // Threshold counting IS lround(q) for q in [0, levels] (each j+0.5
-        // is exactly representable) — same codes as ActQuantizer's round,
-        // without a libm call per pixel, and the loop vectorizes.
-        std::uint8_t code = 0;
-        for (int l = 0; l < st.act_levels; ++l) {
-          code = static_cast<std::uint8_t>(
-              code + (q >= static_cast<float>(l) + 0.5f ? 1 : 0));
-        }
-        buf[base + p] = code;
-      }
+      packed::quantize_front(x.data() + base, plane, q, buf.data() + base);
     }
   }
   view = {buf.data(), n, f, x.dim(2), x.dim(3)};
@@ -490,31 +477,65 @@ void run_code_maxpool(const PackedStage& st, const CodeView& in,
   const int oh = ops::out_dim(in.h, st.pool_kernel, st.pool_stride);
   const int ow = ops::out_dim(in.w, st.pool_kernel, st.pool_stride);
   buf.resize(static_cast<std::size_t>(in.n) * in.c * oh * ow);
-  std::uint8_t* dst = buf.data();
-  for (int b = 0; b < in.n; ++b) {
-    for (int c = 0; c < in.c; ++c) {
-      const std::uint8_t* plane =
-          in.data +
-          (static_cast<std::size_t>(b) * in.c + static_cast<std::size_t>(c)) *
-              in.h * in.w;
-      for (int y = 0; y < oh; ++y) {
-        for (int x = 0; x < ow; ++x) {
-          std::uint8_t best = 0;
-          for (int ky = 0; ky < st.pool_kernel; ++ky) {
-            const std::uint8_t* row =
-                plane +
-                static_cast<std::size_t>(y * st.pool_stride + ky) * in.w +
-                x * st.pool_stride;
-            for (int kx = 0; kx < st.pool_kernel; ++kx) {
-              best = std::max(best, row[kx]);
-            }
-          }
-          *dst++ = best;
-        }
+  packed::maxpool_codes(in.data, in.n * in.c, in.h, in.w, st.pool_kernel,
+                        st.pool_stride, buf.data());
+  view = {buf.data(), in.n, in.c, oh, ow};
+}
+
+/// A conv whose output plane has fewer pixels than this runs one GEMM per
+/// group of images with at least this many columns in total, so the GEMM's
+/// SIMD column blocks stay full (conv5's 3x3 and conv6's 1x1 planes).
+constexpr int kGroupColumns = 64;
+
+/// Packed conv: im2col-pack, popcount GEMM, and fused quantize into
+/// [N, rows, oh, ow] codes in `buf`.
+void run_packed_conv(const PackedStage& st, const CodeView& in,
+                     std::vector<std::uint8_t>& buf, PackedScratch& sc,
+                     CodeView& view) {
+  const int oh = in.h - st.kernel + 1;
+  const int ow = in.w - st.kernel + 1;
+  const std::size_t pixels = static_cast<std::size_t>(oh) * ow;
+  const int rows = st.weights.rows;
+  const std::size_t in_image = static_cast<std::size_t>(in.c) * in.h * in.w;
+  const std::size_t out_image = static_cast<std::size_t>(rows) * pixels;
+  buf.resize(static_cast<std::size_t>(in.n) * out_image);
+  packed::Epilogue e;
+  e.mode = packed::Epilogue::Mode::kQuantize;
+  e.scale = st.scale_a.data();
+  e.bias = st.bias_b.data();
+  e.act_scale = std::max(st.act_scale, 1e-12f);
+  e.act_levels = st.act_levels;
+  e.col_stride = 1;
+  const int group = std::min(
+      in.n, static_cast<int>((kGroupColumns + pixels - 1) / pixels));
+  for (int b0 = 0; b0 < in.n; b0 += group) {
+    const int g = std::min(group, in.n - b0);
+    packed::pack_activations_im2col(
+        in.data + static_cast<std::size_t>(b0) * in_image, g, in.c, in.h,
+        in.w, st.kernel, sc.acts);
+    std::uint8_t* dst = buf.data() + static_cast<std::size_t>(b0) * out_image;
+    if (g == 1) {
+      e.codes = dst;
+      e.row_stride = pixels;
+      packed::popcount_gemm(st.weights, sc.acts, e);
+      continue;
+    }
+    // The grouped GEMM emits [rows, g * pixels]; scatter each image's
+    // pixel run back to [g, rows, pixels].
+    const std::size_t run = static_cast<std::size_t>(g) * pixels;
+    sc.group.resize(static_cast<std::size_t>(rows) * run);
+    e.codes = sc.group.data();
+    e.row_stride = run;
+    packed::popcount_gemm(st.weights, sc.acts, e);
+    const std::uint8_t* src = sc.group.data();
+    for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r) {
+      for (std::size_t i = 0; i < static_cast<std::size_t>(g); ++i) {
+        std::uint8_t* out = dst + i * out_image + r * pixels;
+        for (std::size_t p = 0; p < pixels; ++p) out[p] = *src++;
       }
     }
   }
-  view = {buf.data(), in.n, in.c, oh, ow};
+  view = {buf.data(), in.n, rows, oh, ow};
 }
 
 /// Runs one frozen segment. `float_in` feeds a leading float-front stage
@@ -544,32 +565,9 @@ Tensor run_segment(const PackedSegment& seg, const Tensor* float_in,
         run_float_front(st, *float_in, sc.col, out_buf(), view);
         break;
       }
-      case PackedStage::Kind::kConv: {
-        const int oh = view.h - st.kernel + 1;
-        const int ow = view.w - st.kernel + 1;
-        const int pixels = oh * ow;
-        const int rows = st.weights.rows;
-        std::vector<std::uint8_t>& buf = out_buf();
-        buf.resize(static_cast<std::size_t>(view.n) * rows * pixels);
-        packed::Epilogue e;
-        e.mode = packed::Epilogue::Mode::kQuantize;
-        e.scale = st.scale_a.data();
-        e.bias = st.bias_b.data();
-        e.act_scale = std::max(st.act_scale, 1e-12f);
-        e.act_levels = st.act_levels;
-        e.row_stride = static_cast<std::size_t>(pixels);
-        e.col_stride = 1;
-        for (int b = 0; b < view.n; ++b) {
-          packed::pack_activations_im2col(
-              view.data + static_cast<std::size_t>(b) * view.c * view.h *
-                              view.w,
-              view.c, view.h, view.w, st.kernel, sc.acts);
-          e.codes = buf.data() + static_cast<std::size_t>(b) * rows * pixels;
-          packed::popcount_gemm(st.weights, sc.acts, e);
-        }
-        view = {buf.data(), view.n, rows, oh, ow};
+      case PackedStage::Kind::kConv:
+        run_packed_conv(st, view, out_buf(), sc, view);
         break;
-      }
       case PackedStage::Kind::kLinear: {
         const int in_features = view.c * view.h * view.w;
         const int rows = st.weights.rows;

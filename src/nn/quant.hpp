@@ -135,6 +135,7 @@ struct PackedScratch {
   packed::PackedActivations acts;
   std::vector<float> col;             ///< Float-front im2col scratch.
   std::vector<std::uint8_t> bufs[4];  ///< Backbone + head code ping-pongs.
+  std::vector<std::uint8_t> group;    ///< Grouped narrow-conv GEMM output.
 };
 
 /// Structural eligibility for freeze_packed: every compute layer is a 2-bit

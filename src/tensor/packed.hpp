@@ -89,13 +89,57 @@ void pack_activations(const std::uint8_t* codes, int cols, int k,
 /// Inverse of pack_activations (round-trip tests): codes must hold cols*k.
 void unpack_activations(const PackedActivations& a, std::uint8_t* codes);
 
-/// Fused im2col + packing for one image of activation codes [C, H, W]:
-/// output column p = (y, x) holds the K = C*kernel*kernel patch codes in
-/// the same (c, ky, kx) order as ops::im2col flattens weights, packed into
-/// bit planes. Stride 1, no padding (the CNV topology).
-void pack_activations_im2col(const std::uint8_t* codes, int channels,
-                             int height, int width, int kernel,
+/// Fused im2col + packing for `images` images of activation codes
+/// [images, C, H, W]: column p = (b, y, x), image-major, holds the
+/// K = C*kernel*kernel patch codes in the same (c, ky, kx) order as
+/// ops::im2col flattens weights, packed into bit planes. Stride 1, no
+/// padding (the CNV topology). Grouping several images into one call gives
+/// narrow feature maps (a 3x3 or 1x1 output plane) enough GEMM columns to
+/// fill the SIMD column blocks.
+///
+/// Inputs at most 32 wide with kernel <= 5 (every packed CNV layer) take a
+/// bit-row path: each input row's codes are packed once into one 64-bit
+/// word (lo plane in bits 0..31, hi plane in 32..63), and a patch's k*k
+/// bits per channel are shifted out of k such words at once, several
+/// output pixels per SIMD step. Other shapes gather each patch into a
+/// contiguous code run first. Either way only in-bounds codes are read,
+/// and plane lanes at or past K stay zero.
+void pack_activations_im2col(const std::uint8_t* codes, int images,
+                             int channels, int height, int width, int kernel,
                              PackedActivations& out);
+
+/// Per-channel constants of the float front's BatchNorm + activation
+/// quantizer, as the float path evaluates them (nothing folded).
+struct FrontQuant {
+  float mean = 0.0f;       ///< BatchNorm running mean.
+  float inv_std = 1.0f;    ///< 1 / sqrt(running_var + eps).
+  float gamma = 1.0f;      ///< BatchNorm gain.
+  float beta = 0.0f;       ///< BatchNorm shift.
+  float act_scale = 1.0f;  ///< ActQuant scale s (already floored > 0).
+  int act_levels = 3;      ///< (1 << act bits) - 1.
+};
+
+/// The float front's BatchNorm + quantize over one run of pre-activations:
+/// per element, exactly
+///
+///   xhat = (x - mean) * inv_std;   v = gamma * xhat + beta;
+///   c = clamp(v, 0, s);            q = c / s * levels;
+///   code = #{ j < levels : q >= j + 0.5 }
+///
+/// with clamp as std::clamp spells it (NaN and -0 pass through), so the
+/// code is lround(q) for q in [0, levels] and 0 for NaN. Each element is
+/// independent and built from exact IEEE ops only, so every ISA tier
+/// produces the same codes.
+void quantize_front(const float* x, std::size_t n, const FrontQuant& q,
+                    std::uint8_t* codes);
+
+/// Max pool over activation codes [planes, H, W] -> [planes, oh, ow] with
+/// oh = (H - kernel) / stride + 1 (likewise ow). A kernel-2, stride-2 pool
+/// (the CNV backbone's) runs a direct two-row kernel; other shapes run the
+/// generic window scan. Codes are order-preserving, so the max code is the
+/// code of the float path's max.
+void maxpool_codes(const std::uint8_t* in, int planes, int height, int width,
+                   int kernel, int stride, std::uint8_t* out);
 
 /// What the fused epilogue does with the exact integer sum S of each output
 /// element (row r = out channel, column c = pixel / batch row).

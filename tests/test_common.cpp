@@ -65,6 +65,37 @@ TEST(Json, MalformedNumbersAreRejected) {
   EXPECT_EQ(Json::parse("[10,-7]").as_array()[1].as_int(), -7);
 }
 
+// Parsing recurses once per array/object level, so nesting is bounded: a
+// hostile document of 10^5 '[' is a ParseError naming its offset, never a
+// stack overflow, while nesting at the limit still parses.
+TEST(Json, DeepNestingIsAParseErrorNotACrash) {
+  const auto expect_depth_error = [](const std::string& text) {
+    try {
+      Json::parse(text);
+      ADD_FAILURE() << "parsed a document nested " << text.size() << " deep";
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("offset 512"), std::string::npos) << what;
+      EXPECT_NE(what.find("nesting"), std::string::npos) << what;
+    }
+  };
+  expect_depth_error(std::string(100000, '['));
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  try {
+    Json::parse(objects);
+    ADD_FAILURE() << "parsed a 10^5-deep object chain";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos);
+  }
+
+  const std::string at_limit = std::string(512, '[') + std::string(512, ']');
+  Json j = Json::parse(at_limit);
+  for (int depth = 1; depth < 512; ++depth) j = Json(j.as_array().at(0));
+  EXPECT_TRUE(j.as_array().empty());
+  expect_depth_error(std::string(513, '[') + std::string(513, ']'));
+}
+
 TEST(Json, DumpParseRoundTrip) {
   Json j = Json::object();
   j["name"] = "adapex";

@@ -1,15 +1,21 @@
 // Tests for the bit-plane-packed W2A2 inference path (tensor/packed.hpp,
 // nn/quant.hpp freeze_packed / packed_forward, nn/eval.hpp dispatch):
 // pack/unpack round-trips, popcount GEMM vs integer and float references,
-// cross-tier byte-identity, freeze preconditions (rule RQ1), bitwise
+// cross-tier byte-identity, bitwise differentials of the packed_forward
+// stages (front quantizer, im2col packing, code maxpool, grouped narrow
+// GEMMs) against their plain reference forms at every ISA tier, freeze
+// preconditions (rule RQ1), bitwise
 // argmax/exit-decision agreement with the float path on a trained CNV,
 // thread-count byte-identity, and library byte-identity packed-on vs
 // packed-off.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -21,6 +27,7 @@
 #include "model/cnv.hpp"
 #include "nn/eval.hpp"
 #include "nn/trainer.hpp"
+#include "tensor/ops.hpp"
 #include "tensor/packed.hpp"
 
 namespace adapex {
@@ -241,6 +248,239 @@ TEST(Packed, AllSupportedIsaTiersAgreeBitwise) {
   }
 }
 
+/// Every packed ISA tier this host supports (scalar always).
+std::vector<std::string> supported_tiers() {
+  const std::string initial = packed::active_isa();
+  std::vector<std::string> tiers;
+  for (const char* isa : {"scalar", "avx2", "avx512", "avx512vp"}) {
+    try {
+      packed::force_isa(isa);
+      tiers.emplace_back(isa);
+    } catch (const ConfigError&) {
+    }
+  }
+  packed::force_isa(initial.c_str());
+  return tiers;
+}
+
+/// Runs fn once per supported tier with that tier forced, then restores
+/// the initial one.
+template <typename Fn>
+void for_each_tier(Fn&& fn) {
+  const std::string initial = packed::active_isa();
+  for (const std::string& isa : supported_tiers()) {
+    packed::force_isa(isa.c_str());
+    fn(isa);
+  }
+  packed::force_isa(initial.c_str());
+}
+
+/// The float front's BN + quantize as the scalar loop spelled it before it
+/// moved into the packed tiers: std::clamp and a runtime threshold count.
+std::uint8_t reference_front_code(float x, const packed::FrontQuant& q) {
+  const float xhat = (x - q.mean) * q.inv_std;
+  const float v = q.gamma * xhat + q.beta;
+  const float clamped = std::clamp(v, 0.0f, q.act_scale);
+  const float level =
+      clamped / q.act_scale * static_cast<float>(q.act_levels);
+  std::uint8_t code = 0;
+  for (int l = 0; l < q.act_levels; ++l) {
+    code = static_cast<std::uint8_t>(
+        code + (level >= static_cast<float>(l) + 0.5f ? 1 : 0));
+  }
+  return code;
+}
+
+TEST(PackedStages, FrontQuantizerMatchesScalarReferenceBitwise) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (const int levels : {1, 3, 15}) {
+    for (const float s : {1.0f, 0.7f, 3.0f, 1e-12f}) {
+      // Specials, values at and around s, and every rounding tie
+      // (j + 0.5) / levels * s with its neighbours a few ulps away.
+      std::vector<float> xs = {0.0f,
+                               -0.0f,
+                               std::numeric_limits<float>::denorm_min(),
+                               -std::numeric_limits<float>::denorm_min(),
+                               std::numeric_limits<float>::min() / 2.0f,
+                               std::numeric_limits<float>::min(),
+                               std::numeric_limits<float>::quiet_NaN(),
+                               -std::numeric_limits<float>::quiet_NaN(),
+                               kInf,
+                               -kInf,
+                               std::numeric_limits<float>::max(),
+                               -std::numeric_limits<float>::max(),
+                               s,
+                               -s,
+                               2.0f * s};
+      for (int j = -1; j <= levels; ++j) {
+        float t = (static_cast<float>(j) + 0.5f) / static_cast<float>(levels) *
+                  s;
+        xs.push_back(t);
+        float up = t;
+        float down = t;
+        for (int u = 0; u < 3; ++u) {
+          up = std::nextafter(up, kInf);
+          down = std::nextafter(down, -kInf);
+          xs.push_back(up);
+          xs.push_back(down);
+        }
+      }
+      float near_s_up = s;
+      float near_s_down = s;
+      for (int u = 0; u < 3; ++u) {
+        near_s_up = std::nextafter(near_s_up, kInf);
+        near_s_down = std::nextafter(near_s_down, -kInf);
+        xs.push_back(near_s_up);
+        xs.push_back(near_s_down);
+      }
+      Rng rng(static_cast<std::uint64_t>(levels) * 131 + 7);
+      for (int i = 0; i < 301; ++i) {  // odd length: every vector tail
+        xs.push_back(static_cast<float>(rng.normal(0.5, 1.0)) * s);
+      }
+
+      packed::FrontQuant identity_bn;
+      identity_bn.act_scale = s;
+      identity_bn.act_levels = levels;
+      packed::FrontQuant folded = identity_bn;
+      folded.mean = 0.25f * s;
+      folded.inv_std = 1.7f;
+      folded.gamma = -0.9f;
+      folded.beta = 0.6f * s;
+      for (const packed::FrontQuant& q : {identity_bn, folded}) {
+        std::vector<std::uint8_t> want(xs.size());
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+          want[i] = reference_front_code(xs[i], q);
+        }
+        for_each_tier([&](const std::string& isa) {
+          std::vector<std::uint8_t> got(xs.size(), 0xee);
+          packed::quantize_front(xs.data(), xs.size(), q, got.data());
+          for (std::size_t i = 0; i < xs.size(); ++i) {
+            ASSERT_EQ(want[i], got[i])
+                << isa << " levels=" << levels << " s=" << s
+                << " x=" << xs[i] << " gamma=" << q.gamma;
+          }
+        });
+      }
+    }
+  }
+}
+
+/// pack_activations_im2col's reference: ops::im2col of the codes as
+/// floats, transposed to one [pixels, K] code row per output pixel
+/// (image-major), then pack_activations.
+packed::PackedActivations reference_im2col_pack(
+    const std::vector<std::uint8_t>& codes, int images, int channels,
+    int height, int width, int kernel) {
+  const int oh = height - kernel + 1;
+  const int ow = width - kernel + 1;
+  const int pixels = oh * ow;
+  const int k = channels * kernel * kernel;
+  const std::size_t image = static_cast<std::size_t>(channels) * height * width;
+  std::vector<std::uint8_t> rows(static_cast<std::size_t>(images) * pixels * k);
+  std::vector<float> img(image);
+  std::vector<float> col(static_cast<std::size_t>(k) * pixels);
+  for (int b = 0; b < images; ++b) {
+    for (std::size_t i = 0; i < image; ++i) {
+      img[i] = static_cast<float>(codes[b * image + i]);
+    }
+    ops::im2col(img.data(), channels, height, width, kernel, col.data());
+    for (int p = 0; p < pixels; ++p) {
+      for (int j = 0; j < k; ++j) {
+        rows[(static_cast<std::size_t>(b) * pixels + p) * k + j] =
+            static_cast<std::uint8_t>(col[static_cast<std::size_t>(j) * pixels + p]);
+      }
+    }
+  }
+  packed::PackedActivations ref;
+  packed::pack_activations(rows.data(), images * pixels, k, ref);
+  return ref;
+}
+
+TEST(PackedStages, Im2colPackingMatchesIm2colThenPack) {
+  struct Case {
+    int kernel, channels, height, width;
+  };
+  // K = channels * kernel^2 covers 9, 36, 63, 64, 65, 72, 144 and 576; the
+  // geometries cover square and odd planes, the 30-wide conv2 input, the
+  // 32-wide limit of the bit-row path, a 33-wide input that takes the
+  // gather path, and 1x1 outputs.
+  const Case cases[] = {
+      {3, 1, 5, 5},   {3, 4, 6, 7},    {3, 7, 3, 3},    {3, 8, 14, 14},
+      {3, 16, 12, 12}, {3, 64, 5, 5},  {3, 64, 3, 3},   {3, 12, 30, 30},
+      {3, 4, 32, 32}, {3, 4, 33, 9},   {3, 7, 9, 40},   {1, 9, 4, 4},
+      {1, 36, 3, 5},  {1, 63, 2, 2},   {1, 64, 3, 3},   {1, 65, 1, 1},
+      {1, 72, 5, 1},  {1, 144, 2, 3},  {1, 576, 1, 2},  {1, 5, 33, 2},
+  };
+  std::uint64_t seed = 500;
+  for (const Case& c : cases) {
+    for (const int images : {1, 3}) {
+      // Exactly sized: the last pixel's last channel row ends the buffer,
+      // so an over-read is an out-of-bounds access under ASan.
+      const auto codes = random_acts(
+          images, c.channels * c.height * c.width, ++seed);
+      const packed::PackedActivations ref = reference_im2col_pack(
+          codes, images, c.channels, c.height, c.width, c.kernel);
+      for_each_tier([&](const std::string& isa) {
+        packed::PackedActivations got;
+        // Stale, larger contents: every plane word must be rewritten.
+        got.lo.assign(ref.lo.size() + 64, ~0ull);
+        got.hi.assign(ref.hi.size() + 64, ~0ull);
+        packed::pack_activations_im2col(codes.data(), images, c.channels,
+                                        c.height, c.width, c.kernel, got);
+        EXPECT_EQ(ref.cols, got.cols) << isa;
+        EXPECT_EQ(ref.k, got.k) << isa;
+        EXPECT_EQ(ref.words, got.words) << isa;
+        EXPECT_EQ(ref.lo, got.lo)
+            << isa << " kernel=" << c.kernel << " C=" << c.channels << " "
+            << c.height << "x" << c.width << " images=" << images;
+        EXPECT_EQ(ref.hi, got.hi)
+            << isa << " kernel=" << c.kernel << " C=" << c.channels << " "
+            << c.height << "x" << c.width << " images=" << images;
+      });
+    }
+  }
+}
+
+TEST(PackedStages, CodeMaxPoolMatchesGenericWindowScan) {
+  struct Case {
+    int height, width, kernel, stride;
+  };
+  const Case cases[] = {
+      {2, 2, 2, 2},  {3, 3, 2, 2},  {5, 7, 2, 2},  {28, 28, 2, 2},
+      {29, 31, 2, 2}, {10, 9, 2, 2}, {5, 5, 3, 1},  {12, 12, 7, 7},
+      {3, 3, 3, 1},  {6, 7, 2, 1},  {7, 6, 3, 2},  {4, 4, 1, 1},
+  };
+  const int planes = 3;
+  std::uint64_t seed = 900;
+  for (const Case& c : cases) {
+    const auto in = random_acts(planes, c.height * c.width, ++seed);
+    const int oh = (c.height - c.kernel) / c.stride + 1;
+    const int ow = (c.width - c.kernel) / c.stride + 1;
+    std::vector<std::uint8_t> want;
+    for (int pl = 0; pl < planes; ++pl) {
+      for (int y = 0; y < oh; ++y) {
+        for (int x = 0; x < ow; ++x) {
+          std::uint8_t best = 0;
+          for (int ky = 0; ky < c.kernel; ++ky) {
+            for (int kx = 0; kx < c.kernel; ++kx) {
+              best = std::max(
+                  best, in[(static_cast<std::size_t>(pl) * c.height +
+                            y * c.stride + ky) * c.width +
+                           x * c.stride + kx]);
+            }
+          }
+          want.push_back(best);
+        }
+      }
+    }
+    std::vector<std::uint8_t> got(want.size(), 0xee);
+    packed::maxpool_codes(in.data(), planes, c.height, c.width, c.kernel,
+                          c.stride, got.data());
+    EXPECT_EQ(want, got) << c.height << "x" << c.width << " kernel="
+                         << c.kernel << " stride=" << c.stride;
+  }
+}
+
 TEST(Packed, ForceIsaRejectsUnknownName) {
   EXPECT_THROW(packed::force_isa("avx9000"), ConfigError);
   EXPECT_THROW(packed::force_isa(nullptr), Error);
@@ -357,6 +597,40 @@ TEST(PackedModel, ForwardMatchesFloatLogitsAndDecisionsAtEveryTier) {
     }
   }
   packed::force_isa(initial.c_str());
+}
+
+// Narrow conv planes (conv5's 3x3, conv6's 1x1) run one GEMM per group of
+// images; each image's logits must equal a batch-of-one forward, which
+// runs every conv per image.
+TEST(PackedModel, GroupedNarrowGemmsMatchPerImageForward) {
+  TrainedFixture& fx = trained();
+  const PackedModel frozen = freeze_packed(fx.model);
+  for_each_tier([&](const std::string& isa) {
+    for (const int batch : {1, 3, 29, 32}) {
+      std::vector<int> order(static_cast<std::size_t>(batch));
+      for (int i = 0; i < batch; ++i) {
+        order[static_cast<std::size_t>(i)] = (i * 7 + batch) % fx.data.test.size();
+      }
+      PackedScratch scratch;
+      const auto grouped = packed_forward(
+          frozen, fx.data.test.batch_images(order.data(), batch), scratch);
+      for (int i = 0; i < batch; ++i) {
+        const auto single = packed_forward(
+            frozen,
+            fx.data.test.batch_images(&order[static_cast<std::size_t>(i)], 1),
+            scratch);
+        ASSERT_EQ(grouped.size(), single.size());
+        for (std::size_t e = 0; e < grouped.size(); ++e) {
+          const int classes = grouped[e].dim(1);
+          ASSERT_EQ(0, std::memcmp(grouped[e].data() +
+                                       static_cast<std::size_t>(i) * classes,
+                                   single[e].data(),
+                                   sizeof(float) * classes))
+              << isa << " batch=" << batch << " image=" << i << " exit=" << e;
+        }
+      }
+    }
+  });
 }
 
 TEST(PackedModel, EvaluateExitsDecisionIdentityPackedVsFloat) {
