@@ -25,7 +25,7 @@ void BM_GemmAccumulate(benchmark::State& state) {
   std::vector<float> b(static_cast<std::size_t>(n) * n, 0.5f);
   std::vector<float> c(static_cast<std::size_t>(n) * n, 0.0f);
   for (auto _ : state) {
-    ops::gemm_accumulate(a.data(), b.data(), c.data(), n, n, n);
+    kernels::gemm_accumulate(a.data(), b.data(), c.data(), n, n, n);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2L * n * n * n);
@@ -57,7 +57,7 @@ void BM_GemmSparse(benchmark::State& state) {
   std::vector<float> b(static_cast<std::size_t>(n) * n, 0.5f);
   std::vector<float> c(static_cast<std::size_t>(n) * n, 0.0f);
   for (auto _ : state) {
-    ops::gemm_accumulate(a.data(), b.data(), c.data(), n, n, n);
+    kernels::gemm_accumulate(a.data(), b.data(), c.data(), n, n, n);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2L * n * n * n);
@@ -70,7 +70,7 @@ void BM_GemmABt(benchmark::State& state) {
   std::vector<float> b(static_cast<std::size_t>(n) * n, 0.5f);
   std::vector<float> c(static_cast<std::size_t>(n) * n, 0.0f);
   for (auto _ : state) {
-    ops::gemm_a_bt_accumulate(a.data(), b.data(), c.data(), n, n, n);
+    kernels::gemm_a_bt_accumulate(a.data(), b.data(), c.data(), n, n, n);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2L * n * n * n);
@@ -96,7 +96,7 @@ void BM_GemmAtB(benchmark::State& state) {
   std::vector<float> b(static_cast<std::size_t>(n) * n, 0.5f);
   std::vector<float> c(static_cast<std::size_t>(n) * n, 0.0f);
   for (auto _ : state) {
-    ops::gemm_at_b_accumulate(a.data(), b.data(), c.data(), n, n, n);
+    kernels::gemm_at_b_accumulate(a.data(), b.data(), c.data(), n, n, n);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2L * n * n * n);

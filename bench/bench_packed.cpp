@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "common.hpp"
-#include "tensor/ops.hpp"
+#include "tensor/kernels.hpp"
 #include "tensor/packed.hpp"
 
 namespace adapex {
@@ -85,7 +85,7 @@ double time_per_call(Fn&& fn, double min_s = 0.10) {
 }
 
 /// Packed vs float GEMM GOPS across the CNV shapes, one row per
-/// (shape, tier); float baseline is the blocked ops::gemm_accumulate.
+/// (shape, tier); float baseline is the blocked kernels::gemm_accumulate.
 void gemm_table(bool smoke) {
   std::vector<std::string> tiers;
   const std::string initial = packed::active_isa();
@@ -108,8 +108,8 @@ void gemm_table(bool smoke) {
     std::vector<float> fb(static_cast<std::size_t>(s.k) * s.cols, 0.25f);
     std::vector<float> fc(static_cast<std::size_t>(s.rows) * s.cols);
     const double float_s = time_per_call([&] {
-      ops::gemm_accumulate(fa.data(), fb.data(), fc.data(), s.rows, s.k,
-                           s.cols);
+      kernels::gemm_accumulate(fa.data(), fb.data(), fc.data(), s.rows, s.k,
+                               s.cols);
     });
     const double float_gops = flops(s) / float_s * 1e-9;
 
@@ -167,8 +167,8 @@ void amortization_curve() {
     std::vector<float> fb(static_cast<std::size_t>(k) * cols, 0.25f);
     std::vector<float> fc(static_cast<std::size_t>(rows) * cols);
     const double float_s = time_per_call(
-        [&] { ops::gemm_accumulate(fa.data(), fb.data(), fc.data(), rows, k,
-                                   cols); });
+        [&] { kernels::gemm_accumulate(fa.data(), fb.data(), fc.data(), rows,
+                                       k, cols); });
 
     table.add_row({std::to_string(rows), TextTable::num(pack_s * 1e3, 3),
                    TextTable::num(gemm_s * 1e3, 3),

@@ -34,13 +34,11 @@
 // entirely. The same --json / --min-severity / exit-code contract applies.
 //
 // --gen-spec switches to the crash-safety rules RG1-RG5 and the
-// packed-inference rules RQ2-RQ3 (library/journal.hpp): the
+// packed-inference rule RQ2 (library/generator.hpp): the
 // journal/retry/partial/checksum/eval-path knobs of a library-generation
 // spec are validated exactly as generate_library() would before spending
 // any training time — CI can gate a sweep's configuration without running
-// it. RQ3 reads the ADAPEX_PACKED environment variable of this process, so
-// exporting the intended override before linting reproduces exactly what a
-// generation run would see.
+// it.
 //
 // --json replaces the table with a machine-readable document on stdout
 // ({"errors", "warnings", "infos", "diagnostics": [...], ...}) for CI

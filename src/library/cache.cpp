@@ -184,10 +184,10 @@ std::string library_cache_key(const LibraryGenSpec& spec) {
     }
   }
 
-  // NOTE: spec.num_threads, spec.on_progress, and spec.eval_path (with its
-  // ADAPEX_PACKED override) are deliberately excluded — none affects the
-  // generated bytes (see generator.hpp; packed and float evaluation agree
-  // bitwise on every argmax/exit decision, verified in test_packed).
+  // NOTE: spec.num_threads, spec.on_progress, and spec.eval_path are
+  // deliberately excluded — none affects the generated bytes (see
+  // generator.hpp; packed and float evaluation agree bitwise on every
+  // argmax/exit decision, verified in test_packed).
   key.field("seed", spec.seed);
 
   std::ostringstream out;

@@ -108,37 +108,14 @@ analysis::LintReport lint_gen_spec(const LibraryGenSpec& spec) {
                "use fnv1a64 or crc32");
   }
 
-  // RQ2: eval-path well-formedness and spec/environment consistency. (RQ1,
-  // the freeze-before-pack precondition, is enforced at runtime by
-  // freeze_packed — eligibility depends on the trained model, which a spec
-  // lint cannot see.)
-  const bool eval_path_valid = spec.eval_path == "auto" ||
-                               spec.eval_path == "float" ||
-                               spec.eval_path == "packed";
-  if (!eval_path_valid) {
+  // RQ2: eval-path well-formedness. (RQ1, the freeze-before-pack
+  // precondition, is enforced at runtime by freeze_packed — eligibility
+  // depends on the trained model, which a spec lint cannot see.)
+  if (spec.eval_path != "auto" && spec.eval_path != "float" &&
+      spec.eval_path != "packed") {
     report.add("RQ2", analysis::Severity::kError, "eval_path",
                "unknown eval_path '" + spec.eval_path + "'",
                "use auto, float, or packed");
-  }
-
-  // RQ3: the ADAPEX_PACKED override must parse; an explicit spec path that
-  // contradicts it is surfaced so nobody is surprised which path ran (the
-  // spec wins over the environment).
-  try {
-    const PackedMode mode = packed_mode_from_env();
-    if (eval_path_valid &&
-        ((spec.eval_path == "float" && mode == PackedMode::kOn) ||
-         (spec.eval_path == "packed" && mode == PackedMode::kOff))) {
-      report.add("RQ2", analysis::Severity::kWarning, "eval_path",
-                 "spec eval_path '" + spec.eval_path +
-                     "' overrides the conflicting ADAPEX_PACKED=" +
-                     (mode == PackedMode::kOn ? "1" : "0") +
-                     " environment setting",
-                 "drop one of the two overrides (spec wins)");
-    }
-  } catch (const ConfigError& e) {
-    report.add("RQ3", analysis::Severity::kError, "eval_path", e.what(),
-               "use ADAPEX_PACKED=0, 1, or auto");
   }
 
   return report;
@@ -200,15 +177,12 @@ struct DesignPointResult {
   int cross_validations = 0;
 };
 
-/// Maps the spec's eval_path knob to the evaluate_exits mode. "auto" stays
-/// kEnv so the ADAPEX_PACKED override keeps working under a generator run;
-/// explicit spec values win over the environment (lint rule RQ2 warns on
-/// the contradiction). Values are validated by lint_gen_spec
-/// before the sweep starts.
+/// Maps the spec's eval_path knob to the evaluate_exits mode. Values are
+/// validated by lint_gen_spec (rule RQ2) before the sweep starts.
 PackedMode eval_mode_from_spec(const LibraryGenSpec& spec) {
   if (spec.eval_path == "float") return PackedMode::kOff;
   if (spec.eval_path == "packed") return PackedMode::kOn;
-  return PackedMode::kEnv;
+  return PackedMode::kAuto;
 }
 
 /// Serializes on_progress calls and releases messages in their serial

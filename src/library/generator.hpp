@@ -119,9 +119,8 @@ struct LibraryGenSpec {
   /// GenerationReport (verify_s, cross_validations, verify_wall_s).
   bool verify_dataflow = false;
   /// Which inference path evaluates each design point's test sweep (and
-  /// the base model's reference accuracy): "auto" (default) defers to the
-  /// ADAPEX_PACKED environment override, which itself defaults to taking
-  /// the packed popcount path whenever the frozen W2A2 model is eligible
+  /// the base model's reference accuracy): "auto" (default) takes the
+  /// packed popcount path whenever the frozen W2A2 model is eligible
   /// (nn/quant.hpp); "float" forces the float layer graph; "packed" forces
   /// the packed path and fails generation when the model cannot freeze
   /// (rule RQ1). Values are validated by lint rule RQ2. Packed and float
@@ -192,12 +191,9 @@ void set_paper_sweeps(LibraryGenSpec& spec);
 ///   RG4 (error)   checksum_mode is not one of fnv1a64 | crc32.
 ///   RG5 (warning) journal_dir is a relative path — resumability then
 ///                 depends on the working directory of the next run.
-/// and the packed-inference rules RQ2-RQ3 (RQ1, the freeze-before-pack
+/// and the packed-inference rule RQ2 (RQ1, the freeze-before-pack
 /// precondition, is enforced at runtime by nn/quant.hpp freeze_packed):
-///   RQ2 (error)   eval_path is not one of auto | float | packed;
-///       (warning) an explicit spec eval_path contradicts a set
-///                 ADAPEX_PACKED environment override (the spec wins).
-///   RQ3 (error)   ADAPEX_PACKED is set to something other than 0|1|auto.
+///   RQ2 (error)   eval_path is not one of auto | float | packed.
 /// generate_library runs it as a precondition (throw_if_errors).
 analysis::LintReport lint_gen_spec(const LibraryGenSpec& spec);
 

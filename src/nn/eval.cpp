@@ -1,8 +1,7 @@
 #include "nn/eval.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <mutex>
+#include <memory>
 #include <numeric>
 
 #include "common/thread_pool.hpp"
@@ -12,73 +11,71 @@ namespace adapex {
 
 namespace {
 
-/// Runs batches [batch_begin, batch_end) of the fixed batch grid through
-/// `forward` (a callable Tensor -> std::vector<Tensor> of per-exit logits)
-/// and writes each sample's pre-sized result row in place. Batch boundaries
-/// depend only on (test.size(), batch_size), so every sample is evaluated
-/// inside the same batch — hence with bit-identical forward math — no
-/// matter how batches are distributed over workers.
-template <typename ForwardFn>
-void evaluate_batches(ForwardFn&& forward, const Dataset& test, int batch_size,
-                      int batch_begin, int batch_end, const int* order,
+/// Runs the fixed batch grid of `test` and writes each sample's pre-sized
+/// result row in place: on the caller when threads <= 1, otherwise in
+/// contiguous chunks of batches over one pool (whose wait() rethrows the
+/// first worker exception). Each chunk calls make_forward(parallel) once
+/// for its own forward state, a callable Tensor -> std::vector<Tensor> of
+/// per-exit logits. Batch boundaries depend only on (test.size(),
+/// batch_size), so every sample is evaluated inside the same batch — hence
+/// with bit-identical forward math — no matter how batches are distributed.
+template <typename MakeForward>
+void evaluate_batches(const MakeForward& make_forward, const Dataset& test,
+                      int batch_size, std::size_t threads,
                       ExitEvaluation& eval) {
-  for (int b = batch_begin; b < batch_end; ++b) {
-    const int start = b * batch_size;
-    const int end = std::min(start + batch_size, test.size());
-    Tensor batch = test.batch_images(order + start, end - start);
-    const std::vector<int> labels = test.batch_labels(order + start,
-                                                      end - start);
+  // One iota'd index buffer shared by every batch (test-set order), instead
+  // of rebuilding an index vector element-by-element per batch.
+  std::vector<int> order(static_cast<std::size_t>(test.size()));
+  std::iota(order.begin(), order.end(), 0);
+  const int num_batches = (test.size() + batch_size - 1) / batch_size;
 
-    auto logits = forward(batch);
-    for (std::size_t e = 0; e < logits.size(); ++e) {
-      const Tensor probs = ops::softmax(logits[e]);
-      for (int i = 0; i < end - start; ++i) {
-        int best = 0;
-        for (int k = 1; k < probs.dim(1); ++k) {
-          if (probs.at2(i, k) > probs.at2(i, best)) best = k;
+  threads = std::min(threads, static_cast<std::size_t>(num_batches));
+  const bool parallel = threads > 1;
+  const auto run = [&](int batch_begin, int batch_end) {
+    auto forward = make_forward(parallel);
+    for (int b = batch_begin; b < batch_end; ++b) {
+      const int start = b * batch_size;
+      const int end = std::min(start + batch_size, test.size());
+      Tensor batch = test.batch_images(order.data() + start, end - start);
+      const std::vector<int> labels =
+          test.batch_labels(order.data() + start, end - start);
+
+      auto logits = forward(batch);
+      for (std::size_t e = 0; e < logits.size(); ++e) {
+        const Tensor probs = ops::softmax(logits[e]);
+        for (int i = 0; i < end - start; ++i) {
+          int best = 0;
+          for (int k = 1; k < probs.dim(1); ++k) {
+            if (probs.at2(i, k) > probs.at2(i, best)) best = k;
+          }
+          const auto s = static_cast<std::size_t>(start + i);
+          eval.confidence[s][e] = probs.at2(i, best);
+          eval.correct[s][e] =
+              best == labels[static_cast<std::size_t>(i)] ? 1 : 0;
         }
-        const auto s = static_cast<std::size_t>(start + i);
-        eval.confidence[s][e] = probs.at2(i, best);
-        eval.correct[s][e] =
-            best == labels[static_cast<std::size_t>(i)] ? 1 : 0;
       }
     }
-  }
-}
+  };
 
-/// Fans worker(begin_batch, end_batch) out over a thread pool in contiguous
-/// chunks, rethrowing the first worker exception.
-template <typename WorkerFn>
-void parallel_batches(std::size_t threads, int num_batches,
-                      WorkerFn&& worker) {
+  if (!parallel) {
+    run(0, num_batches);
+    return;
+  }
   ThreadPool pool(threads);
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
   const int chunk = (num_batches + static_cast<int>(threads) - 1) /
                     static_cast<int>(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    const int begin = static_cast<int>(t) * chunk;
+  for (int begin = 0; begin < num_batches; begin += chunk) {
     const int end = std::min(begin + chunk, num_batches);
-    if (begin >= end) break;
-    pool.submit([&worker, &error_mutex, &first_error, begin, end] {
-      try {
-        worker(begin, end);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
+    pool.submit([&run, begin, end] { run(begin, end); });
   }
   pool.wait();
-  if (first_error) std::rethrow_exception(first_error);
 }
 
-/// Resolves the effective path: kEnv reads ADAPEX_PACKED, kAuto probes
-/// freezability, kOn lets freeze_packed raise the RQ1 error itself.
+/// Resolves the effective path: kAuto probes freezability, kOn lets
+/// freeze_packed raise the RQ1 error itself.
 bool use_packed_path(const BranchyModel& model, PackedMode mode) {
-  PackedMode m = mode == PackedMode::kEnv ? packed_mode_from_env() : mode;
-  if (m == PackedMode::kOff) return false;
-  if (m == PackedMode::kOn) return true;
+  if (mode == PackedMode::kOff) return false;
+  if (mode == PackedMode::kOn) return true;
   return can_freeze(model);
 }
 
@@ -97,70 +94,42 @@ ExitEvaluation evaluate_exits(BranchyModel& model, const Dataset& test,
   const std::size_t exits = model.num_outputs();
 
   ExitEvaluation eval;
-  // Pre-size every row once; the batch loops then write result slots in
+  // Pre-size every row once; the batch loop then writes result slots in
   // place instead of resizing per (exit x sample).
   eval.confidence.assign(samples, std::vector<float>(exits, 0.0f));
   eval.correct.assign(samples, std::vector<std::uint8_t>(exits, 0));
 
-  // One iota'd index buffer shared by every batch (test-set order), instead
-  // of rebuilding an index vector element-by-element per batch.
-  std::vector<int> order(samples);
-  std::iota(order.begin(), order.end(), 0);
-
-  const int num_batches = (test.size() + batch_size - 1) / batch_size;
-  std::size_t threads = num_threads > 0
-                            ? static_cast<std::size_t>(num_threads)
-                            : ThreadPool::env_thread_count();
-  threads = std::min(threads, static_cast<std::size_t>(num_batches));
+  const std::size_t threads = num_threads > 0
+                                  ? static_cast<std::size_t>(num_threads)
+                                  : ThreadPool::env_thread_count();
 
   if (use_packed_path(model, mode)) {
-    // Packed path: freeze once, share the frozen model const across
-    // workers (packed_forward keeps all mutable state in the per-worker
-    // scratch), so no clone is needed. Batch grid and result slots are the
-    // same as the float path — byte-identical at any thread count.
+    // Packed path: freeze once and share the frozen model const across
+    // workers; packed_forward keeps all mutable state in the per-worker
+    // scratch, so no clone is needed.
     const PackedModel frozen = freeze_packed(model);
-    if (threads <= 1) {
-      PackedScratch scratch;
-      evaluate_batches(
-          [&frozen, &scratch](const Tensor& batch) {
+    evaluate_batches(
+        [&frozen](bool /*parallel*/) {
+          return [&frozen, scratch = PackedScratch()](
+                     const Tensor& batch) mutable {
             return packed_forward(frozen, batch, scratch);
-          },
-          test, batch_size, 0, num_batches, order.data(), eval);
-      return eval;
-    }
-    parallel_batches(threads, num_batches, [&](int begin, int end) {
-      PackedScratch scratch;
-      evaluate_batches(
-          [&frozen, &scratch](const Tensor& batch) {
-            return packed_forward(frozen, batch, scratch);
-          },
-          test, batch_size, begin, end, order.data(), eval);
-    });
+          };
+        },
+        test, batch_size, threads, eval);
     return eval;
   }
 
-  if (threads <= 1) {
-    evaluate_batches(
-        [&model](const Tensor& batch) {
-          return model.forward(batch, /*train=*/false);
-        },
-        test, batch_size, 0, num_batches, order.data(), eval);
-    return eval;
-  }
-
-  // Deterministic parallelism: the batch grid is fixed by batch_size, each
-  // worker takes a contiguous chunk of batches and writes disjoint
-  // per-sample slots, and each worker clones the model once (forward mutates
-  // layer caches even in eval mode). Results are byte-identical to the
-  // serial path at any thread count.
-  parallel_batches(threads, num_batches, [&](int begin, int end) {
-    BranchyModel local = model.clone();
-    evaluate_batches(
-        [&local](const Tensor& batch) {
-          return local.forward(batch, /*train=*/false);
-        },
-        test, batch_size, begin, end, order.data(), eval);
-  });
+  // Float path: forward mutates layer caches even in eval mode, so each
+  // parallel worker runs its own clone; a serial run uses the model in place.
+  evaluate_batches(
+      [&model](bool parallel) {
+        std::unique_ptr<BranchyModel> local;
+        if (parallel) local = std::make_unique<BranchyModel>(model.clone());
+        return [&model, local = std::move(local)](const Tensor& batch) {
+          return (local ? *local : model).forward(batch, /*train=*/false);
+        };
+      },
+      test, batch_size, threads, eval);
   return eval;
 }
 

@@ -46,26 +46,25 @@ struct EarlyExitStats {
 ///
 /// Batches are distributed over `num_threads` workers (0 = ADAPEX_THREADS /
 /// hardware concurrency; pass 1 for serial, e.g. from inside another thread
-/// pool). The batch grid is fixed by batch_size and each worker clones the
-/// model and fills disjoint per-sample slots, so results are byte-identical
-/// at any thread count.
+/// pool). The batch grid is fixed by batch_size and each worker builds its
+/// own forward state (a model clone on the float path) and fills disjoint
+/// per-sample slots, so results are byte-identical at any thread count.
 ///
 /// `mode` selects the inference path (nn/quant.hpp): kOff runs the float
 /// layer graph; kOn freezes the model and runs the packed popcount path
-/// (throws if the model is not freezable, rule RQ1); kAuto goes packed
-/// exactly when the model is freezable; kEnv (default) resolves the
-/// ADAPEX_PACKED environment override first (absent -> kAuto). The packed
-/// path freezes once and shares the frozen model const across workers (its
-/// forward is cache-free), so the thread-count byte-identity contract holds
-/// on both paths.
+/// (throws if the model is not freezable, rule RQ1); kAuto (default) goes
+/// packed exactly when the model is freezable. The packed path freezes once
+/// and shares the frozen model const across workers (its forward is
+/// cache-free), so the thread-count byte-identity contract holds on both
+/// paths.
 ExitEvaluation evaluate_exits(BranchyModel& model, const Dataset& test,
                               int batch_size = 32, int num_threads = 0,
-                              PackedMode mode = PackedMode::kEnv);
+                              PackedMode mode = PackedMode::kAuto);
 
 /// The inference path evaluate_exits would take for `model` under `mode`:
 /// "packed" or "float" (recorded per design point in GenerationReport).
 const char* resolved_eval_path(const BranchyModel& model,
-                               PackedMode mode = PackedMode::kEnv);
+                               PackedMode mode = PackedMode::kAuto);
 
 /// Applies the early-exit rule for `confidence_threshold` in [0, 1].
 EarlyExitStats apply_threshold(const ExitEvaluation& eval,

@@ -176,7 +176,6 @@ Tensor BatchNorm::forward(const Tensor& input, bool train) {
   const std::size_t plane = static_cast<std::size_t>(g.spatial);
   const std::size_t count = static_cast<std::size_t>(g.n) * plane;
   constexpr float kMomentum = 0.1f;
-  constexpr float kEps = 1e-5f;
 
   Tensor out(input.shape());
   if (train) {

@@ -152,6 +152,10 @@ class QuantLinear : public Layer {
 /// and [N,C] inputs (2-D inputs are treated as H=W=1).
 class BatchNorm : public Layer {
  public:
+  /// Variance epsilon of the eval normalization; the packed path's float
+  /// front and folded epilogues (nn/quant.cpp) must use the same value.
+  static constexpr float kEps = 1e-5f;
+
   explicit BatchNorm(int channels);
 
   Tensor forward(const Tensor& input, bool train) override;
@@ -169,7 +173,7 @@ class BatchNorm : public Layer {
   /// Pruning surgery: keep only the listed channels (ascending order).
   void slice_channels(const std::vector<int>& keep);
 
-  // State access for serialization and streamlining.
+  // State access for serialization and packed freezing.
   const Tensor& gamma() const { return gamma_.value; }
   const Tensor& beta() const { return beta_.value; }
   const Tensor& running_mean() const { return running_mean_; }

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "common/env.hpp"
 #include "nn/branchy.hpp"
 #include "tensor/ops.hpp"
 
@@ -172,10 +171,6 @@ Tensor ActQuantizer::backward(const Tensor& input,
 
 namespace {
 
-// BatchNorm's eval epsilon (layers.cpp), duplicated here because the float
-// front and the folded epilogue constants must use the exact same value.
-constexpr float kBnEps = 1e-5f;
-
 /// Walk state threaded through the backbone: whether the data has entered
 /// the integer code domain yet, and the code scale (act scale / levels) the
 /// next packed layer's weights must be folded with.
@@ -209,7 +204,8 @@ void extract_packed_stage(const Tensor& weight, const BatchNorm* bn,
     stage.bias_b.resize(static_cast<std::size_t>(rows));
     for (int r = 0; r < rows; ++r) {
       const std::size_t i = static_cast<std::size_t>(r);
-      const float inv_std = 1.0f / std::sqrt(bn->running_var()[i] + kBnEps);
+      const float inv_std =
+          1.0f / std::sqrt(bn->running_var()[i] + BatchNorm::kEps);
       const float g = bn->gamma()[i] * inv_std;
       stage.scale_a[i] = g * alpha[i] * st.cs_in;
       stage.bias_b[i] = bn->beta()[i] - g * bn->running_mean()[i];
@@ -414,14 +410,6 @@ PackedModel freeze_packed(const BranchyModel& model) {
   return out;
 }
 
-PackedMode packed_mode_from_env() {
-  const std::string v =
-      env::choice("ADAPEX_PACKED", {"0", "1", "auto"}, "auto");
-  if (v == "0") return PackedMode::kOff;
-  if (v == "1") return PackedMode::kOn;
-  return PackedMode::kAuto;
-}
-
 // ----------------------------------------------------------- packed forward
 
 namespace {
@@ -456,7 +444,7 @@ void run_float_front(const PackedStage& st, const Tensor& input,
   for (int c = 0; c < f; ++c) {
     const std::size_t i = static_cast<std::size_t>(c);
     q.mean = st.bn_mean[i];
-    q.inv_std = 1.0f / std::sqrt(st.bn_var[i] + kBnEps);
+    q.inv_std = 1.0f / std::sqrt(st.bn_var[i] + BatchNorm::kEps);
     q.gamma = st.bn_gamma[i];
     q.beta = st.bn_beta[i];
     for (int b = 0; b < n; ++b) {

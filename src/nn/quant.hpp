@@ -163,11 +163,6 @@ enum class PackedMode {
   kOff,   ///< Always float.
   kOn,    ///< Always packed; error if the model cannot freeze.
   kAuto,  ///< Packed when the model is freezable, float otherwise.
-  kEnv,   ///< Resolve from ADAPEX_PACKED (absent -> kAuto).
 };
-
-/// Parses ADAPEX_PACKED: "0" -> kOff, "1" -> kOn, "auto" or unset -> kAuto.
-/// Any other value throws ConfigError (lint rule RQ3).
-PackedMode packed_mode_from_env();
 
 }  // namespace adapex

@@ -9,21 +9,6 @@
 
 namespace adapex::ops {
 
-void gemm_accumulate(const float* a, const float* b, float* c, int m, int k,
-                     int n) {
-  kernels::gemm_accumulate(a, b, c, m, k, n);
-}
-
-void gemm_at_b_accumulate(const float* a, const float* b, float* c, int m,
-                          int k, int n) {
-  kernels::gemm_at_b_accumulate(a, b, c, m, k, n);
-}
-
-void gemm_a_bt_accumulate(const float* a, const float* b, float* c, int m,
-                          int k, int n) {
-  kernels::gemm_a_bt_accumulate(a, b, c, m, k, n);
-}
-
 int out_dim(int in, int kernel, int stride) {
   ADAPEX_CHECK(kernel >= 1 && stride >= 1 && in >= kernel,
                "invalid pooling/conv geometry");

@@ -19,18 +19,6 @@
 
 namespace adapex::ops {
 
-/// C[M,N] += A[M,K] * B[K,N]. C must be pre-sized; not zeroed here.
-void gemm_accumulate(const float* a, const float* b, float* c, int m, int k,
-                     int n);
-
-/// C[M,N] += A^T[M,K] * B[K,N] where A is stored [K,M].
-void gemm_at_b_accumulate(const float* a, const float* b, float* c, int m,
-                          int k, int n);
-
-/// C[M,N] += A[M,K] * B^T[K,N] where B is stored [N,K].
-void gemm_a_bt_accumulate(const float* a, const float* b, float* c, int m,
-                          int k, int n);
-
 /// Output spatial size of an unpadded convolution/pool: floor((in-k)/s)+1.
 int out_dim(int in, int kernel, int stride);
 

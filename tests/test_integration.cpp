@@ -1,14 +1,15 @@
 // Integration tests across the whole stack: design-time flow -> runtime
-// serving, streamlined inference of pruned models, and cross-validation of
+// serving, frozen integer inference of pruned models, and cross-validation of
 // the analytical accelerator model against the event-driven simulator on
 // real (trained, pruned) models.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/adapex.hpp"
-#include "finn/streamline.hpp"
+#include "nn/quant.hpp"
 
 namespace adapex {
 namespace {
@@ -71,10 +72,11 @@ TEST(Integration, AllPoliciesServeWithoutError) {
   }
 }
 
-TEST(Integration, PrunedModelStreamlinesAndMatches) {
-  // Train, prune, retrain, streamline — integer inference must still match
-  // the float model on a pruned network (exercises pruning surgery +
-  // threshold folding together).
+TEST(Integration, PrunedModelFreezesAndMatches) {
+  // Train, prune, retrain, freeze — the packed integer path must still
+  // match the float model on a pruned network (exercises pruning surgery +
+  // BatchNorm/quantizer folding together): identical argmax on every exit,
+  // logits equal to float rounding.
   auto spec = flow().spec;
   SyntheticDataset data = make_synthetic(spec.dataset);
   Rng rng(spec.seed + 1);
@@ -93,22 +95,31 @@ TEST(Integration, PrunedModelStreamlinesAndMatches) {
   rt.epochs = 1;
   train_model(model, data.train, spec.dataset.flip_symmetry, rt);
 
-  StreamlinedModel sm = streamline(model, 3, 32);
+  const PackedModel frozen = freeze_packed(model);
   std::vector<int> idx;
   for (int i = 0; i < 32; ++i) idx.push_back(i);
   Tensor x = data.test.batch_images(idx);
   auto fl = model.forward(x, false);
-  auto iq = run_streamlined(sm, x);
-  int mismatches = 0;
-  for (int n = 0; n < 32; ++n) {
-    int fa = 0, ia = 0;
-    for (int k = 1; k < fl.back().dim(1); ++k) {
-      if (fl.back().at2(n, k) > fl.back().at2(n, fa)) fa = k;
-      if (iq.back().at2(n, k) > iq.back().at2(n, ia)) ia = k;
+  PackedScratch scratch;
+  auto iq = packed_forward(frozen, x, scratch);
+  ASSERT_EQ(fl.size(), iq.size());
+  for (std::size_t e = 0; e < fl.size(); ++e) {
+    ASSERT_EQ(fl[e].shape(), iq[e].shape());
+    int mismatches = 0;
+    float max_diff = 0.0f;
+    for (int n = 0; n < fl[e].dim(0); ++n) {
+      int fa = 0, ia = 0;
+      for (int k = 0; k < fl[e].dim(1); ++k) {
+        max_diff = std::max(max_diff, std::abs(fl[e].at2(n, k) -
+                                               iq[e].at2(n, k)));
+        if (fl[e].at2(n, k) > fl[e].at2(n, fa)) fa = k;
+        if (iq[e].at2(n, k) > iq[e].at2(n, ia)) ia = k;
+      }
+      if (fa != ia) ++mismatches;
     }
-    if (fa != ia) ++mismatches;
+    EXPECT_EQ(mismatches, 0) << "exit " << e;
+    EXPECT_LE(max_diff, 2e-4f) << "exit " << e;
   }
-  EXPECT_LE(mismatches, 1);
 }
 
 TEST(Integration, AnalyticThroughputTracksSimOnLibraryModels) {

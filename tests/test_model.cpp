@@ -1,17 +1,13 @@
-// Tests for the CNV builder, exit configurations, model serialization
-// (ONNX-export stand-in), and the FINN streamlining transformation with its
-// integer-threshold inference path.
+// Tests for the CNV builder, exit configurations, and model serialization
+// (ONNX-export stand-in).
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 
 #include "data/dataset.hpp"
-#include "finn/streamline.hpp"
 #include "model/cnv.hpp"
 #include "model/serialize.hpp"
-#include "nn/eval.hpp"
 #include "nn/trainer.hpp"
 
 namespace adapex {
@@ -125,86 +121,6 @@ TEST(Serialize, RejectsCorruptedInput) {
   EXPECT_THROW(deserialize_model(bytes.substr(0, bytes.size() - 17)), Error);
   // Too short entirely.
   EXPECT_THROW(deserialize_model("AD"), Error);
-}
-
-TEST(Streamline, IntegerInferenceMatchesFloatModel) {
-  Rng rng(6);
-  CnvConfig cfg = CnvConfig{}.scaled(0.125);
-  BranchyModel model = build_cnv_with_exits(cfg, paper_exits_config(false), rng);
-  SyntheticSpec spec = cifar10_like_spec();
-  spec.train_size = 80;
-  spec.test_size = 40;
-  SyntheticDataset data = make_synthetic(spec);
-  TrainConfig tc;
-  tc.epochs = 2;
-  tc.batch_size = 16;
-  tc.lr = 5e-3;
-  train_model(model, data.train, true, tc);
-
-  StreamlinedModel sm = streamline(model, 3, 32);
-  std::vector<int> idx;
-  for (int i = 0; i < data.test.size(); ++i) idx.push_back(i);
-  Tensor x = data.test.batch_images(idx);
-  auto fl = model.forward(x, false);
-  auto iq = run_streamlined(sm, x);
-  ASSERT_EQ(fl.size(), iq.size());
-
-  // The integer-threshold path must agree with the float path: identical
-  // predictions on (nearly) all samples and closely matching logits. Tiny
-  // disagreements can only come from float-vs-double boundary rounding.
-  for (std::size_t e = 0; e < fl.size(); ++e) {
-    ASSERT_EQ(fl[e].shape(), iq[e].shape());
-    int pred_mismatch = 0;
-    double max_diff = 0.0;
-    for (int n = 0; n < fl[e].dim(0); ++n) {
-      int fa = 0, ia = 0;
-      for (int k = 0; k < fl[e].dim(1); ++k) {
-        max_diff = std::max(
-            max_diff, std::abs(static_cast<double>(fl[e].at2(n, k)) -
-                               iq[e].at2(n, k)));
-        if (fl[e].at2(n, k) > fl[e].at2(n, fa)) fa = k;
-        if (iq[e].at2(n, k) > iq[e].at2(n, ia)) ia = k;
-      }
-      if (fa != ia) ++pred_mismatch;
-    }
-    EXPECT_LE(pred_mismatch, 1) << "exit " << e;
-    EXPECT_LT(max_diff, 0.05) << "exit " << e;
-  }
-}
-
-TEST(Streamline, ThresholdCountMatchesActivationBits) {
-  Rng rng(7);
-  CnvConfig cfg = CnvConfig{}.scaled(0.125);
-  BranchyModel model = build_cnv(cfg, rng);
-  StreamlinedModel sm = streamline(model, 3, 32);
-  ASSERT_EQ(sm.blocks.size(), 3u);
-  int mvtu_with_thresholds = 0, raw_output = 0;
-  for (const auto& block : sm.blocks) {
-    for (const auto& op : block) {
-      if (op.kind != StreamlinedOp::Kind::kMvtu) continue;
-      if (op.levels > 0) {
-        ++mvtu_with_thresholds;
-        EXPECT_EQ(op.levels, 3);  // 2-bit activations: levels 0..3
-        EXPECT_EQ(op.thresholds.size(),
-                  static_cast<std::size_t>(op.out_channels));
-        for (const auto& tch : op.thresholds) EXPECT_EQ(tch.size(), 3u);
-      } else {
-        ++raw_output;
-        EXPECT_EQ(op.out_scale.size(),
-                  static_cast<std::size_t>(op.out_channels));
-      }
-    }
-  }
-  EXPECT_EQ(mvtu_with_thresholds, 8);  // 6 convs + 2 hidden fcs
-  EXPECT_EQ(raw_output, 1);            // final classifier
-}
-
-TEST(Streamline, RejectsNonTernaryWeights) {
-  Rng rng(8);
-  CnvConfig cfg = CnvConfig{}.scaled(0.125);
-  cfg.weight_bits = 4;
-  BranchyModel model = build_cnv(cfg, rng);
-  EXPECT_THROW(streamline(model, 3, 32), ConfigError);
 }
 
 }  // namespace

@@ -486,20 +486,6 @@ TEST(Packed, ForceIsaRejectsUnknownName) {
   EXPECT_THROW(packed::force_isa(nullptr), Error);
 }
 
-TEST(Packed, PackedModeEnvParsing) {
-  ::unsetenv("ADAPEX_PACKED");
-  EXPECT_EQ(packed_mode_from_env(), PackedMode::kAuto);
-  ::setenv("ADAPEX_PACKED", "0", 1);
-  EXPECT_EQ(packed_mode_from_env(), PackedMode::kOff);
-  ::setenv("ADAPEX_PACKED", "1", 1);
-  EXPECT_EQ(packed_mode_from_env(), PackedMode::kOn);
-  ::setenv("ADAPEX_PACKED", "auto", 1);
-  EXPECT_EQ(packed_mode_from_env(), PackedMode::kAuto);
-  ::setenv("ADAPEX_PACKED", "banana", 1);
-  EXPECT_THROW(packed_mode_from_env(), ConfigError);  // rule RQ3
-  ::unsetenv("ADAPEX_PACKED");
-}
-
 // ------------------------------------------------------------- model level
 
 /// One trained tiny CNV with exits shared across the model-level tests.
@@ -536,20 +522,30 @@ TEST(PackedModel, FreezeEligibilityAndRq1) {
                                                       : reasons.front());
   EXPECT_TRUE(reasons.empty());
 
-  // A wider-bit model must be rejected with an aggregated RQ1 error.
+  // Wider-bit models (W4A2, W2A4) must be rejected with an aggregated RQ1
+  // error naming the offending width.
   Rng rng(7);
-  CnvConfig wide = CnvConfig{}.scaled(0.125);
-  wide.weight_bits = 4;
-  BranchyModel w4 = build_cnv(wide, rng);
-  reasons.clear();
-  EXPECT_FALSE(can_freeze(w4, &reasons));
-  EXPECT_FALSE(reasons.empty());
-  try {
-    freeze_packed(w4);
-    FAIL() << "freeze_packed should reject a W4 model";
-  } catch (const ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("RQ1"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("weight_bits=4"), std::string::npos);
+  struct Wide {
+    int weight_bits, act_bits;
+    const char* reason;
+  };
+  for (const Wide& c : {Wide{4, 2, "weight_bits=4"},
+                        Wide{2, 4, "activation bits=4"}}) {
+    CnvConfig cfg = CnvConfig{}.scaled(0.125);
+    cfg.weight_bits = c.weight_bits;
+    cfg.act_bits = c.act_bits;
+    BranchyModel wide = build_cnv(cfg, rng);
+    reasons.clear();
+    EXPECT_FALSE(can_freeze(wide, &reasons)) << c.reason;
+    EXPECT_FALSE(reasons.empty()) << c.reason;
+    try {
+      freeze_packed(wide);
+      ADD_FAILURE() << "freeze_packed should reject " << c.reason;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("RQ1"), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find(c.reason), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -719,7 +715,7 @@ TEST(PackedLibrary, ByteIdenticalPackedOnVsOffAtAnyThreadCount) {
   }
 }
 
-TEST(PackedLibrary, LintRulesRq2Rq3) {
+TEST(PackedLibrary, LintRuleRq2) {
   auto spec = make_gen_spec(cifar10_like_spec(), ExperimentScale::tiny());
 
   spec.eval_path = "sideways";
@@ -727,28 +723,12 @@ TEST(PackedLibrary, LintRulesRq2Rq3) {
   EXPECT_TRUE(report.has_errors());
   EXPECT_NE(report.error_message().find("RQ2"), std::string::npos);
 
-  spec.eval_path = "auto";
-  ::setenv("ADAPEX_PACKED", "banana", 1);
-  report = lint_gen_spec(spec);
-  EXPECT_TRUE(report.has_errors());
-  EXPECT_NE(report.error_message().find("RQ3"), std::string::npos);
-
-  // Spec/environment contradiction: valid but surfaced as an RQ2 warning.
-  spec.eval_path = "float";
-  ::setenv("ADAPEX_PACKED", "1", 1);
-  report = lint_gen_spec(spec);
-  EXPECT_FALSE(report.has_errors());
-  bool warned = false;
-  for (const auto& f : report.diagnostics) {
-    if (f.rule_id == "RQ2") warned = true;
-  }
-  EXPECT_TRUE(warned);
-  ::unsetenv("ADAPEX_PACKED");
-
-  spec.eval_path = "auto";
-  report = lint_gen_spec(spec);
-  for (const auto& f : report.diagnostics) {
-    EXPECT_NE(f.rule_id.substr(0, 2), "RQ") << f.message;
+  for (const char* path : {"auto", "float", "packed"}) {
+    spec.eval_path = path;
+    report = lint_gen_spec(spec);
+    for (const auto& f : report.diagnostics) {
+      EXPECT_NE(f.rule_id.substr(0, 2), "RQ") << path << ": " << f.message;
+    }
   }
 }
 

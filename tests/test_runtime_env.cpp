@@ -1,8 +1,7 @@
 // Tests for the environment reader (common/env.hpp) and the shared ISA-tier
 // dispatch (common/isa_dispatch.hpp): the empty-means-unset rule for every
-// ADAPEX_* variable, ConfigErrors that name the malformed variable, RQ3 lint
-// agreement with the runtime ADAPEX_PACKED parse, and tier selection over a
-// fake tier list with stub probes.
+// ADAPEX_* variable, ConfigErrors that name the malformed variable, and tier
+// selection over a fake tier list with stub probes.
 
 #include <gtest/gtest.h>
 
@@ -16,10 +15,7 @@
 #include "common/isa_dispatch.hpp"
 #include "common/thread_pool.hpp"
 #include "core/scale.hpp"
-#include "data/dataset.hpp"
 #include "library/cache.hpp"
-#include "library/generator.hpp"
-#include "nn/quant.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/packed.hpp"
 
@@ -124,11 +120,6 @@ TEST(EnvEmpty, ThreadsFallsBackToHardware) {
   EXPECT_EQ(ThreadPool::env_thread_count(), hardware_threads());
 }
 
-TEST(EnvEmpty, PackedFallsBackToAuto) {
-  ScopedEnv v("ADAPEX_PACKED", "");
-  EXPECT_EQ(packed_mode_from_env(), PackedMode::kAuto);
-}
-
 TEST(EnvEmpty, BenchSpeedupReadsAsUnset) {
   ScopedEnv v("ADAPEX_BENCH_SPEEDUP", "");
   EXPECT_EQ(env::get("ADAPEX_BENCH_SPEEDUP"), std::nullopt);
@@ -146,35 +137,6 @@ TEST(EnvMalformed, ThreadsNamesVariable) {
   ScopedEnv v("ADAPEX_THREADS", "lots");
   expect_config_error_naming("ADAPEX_THREADS",
                              [] { ThreadPool::env_thread_count(); });
-}
-
-TEST(EnvMalformed, PackedNamesVariable) {
-  ScopedEnv v("ADAPEX_PACKED", "banana");
-  expect_config_error_naming("ADAPEX_PACKED", [] { packed_mode_from_env(); });
-}
-
-// ---------------------------------------- RQ3 lint == runtime parse
-
-TEST(EnvPacked, LintReportsRq3ExactlyWhenRuntimeParseThrows) {
-  const LibraryGenSpec spec =
-      make_gen_spec(cifar10_like_spec(), ExperimentScale::tiny());
-  for (const char* value : {"", "0", "1", "auto", "AUTO", "banana", " 1"}) {
-    ScopedEnv v("ADAPEX_PACKED", value);
-    bool throws = false;
-    try {
-      packed_mode_from_env();
-    } catch (const ConfigError&) {
-      throws = true;
-    }
-    bool rq3 = false;
-    for (const auto& d : lint_gen_spec(spec).diagnostics) {
-      rq3 = rq3 || d.rule_id == "RQ3";
-    }
-    EXPECT_EQ(rq3, throws) << "ADAPEX_PACKED='" << value << "'";
-    const std::string s(value);
-    EXPECT_EQ(throws, s == "AUTO" || s == "banana" || s == " 1")
-        << "ADAPEX_PACKED='" << value << "'";
-  }
 }
 
 // ------------------------------------------------- shared tier dispatch

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -152,7 +151,6 @@ TEST(SpecLintIdentity, FleetScenario) {
 }
 
 TEST(SpecLintIdentity, GenSpec) {
-  ::unsetenv("ADAPEX_PACKED");  // RQ2's warning and RQ3 read it
   LibraryGenSpec spec;
   spec.max_point_retries = -1;
   spec.partial_policy = PartialPolicy::kEmitPartial;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 
@@ -66,7 +67,7 @@ TEST(Ops, GemmMatchesManual) {
   std::vector<float> a = {1, 2, 3, 4, 5, 6};
   std::vector<float> b = {7, 8, 9, 10, 11, 12};
   std::vector<float> c(4, 0.0f);
-  ops::gemm_accumulate(a.data(), b.data(), c.data(), 2, 3, 2);
+  kernels::gemm_accumulate(a.data(), b.data(), c.data(), 2, 3, 2);
   EXPECT_FLOAT_EQ(c[0], 58);
   EXPECT_FLOAT_EQ(c[1], 64);
   EXPECT_FLOAT_EQ(c[2], 139);
@@ -90,9 +91,9 @@ TEST(Ops, GemmTransposedVariantsAgree) {
     }
   }
   std::vector<float> c1(m * n, 0.0f), c2(m * n, 0.0f), c3(m * n, 0.0f);
-  ops::gemm_accumulate(a.data(), b.data(), c1.data(), m, k, n);
-  ops::gemm_at_b_accumulate(at.data(), b.data(), c2.data(), m, k, n);
-  ops::gemm_a_bt_accumulate(a.data(), bt.data(), c3.data(), m, k, n);
+  kernels::gemm_accumulate(a.data(), b.data(), c1.data(), m, k, n);
+  kernels::gemm_at_b_accumulate(at.data(), b.data(), c2.data(), m, k, n);
+  kernels::gemm_a_bt_accumulate(a.data(), bt.data(), c3.data(), m, k, n);
   for (int i = 0; i < m * n; ++i) {
     EXPECT_NEAR(c1[i], c2[i], 1e-5f);
     EXPECT_NEAR(c1[i], c3[i], 1e-5f);
