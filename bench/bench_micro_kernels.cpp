@@ -1,14 +1,16 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: the conv/GEMM
 // training kernels, the early-exit evaluation path (float and packed), the
 // accelerator
-// compile, the event-driven pipeline simulator, and one dataflow
-// cross-validation. These bound the cost of a library-generation run and
-// catch performance regressions.
+// compile, the event-driven pipeline simulator, one dataflow
+// cross-validation, and the serving simulator (edge episode, fleet arrival
+// merge, fleet episode). These bound the cost of a library-generation run
+// and catch performance regressions.
 
 #include <benchmark/benchmark.h>
 
 #include "analysis/dataflow.hpp"
 #include "core/adapex.hpp"
+#include "edge/fleet.hpp"
 #include "nn/quant.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
@@ -434,8 +436,9 @@ void BM_CrossValidate(benchmark::State& state) {
 }
 BENCHMARK(BM_CrossValidate)->Unit(benchmark::kMillisecond);
 
-void BM_EdgeEpisode(benchmark::State& state) {
-  // A synthetic two-entry library keeps this independent of training.
+// A synthetic two-entry library keeps the serving benches independent of
+// training: an accurate 500 IPS entry and a pruned 1200 IPS one.
+Library serving_library() {
   Library lib;
   lib.dataset = "bench";
   lib.reference_accuracy = 0.9;
@@ -464,7 +467,11 @@ void BM_EdgeEpisode(benchmark::State& state) {
   e1.accuracy = 0.8;
   e1.ips = 1200;
   lib.entries.push_back(e1);
+  return lib;
+}
 
+void BM_EdgeEpisode(benchmark::State& state) {
+  const Library lib = serving_library();
   EdgeScenario sc;
   sc.cameras = 20;
   sc.ips_per_camera = 30;
@@ -474,6 +481,84 @@ void BM_EdgeEpisode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EdgeEpisode);
+
+// perfbench serve-fleet's shape offering about `requests` requests over
+// serving_library(): 8 devices in 2 failure domains, an interactive and a
+// batch tenant at 1.3x the accurate entry's throughput per device,
+// staggered reconfiguration and circuit breakers.
+FleetScenario serve_fleet_shape(double requests) {
+  const double offered = 1.3 * 500.0 * 8;
+  FleetScenario f;
+  f.base.duration_s = requests / offered;
+  f.base.faults.stall_prob = 0.02;
+  f.base.faults.stall_duration_s = 0.5;
+  f.base.faults.reconfig_fail_prob = 0.02;
+  f.base.faults.seu_weight_prob = 0.005;
+  for (int i = 0; i < 8; ++i) {
+    FleetDeviceSpec d;
+    d.domain = i % 2;
+    f.devices.push_back(d);
+  }
+  for (int g = 0; g < 2; ++g) {
+    FailureDomain dom;
+    dom.spike_prob = 0.05;
+    dom.spike_duration_s = 3.0;
+    dom.transient_mult = 6.0;
+    dom.seu_mult = 4.0;
+    f.fleet_faults.domains.push_back(dom);
+  }
+  TenantSpec interactive;
+  interactive.workload.base_ips = offered * 0.6;
+  interactive.workload.period_s = 0.25;
+  interactive.workload.deviation = 0.4;
+  interactive.slo_latency_ms = 250.0;
+  interactive.priority = 1;
+  TenantSpec batch;
+  batch.workload.base_ips = offered * 0.4;
+  batch.workload.period_s = 0.25;
+  batch.workload.pattern = WorkloadPattern::kDiurnal;
+  f.tenants = {interactive, batch};
+  for (TenantSpec& t : f.tenants) t.workload.duration_s = f.base.duration_s;
+  f.breaker.open_after_failures = 3;
+  f.stagger.enabled = true;
+  f.stagger.min_capacity_fraction = 0.70;
+  return f;
+}
+
+// Arrival generation plus the (time, tenant) merge, drained the way
+// simulate_fleet reads it.
+void BM_FleetArrivals(benchmark::State& state) {
+  const FleetScenario f = serve_fleet_shape(static_cast<double>(state.range(0)));
+  std::vector<WorkloadSpec> tenants;
+  for (const TenantSpec& t : f.tenants) tenants.push_back(t.workload);
+  long arrivals = 0;
+  for (auto _ : state) {
+    double last = 0.0;
+    for (FleetArrivalStream s(tenants, f.base.seed); !s.empty(); s.pop()) {
+      last = s.front().time_s;
+      ++arrivals;
+    }
+    benchmark::DoNotOptimize(last);
+  }
+  state.SetItemsProcessed(arrivals);
+}
+BENCHMARK(BM_FleetArrivals)->Arg(100000)->Arg(1000000)->Unit(
+    benchmark::kMillisecond);
+
+// One serve-fleet episode at about 100k requests; items are simulated
+// events, so items_per_second is comparable to serve-fleet's work_per_s.
+void BM_FleetEpisode(benchmark::State& state) {
+  const Library lib = serving_library();
+  const FleetScenario f = serve_fleet_shape(1e5);
+  long events = 0;
+  for (auto _ : state) {
+    const FleetMetrics m = simulate_fleet(lib, {AdaptPolicy::kAdaPEx, 0.10}, f);
+    events += m.events;
+    benchmark::DoNotOptimize(m.p99_latency_ms);
+  }
+  state.SetItemsProcessed(events);
+}
+BENCHMARK(BM_FleetEpisode)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

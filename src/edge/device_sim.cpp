@@ -26,6 +26,7 @@ DeviceSim::DeviceSim(const Library& library, const RuntimePolicy& policy,
       detector_(policy.drift) {
   // Start from the most accurate eligible point (low workload assumption).
   manager_.select(0.0, 0.0);
+  service_s_ = service_time();
   static_w_ = library.static_power_w;
   next_scrub_s_ = scenario.faults.mitigation.scrubbing
                       ? scenario.faults.mitigation.scrub_period_s
@@ -35,10 +36,7 @@ DeviceSim::DeviceSim(const Library& library, const RuntimePolicy& policy,
 void DeviceSim::set_speed_factor(double factor) {
   ADAPEX_CHECK(factor > 0.0, "speed factor must be positive");
   speed_ = factor;
-}
-
-double DeviceSim::current_ips() const {
-  return manager_.current().ips * speed_;
+  service_s_ = service_time();
 }
 
 void DeviceSim::account_energy(double upto, const LibraryEntry& e) {
@@ -221,13 +219,12 @@ ArrivalOutcome DeviceSim::serve_one(double t, double dispatch_s) {
     return out;
   }
   const LibraryEntry& entry = manager_.current();
-  const double service_s = 1.0 / std::max(entry.ips * speed_, 1e-9);
   // dispatch_s == t on the unbatched path, where both expressions reduce
   // bit-exactly to max(0, server_free - t);
   // batched dispatch separates the queue test (from dispatch time) from the
   // delivered latency (from the request's true arrival).
   const double queue_s = std::max(0.0, server_free_ - dispatch_s);
-  const double backlog = queue_s / service_s;
+  const double backlog = queue_s / service_s_;
   if (backlog > scenario_.queue_capacity) {
     ++metrics_.dropped;
     return out;
@@ -249,7 +246,7 @@ ArrivalOutcome DeviceSim::serve_one(double t, double dispatch_s) {
   const double wait_s = std::max(server_free_, dispatch_s) - t;
   const double latency_ms = wait_s * 1e3 + entry.latency_ms / speed_;
   latency_sum_ms_ += latency_ms;
-  server_free_ = std::max(server_free_, dispatch_s) + service_s;
+  server_free_ = std::max(server_free_, dispatch_s) + service_s_;
   busy_until_ = server_free_;
   out.served = true;
   out.latency_ms = latency_ms;
@@ -282,12 +279,6 @@ std::vector<ArrivalOutcome> DeviceSim::serve_batch(
     outcomes.push_back(serve_one(t, now));
   }
   return outcomes;
-}
-
-double DeviceSim::backlog_requests(double now) const {
-  const LibraryEntry& entry = manager_.current();
-  const double service_s = 1.0 / std::max(entry.ips * speed_, 1e-9);
-  return std::max(0.0, server_free_ - now) / service_s;
 }
 
 void DeviceSim::on_tick(double now) {
@@ -489,6 +480,7 @@ void DeviceSim::on_tick(double now) {
   tp.entry_accuracy = entry.accuracy;
   tp.health = manager_.state();
   metrics_.trace.push_back(tp);
+  service_s_ = service_time();  // the tick may have moved the operating point
 }
 
 void DeviceSim::finalize(double duration_s) {

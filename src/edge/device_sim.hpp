@@ -24,6 +24,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -111,7 +112,11 @@ class DeviceSim {
   const EdgeMetrics& metrics() const { return metrics_; }
 
   /// Requests currently waiting or in service if dispatched at `now`.
-  double backlog_requests(double now) const;
+  /// Inline: the fleet balancer asks every device on every arrival.
+  double backlog_requests(double now) const {
+    ADAPEX_DCHECK(service_s_ == service_time(), "stale DeviceSim service time");
+    return std::max(0.0, server_free_ - now) / service_s_;
+  }
   /// Time the device's backlog (and any dark window) clears.
   double server_free() const { return server_free_; }
   /// Scheduled end of accelerator dark time (reconfig/stall/scrub/wedge).
@@ -119,7 +124,7 @@ class DeviceSim {
   /// True while a config-memory hang wedges the pipeline.
   bool wedged() const { return hang_active_; }
   /// Active entry's delivered throughput (speed-scaled), requests/s.
-  double current_ips() const;
+  double current_ips() const { return manager_.current().ips * speed_; }
   /// Active entry's effective accuracy under the live upset set.
   double current_accuracy() const { return effective_accuracy(manager_.current()); }
   HealthState health() const { return manager_.state(); }
@@ -131,6 +136,10 @@ class DeviceSim {
 
  private:
   ArrivalOutcome serve_one(double t, double dispatch_s);
+  /// Seconds per request at the active entry and speed.
+  double service_time() const {
+    return 1.0 / std::max(manager_.current().ips * speed_, 1e-9);
+  }
   void account_energy(double upto, const LibraryEntry& e);
   double first_exit_fraction(const LibraryEntry& e) const;
   double effective_accuracy(const LibraryEntry& e) const;
@@ -150,6 +159,10 @@ class DeviceSim {
 
   ReconfigGate gate_;
   double speed_ = 1.0;
+  /// service_time(), cached for serve_one and backlog_requests: only the
+  /// constructor, set_speed_factor and on_tick can move the operating
+  /// point or the speed, and each refreshes it on exit.
+  double service_s_ = 1.0;
   bool deferred_reconfig_ = false;
   double deferred_since_ = 0.0;
 

@@ -467,12 +467,34 @@ std::string FleetMetrics::csv_row() const {
 // Event-queue fleet simulation
 // ---------------------------------------------------------------------------
 
+LatencyQuantiles latency_quantiles(std::vector<double>& latencies_ms) {
+  LatencyQuantiles out;
+  if (latencies_ms.empty()) return out;
+  // Ascending selections, each over the tail from the previous pick on:
+  // nth_element leaves nothing smaller after its pick, so the tail's order
+  // statistics are the whole vector's.
+  auto lo = latencies_ms.begin();
+  auto select = [&](double q) {
+    const std::size_t idx = std::min(
+        latencies_ms.size() - 1,
+        static_cast<std::size_t>(q * static_cast<double>(latencies_ms.size())));
+    const auto nth = latencies_ms.begin() + static_cast<std::ptrdiff_t>(idx);
+    std::nth_element(lo, nth, latencies_ms.end());
+    lo = nth;
+    return *nth;
+  };
+  out.p50_ms = select(0.50);
+  out.p99_ms = select(0.99);
+  out.p999_ms = select(0.999);
+  return out;
+}
+
 namespace {
 
-// Event ranks fix the order of same-time events. Arrivals are merged from a
-// sorted vector and always win ties (matching the single-device loop, where
-// a sampling tick runs only when strictly earlier than the next arrival);
-// batch flushes dispatch buffered arrivals before the tick can change the
+// Event ranks fix the order of same-time events. Arrivals are merged from
+// the FleetArrivalStream and always win ties (matching the single-device
+// loop, where a sampling tick runs only when strictly earlier than the next
+// arrival); batch flushes dispatch buffered arrivals before the tick can change the
 // operating point; the orchestrator observes post-tick state.
 enum EventRank : int { kFlushRank = 0, kTickRank = 1, kOrchRank = 2 };
 
@@ -519,7 +541,7 @@ FleetMetrics simulate_fleet(const Library& library,
                              : scenario.tenants[k].name;
   }
 
-  // --- Arrival trace: one independent stream per tenant, merged. ---
+  // --- Arrivals: one independent stream per tenant, merged on the fly. ---
   std::vector<WorkloadSpec> tenant_specs;
   tenant_specs.reserve(n_ten);
   for (const TenantSpec& t : scenario.tenants) {
@@ -527,8 +549,7 @@ FleetMetrics simulate_fleet(const Library& library,
     w.duration_s = duration;  // the episode owns the clock
     tenant_specs.push_back(std::move(w));
   }
-  const std::vector<FleetRequest> arrivals =
-      generate_fleet_arrivals(tenant_specs, scenario.base.seed);
+  FleetArrivalStream arrivals(tenant_specs, scenario.base.seed);
 
   // Offered-rate models for the capacity invariant: same seeds and specs as
   // the arrival generators, so the gate prices exactly the load the trace
@@ -662,7 +683,6 @@ FleetMetrics simulate_fleet(const Library& library,
   if (next_orch < duration) push(next_orch, kOrchRank, -1);
 
   std::vector<double> latencies;
-  latencies.reserve(arrivals.size());
   std::vector<double> tenant_lat_sum(n_ten, 0.0);
   std::vector<double> tenant_acc_sum(n_ten, 0.0);
   std::vector<int> last_device(n_ten, -1);
@@ -720,28 +740,40 @@ FleetMetrics simulate_fleet(const Library& library,
     // available devices; then tolerate cordoned (dark) ones; finally
     // anything not ejected (total-outage routing beats dropping on the
     // floor — the device queue applies its own capacity bound).
+    // The first tier also records the tenant's previous device, so the
+    // sticky check below reuses its availability and backlog.
+    const int prev = last_device[k];
+    bool prev_available = false;
+    double prev_backlog = 0.0;
     int best = -1;
     double best_backlog = 0.0;
-    auto consider = [&](std::size_t i) {
-      const double b = devs[i]->backlog_requests(req.time_s);
-      if (best < 0 || b < best_backlog) {
-        best = static_cast<int>(i);
-        best_backlog = b;
-      }
+    // Written as selects: which queue is shortest changes from arrival to
+    // arrival, so a branch here would mispredict.
+    auto consider = [&](std::size_t i, double b) {
+      const bool better = best < 0 || b < best_backlog;
+      best = better ? static_cast<int>(i) : best;
+      best_backlog = better ? b : best_backlog;
     };
     for (std::size_t i = 0; i < n_dev; ++i) {
-      if (available(i, req.time_s)) consider(i);
+      if (!available(i, req.time_s)) continue;
+      const double b = devs[i]->backlog_requests(req.time_s);
+      consider(i, b);
+      const bool is_prev = static_cast<int>(i) == prev;
+      prev_available = prev_available || is_prev;
+      prev_backlog = is_prev ? b : prev_backlog;
     }
     bool breaker_checked = best >= 0;
     if (best < 0) {
       for (std::size_t i = 0; i < n_dev; ++i) {
-        if (!ejected[i] && breakers[i].would_admit(req.time_s)) consider(i);
+        if (!ejected[i] && breakers[i].would_admit(req.time_s)) {
+          consider(i, devs[i]->backlog_requests(req.time_s));
+        }
       }
       breaker_checked = best >= 0;
     }
     if (best < 0) {
       for (std::size_t i = 0; i < n_dev; ++i) {
-        if (!ejected[i]) consider(i);
+        if (!ejected[i]) consider(i, devs[i]->backlog_requests(req.time_s));
       }
     }
     if (best < 0) {
@@ -754,15 +786,10 @@ FleetMetrics simulate_fleet(const Library& library,
     // is within the band — rerouting on every JSQ wobble defeats cache
     // locality on real hosts and makes failover counts meaningless.
     int chosen = best;
-    const int prev = last_device[k];
-    if (prev >= 0 && prev != best &&
-        available(static_cast<std::size_t>(prev), req.time_s)) {
-      const double prev_backlog =
-          devs[static_cast<std::size_t>(prev)]->backlog_requests(req.time_s);
-      if (prev_backlog <=
-          best_backlog * (1.0 + scenario.balance_hysteresis) + 1e-12) {
-        chosen = prev;
-      }
+    if (prev_available && prev != best &&
+        prev_backlog <=
+            best_backlog * (1.0 + scenario.balance_hysteresis) + 1e-12) {
+      chosen = prev;
     }
     if (prev >= 0 && chosen != prev) ++fm.failovers;
     last_device[k] = chosen;
@@ -865,16 +892,17 @@ FleetMetrics simulate_fleet(const Library& library,
     fm.max_outage_depth = std::max(fm.max_outage_depth, down);
   };
 
-  // --- Main loop: merge the sorted arrival trace against the heap;
-  // arrivals win ties (the single-device tick-vs-arrival rule). ---
-  std::size_t ai = 0;
+  // --- Main loop: merge the arrival stream against the heap; arrivals
+  // win ties (the single-device tick-vs-arrival rule). ---
   for (;;) {
-    const bool have_arrival = ai < arrivals.size();
+    const bool have_arrival = !arrivals.empty();
     const bool have_event = !heap.empty();
     if (!have_arrival && !have_event) break;
     if (have_arrival &&
-        (!have_event || arrivals[ai].time_s <= heap.top().time_s)) {
-      route_arrival(arrivals[ai++]);
+        (!have_event || arrivals.front().time_s <= heap.top().time_s)) {
+      const FleetRequest req = arrivals.front();
+      arrivals.pop();
+      route_arrival(req);
       ++fm.events;
       continue;
     }
@@ -929,18 +957,10 @@ FleetMetrics simulate_fleet(const Library& library,
     tm.avg_latency_ms = tm.served > 0 ? tenant_lat_sum[k] / tm.served : 0.0;
     tm.accuracy = tm.served > 0 ? tenant_acc_sum[k] / tm.served : 0.0;
   }
-  if (!latencies.empty()) {
-    std::sort(latencies.begin(), latencies.end());
-    auto quantile = [&](double q) {
-      const std::size_t idx = std::min(
-          latencies.size() - 1,
-          static_cast<std::size_t>(q * static_cast<double>(latencies.size())));
-      return latencies[idx];
-    };
-    fm.p50_latency_ms = quantile(0.50);
-    fm.p99_latency_ms = quantile(0.99);
-    fm.p999_latency_ms = quantile(0.999);
-  }
+  const LatencyQuantiles q = latency_quantiles(latencies);
+  fm.p50_latency_ms = q.p50_ms;
+  fm.p99_latency_ms = q.p99_ms;
+  fm.p999_latency_ms = q.p999_ms;
   return fm;
 }
 

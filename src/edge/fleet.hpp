@@ -281,6 +281,18 @@ struct FleetMetrics {
   std::string csv_row() const;
 };
 
+/// The served-latency quantiles FleetMetrics reports.
+struct LatencyQuantiles {
+  double p50_ms = 0.0;
+  double p99_ms = 0.0;
+  double p999_ms = 0.0;
+};
+
+/// p50/p99/p999 of `latencies_ms`: for each q, exactly the element a full
+/// ascending sort would put at index min(n - 1, floor(q * n)). Found by
+/// selection in O(n), which reorders the vector; all zero when it is empty.
+LatencyQuantiles latency_quantiles(std::vector<double>& latencies_ms);
+
 /// Runs one fleet episode. Deterministic for a fixed scenario: the event
 /// core is sequential, so the result is byte-identical under any
 /// ADAPEX_THREADS setting.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -11,6 +12,9 @@ namespace {
 
 // Stream identifier for per-tenant arrival streams (derive_seed).
 constexpr std::uint64_t kTenantStream = 0x7E2A;
+
+// next_arrival's end-of-stream marker.
+constexpr double kNever = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
@@ -23,25 +27,45 @@ std::uint64_t tenant_stream_seed(std::uint64_t fleet_seed, std::size_t index,
   return derive_seed(fleet_seed, kTenantStream, index);
 }
 
-std::vector<FleetRequest> generate_fleet_arrivals(
-    const std::vector<WorkloadSpec>& tenants, std::uint64_t fleet_seed) {
-  std::vector<FleetRequest> merged;
+FleetArrivalStream::FleetArrivalStream(const std::vector<WorkloadSpec>& tenants,
+                                       std::uint64_t fleet_seed) {
+  lanes_.reserve(tenants.size());
   for (std::size_t k = 0; k < tenants.size(); ++k) {
     // A zero-rate tenant is a valid degenerate stream: nothing arrives.
     if (!(tenants[k].base_ips > 0.0)) continue;
-    WorkloadModel model(tenants[k],
-                        tenant_stream_seed(fleet_seed, k, tenants.size()));
-    for (double t : model.generate_arrivals()) {
-      merged.push_back(FleetRequest{t, static_cast<int>(k)});
-    }
+    Lane lane{WorkloadModel(tenants[k],
+                            tenant_stream_seed(fleet_seed, k, tenants.size())),
+              0.0, static_cast<int>(k)};
+    lane.next_s = lane.model.next_arrival();
+    if (lane.next_s != kNever) lanes_.push_back(std::move(lane));
   }
-  // Each per-tenant stream is strictly increasing, so (time, tenant) is a
-  // deterministic total order.
-  std::sort(merged.begin(), merged.end(),
-            [](const FleetRequest& a, const FleetRequest& b) {
-              if (a.time_s != b.time_s) return a.time_s < b.time_s;
-              return a.tenant < b.tenant;
-            });
+  find_head();
+}
+
+void FleetArrivalStream::pop() {
+  Lane& lane = lanes_[head_];
+  lane.next_s = lane.model.next_arrival();
+  if (lane.next_s == kNever) {
+    lanes_.erase(lanes_.begin() + static_cast<std::ptrdiff_t>(head_));
+  }
+  find_head();
+}
+
+void FleetArrivalStream::find_head() {
+  // Lanes are in tenant-index order, so the strict comparison hands a tie
+  // to the lower tenant index.
+  head_ = 0;
+  for (std::size_t i = 1; i < lanes_.size(); ++i) {
+    if (lanes_[i].next_s < lanes_[head_].next_s) head_ = i;
+  }
+}
+
+std::vector<FleetRequest> generate_fleet_arrivals(
+    const std::vector<WorkloadSpec>& tenants, std::uint64_t fleet_seed) {
+  std::vector<FleetRequest> merged;
+  for (FleetArrivalStream s(tenants, fleet_seed); !s.empty(); s.pop()) {
+    merged.push_back(s.front());
+  }
   return merged;
 }
 
@@ -96,25 +120,34 @@ double WorkloadModel::period_rate(int index) {
   return cached_rates_[static_cast<std::size_t>(index)];
 }
 
+double WorkloadModel::next_arrival() {
+  while (clock_s_ < spec_.duration_s) {
+    // min_period_ carries a dead-period jump forward: the jump lands on the
+    // next period's start, and the division can round that back into the
+    // dead period (3 * 0.7 / 0.7 < 3), which would repeat the jump forever.
+    const int period = std::max(
+        static_cast<int>(clock_s_ / spec_.period_s), min_period_);
+    const double rate = period_rate(period);
+    if (rate <= 1e-12) {
+      // Dead period: jump to its end.
+      clock_s_ = (period + 1) * spec_.period_s;
+      min_period_ = period + 1;
+      continue;
+    }
+    const double u = std::max(rng_.uniform(), 1e-12);
+    clock_s_ += -std::log(u) / rate;
+    // If the step crossed a period boundary the rate error is one
+    // inter-arrival gap — negligible at bench rates.
+    if (clock_s_ < spec_.duration_s) return clock_s_;
+  }
+  return kNever;
+}
+
 std::vector<double> WorkloadModel::generate_arrivals() {
   std::vector<double> arrivals;
   arrivals.reserve(
       static_cast<std::size_t>(spec_.base_ips * spec_.duration_s * 1.5) + 16);
-  double t = 0.0;
-  for (;;) {
-    const int period = static_cast<int>(t / spec_.period_s);
-    const double rate = period_rate(period);
-    if (rate <= 1e-12) {
-      // Dead period: jump to its end.
-      t = (period + 1) * spec_.period_s;
-      if (t >= spec_.duration_s) break;
-      continue;
-    }
-    const double u = std::max(rng_.uniform(), 1e-12);
-    t += -std::log(u) / rate;
-    if (t >= spec_.duration_s) break;
-    // If the step crossed a period boundary the rate error is one
-    // inter-arrival gap — negligible at bench rates.
+  for (double t = next_arrival(); t != kNever; t = next_arrival()) {
     arrivals.push_back(t);
   }
   return arrivals;

@@ -55,13 +55,6 @@ struct FleetRequest {
 std::uint64_t tenant_stream_seed(std::uint64_t fleet_seed, std::size_t index,
                                  std::size_t tenant_count);
 
-/// Deterministic mixed-tenant arrival trace: one Poisson stream per tenant
-/// (seeded via tenant_stream_seed; zero-rate tenants contribute nothing),
-/// merged into one nondecreasing timeline with (time, tenant-index) as the
-/// stable total order.
-std::vector<FleetRequest> generate_fleet_arrivals(
-    const std::vector<WorkloadSpec>& tenants, std::uint64_t fleet_seed);
-
 /// Piecewise-constant rate at time t (uses `rng` for the random pattern;
 /// call sequentially per period to stay deterministic).
 class WorkloadModel {
@@ -71,13 +64,56 @@ class WorkloadModel {
   /// Rate of period `index` (periods are [i*period_s, (i+1)*period_s)).
   double period_rate(int index);
 
-  /// Generates the full Poisson arrival time list over [0, duration).
+  /// Next arrival of the Poisson stream over [0, duration), or +infinity
+  /// once the stream is exhausted. Successive calls walk one stream.
+  double next_arrival();
+
+  /// Drains the rest of the stream: on a fresh model, the full Poisson
+  /// arrival time list over [0, duration).
   std::vector<double> generate_arrivals();
 
  private:
   WorkloadSpec spec_;
   Rng rng_;
   std::vector<double> cached_rates_;
+  double clock_s_ = 0.0;  ///< Time of the last arrival drawn.
+  int min_period_ = 0;    ///< No earlier period can be current.
 };
+
+/// Merge cursor over a fleet's tenant streams: yields every tenant's Poisson
+/// arrivals (seeded via tenant_stream_seed; zero-rate tenants contribute
+/// nothing) in one nondecreasing timeline with (time, tenant-index) as the
+/// total order — the earliest head wins, and a tie goes to the lower tenant
+/// index. Each stream is drawn lazily, one arrival ahead, so no trace is
+/// ever materialized; a pop costs one comparison per live tenant.
+class FleetArrivalStream {
+ public:
+  FleetArrivalStream(const std::vector<WorkloadSpec>& tenants,
+                     std::uint64_t fleet_seed);
+
+  bool empty() const { return lanes_.empty(); }
+  /// Earliest pending arrival; the stream must not be empty.
+  FleetRequest front() const {
+    const Lane& l = lanes_[head_];
+    return FleetRequest{l.next_s, l.tenant};
+  }
+  /// Consumes front().
+  void pop();
+
+ private:
+  struct Lane {
+    WorkloadModel model;
+    double next_s;
+    int tenant;
+  };
+  void find_head();
+
+  std::vector<Lane> lanes_;  ///< Live streams, in tenant-index order.
+  std::size_t head_ = 0;
+};
+
+/// The whole merged trace of a FleetArrivalStream, drained into a vector.
+std::vector<FleetRequest> generate_fleet_arrivals(
+    const std::vector<WorkloadSpec>& tenants, std::uint64_t fleet_seed);
 
 }  // namespace adapex

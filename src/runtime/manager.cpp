@@ -365,11 +365,4 @@ void RuntimeManager::drift_cleared() {
   }
 }
 
-const LibraryEntry& RuntimeManager::current() const {
-  ADAPEX_CHECK(current_index_ >= 0,
-               "RuntimeManager::current() called before the first select() "
-               "chose an operating point — call select(workload_ips) first");
-  return library_->entries[static_cast<std::size_t>(current_index_)];
-}
-
 }  // namespace adapex

@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
+#include "common/error.hpp"
 #include "library/library.hpp"
 #include "runtime/monitor.hpp"
 
@@ -192,8 +193,14 @@ class RuntimeManager {
   void drift_cleared();
 
   /// Active operating point. Throws Error with a clear message when called
-  /// before the first select() has chosen one.
-  const LibraryEntry& current() const;
+  /// before the first select() has chosen one. Inline: the fleet balancer
+  /// reads it for every device on every arrival.
+  const LibraryEntry& current() const {
+    ADAPEX_CHECK(current_index_ >= 0,
+                 "RuntimeManager::current() called before the first select() "
+                 "chose an operating point — call select(workload_ips) first");
+    return library_->entries[static_cast<std::size_t>(current_index_)];
+  }
   bool has_selection() const { return current_index_ >= 0; }
 
   const Library& library() const { return *library_; }

@@ -1,17 +1,21 @@
 // Tests for the fleet-scale serving simulator: device-seed uniqueness and
-// stream independence, the size-1 byte-identity guarantee against
-// simulate_edge, correlated-failure determinism (including under different
+// stream independence, the merged arrival order, exact latency quantiles,
+// the size-1 byte-identity guarantee against simulate_edge, golden episode
+// metrics, correlated-failure determinism (including under different
 // ADAPEX_THREADS settings), the capacity-safe stagger invariant, circuit
 // breaker transitions, and the FS lint rules.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <set>
 #include <vector>
 
+#include "common/integrity.hpp"
+#include "common/rng.hpp"
 #include "edge/fleet.hpp"
 #include "edge/simulation.hpp"
 
@@ -117,6 +121,63 @@ FleetScenario small_fleet(std::uint64_t seed) {
   return f;
 }
 
+/// The perfbench serve-fleet shape at 1/20 of its volume over the
+/// controlled library: 8 devices in 2 failure domains, an interactive and a
+/// batch tenant, staggered reconfiguration and circuit breakers, about 50k
+/// requests. `variant` 1 adds batching, 2 adds admission control.
+FleetScenario golden_fleet(int variant) {
+  FleetScenario f;
+  f.base.seed = 7;
+  f.base.duration_s = 25.0;
+  f.base.faults.stall_prob = 0.02;
+  f.base.faults.stall_duration_s = 0.5;
+  f.base.faults.reconfig_fail_prob = 0.02;
+  f.base.faults.seu_weight_prob = 0.005;
+  for (int i = 0; i < 8; ++i) {
+    FleetDeviceSpec d;
+    d.name = "dev" + std::to_string(i);
+    d.domain = i % 2;
+    f.devices.push_back(std::move(d));
+  }
+  for (const char* name : {"rack0", "rack1"}) {
+    FailureDomain dom;
+    dom.name = name;
+    dom.spike_prob = 0.05;
+    dom.spike_duration_s = 3.0;
+    dom.transient_mult = 6.0;
+    dom.seu_mult = 4.0;
+    f.fleet_faults.domains.push_back(dom);
+  }
+  TenantSpec interactive;
+  interactive.name = "interactive";
+  interactive.workload.base_ips = 1200.0;
+  interactive.workload.period_s = 0.25;
+  interactive.workload.deviation = 0.4;
+  interactive.slo_latency_ms = 250.0;
+  interactive.priority = 1;
+  TenantSpec batch;
+  batch.name = "batch";
+  batch.workload.base_ips = 800.0;
+  batch.workload.period_s = 0.25;
+  batch.workload.pattern = WorkloadPattern::kDiurnal;
+  batch.priority = 0;
+  f.tenants = {interactive, batch};
+  f.breaker.open_after_failures = 3;
+  f.stagger.enabled = true;
+  f.stagger.min_capacity_fraction = 0.70;
+  if (variant == 1) {
+    f.batching.enabled = true;
+    f.batching.max_batch = 8;
+    f.batching.max_wait_ms = 10.0;
+    f.batching.setup_ms = 0.5;
+  } else if (variant == 2) {
+    f.admission.enabled = true;
+    f.admission.high_watermark = 0.5;
+    f.admission.low_watermark = 0.2;
+  }
+  return f;
+}
+
 bool traces_equal(const std::vector<TracePoint>& a,
                   const std::vector<TracePoint>& b) {
   if (a.size() != b.size()) return false;
@@ -182,6 +243,168 @@ TEST(FleetSeeds, TenantStreamIndependentOfOtherTenants) {
 }
 
 // ---------------------------------------------------------------------------
+// Merged arrivals & latency quantiles
+// ---------------------------------------------------------------------------
+
+/// The definition the merge cursor must reproduce: every tenant's stream,
+/// concatenated, then sorted by (time, tenant).
+std::vector<FleetRequest> sorted_arrivals(
+    const std::vector<WorkloadSpec>& tenants, std::uint64_t fleet_seed) {
+  std::vector<FleetRequest> all;
+  for (std::size_t k = 0; k < tenants.size(); ++k) {
+    if (!(tenants[k].base_ips > 0.0)) continue;
+    WorkloadModel model(tenants[k],
+                        tenant_stream_seed(fleet_seed, k, tenants.size()));
+    for (double t : model.generate_arrivals()) {
+      all.push_back(FleetRequest{t, static_cast<int>(k)});
+    }
+  }
+  std::sort(all.begin(), all.end(),
+            [](const FleetRequest& a, const FleetRequest& b) {
+              if (a.time_s != b.time_s) return a.time_s < b.time_s;
+              return a.tenant < b.tenant;
+            });
+  return all;
+}
+
+/// A random tenant over every pattern; about one in five is zero-rate, and
+/// flash crowds and traces may go dead (zero rate) for whole periods.
+WorkloadSpec random_tenant(Rng& rng) {
+  WorkloadSpec w;
+  w.pattern = static_cast<WorkloadPattern>(rng.uniform_index(4));
+  w.base_ips = rng.uniform() < 0.2 ? 0.0 : rng.uniform(5.0, 400.0);
+  w.duration_s = 6.0;
+  w.period_s = rng.uniform(0.2, 1.5);
+  w.deviation = rng.uniform(0.0, 1.5);  // above 1 clamps periods to zero
+  w.spike_start_s = rng.uniform(0.0, 4.0);
+  w.spike_duration_s = rng.uniform(0.5, 2.0);
+  w.spike_multiplier = rng.uniform() < 0.5 ? 0.0 : rng.uniform(1.0, 4.0);
+  w.trace.clear();
+  const std::size_t periods = 1 + rng.uniform_index(5);
+  for (std::size_t i = 0; i < periods; ++i) {
+    w.trace.push_back(rng.uniform() < 0.4 ? 0.0 : rng.uniform(0.2, 3.0));
+  }
+  return w;
+}
+
+void expect_same_trace(const std::vector<FleetRequest>& got,
+                       const std::vector<FleetRequest>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].time_s, want[i].time_s) << what << " at " << i;
+    ASSERT_EQ(got[i].tenant, want[i].tenant) << what << " at " << i;
+  }
+}
+
+TEST(FleetArrivals, MergeMatchesConcatenateThenSort) {
+  Rng rng(20);
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<WorkloadSpec> tenants(1 + rng.uniform_index(5));
+    for (WorkloadSpec& w : tenants) w = random_tenant(rng);
+    // Two tenants with identical specs still draw independent streams.
+    if (tenants.size() > 1 && trial % 3 == 0) tenants[1] = tenants[0];
+    const std::uint64_t seed = rng.next_u64() >> 12;
+    expect_same_trace(generate_fleet_arrivals(tenants, seed),
+                      sorted_arrivals(tenants, seed),
+                      "trial " + std::to_string(trial));
+  }
+}
+
+TEST(FleetArrivals, DeadPeriodsAndZeroRateTenants) {
+  WorkloadSpec flash;
+  flash.pattern = WorkloadPattern::kFlashCrowd;
+  flash.base_ips = 300.0;
+  flash.duration_s = 10.0;
+  flash.period_s = 1.0;
+  flash.spike_start_s = 2.0;
+  flash.spike_duration_s = 3.0;
+  flash.spike_multiplier = 0.0;  // the "spike" is an outage
+  WorkloadSpec trace;
+  trace.pattern = WorkloadPattern::kTrace;
+  trace.base_ips = 200.0;
+  trace.duration_s = 10.0;
+  trace.period_s = 1.0;
+  trace.trace = {1.0, 0.0, 0.0, 2.0};
+  WorkloadSpec idle = trace;
+  idle.base_ips = 0.0;
+  const std::vector<WorkloadSpec> tenants = {idle, flash, trace, flash};
+  const std::vector<FleetRequest> merged = generate_fleet_arrivals(tenants, 3);
+  expect_same_trace(merged, sorted_arrivals(tenants, 3), "dead periods");
+  // The gap drawn before a dead period may land just inside it (the
+  // generator's one-gap rate error); nothing arrives after that.
+  long per_tenant[4] = {0, 0, 0, 0};
+  for (const FleetRequest& r : merged) {
+    ++per_tenant[r.tenant];
+    if (r.tenant == 1 || r.tenant == 3) {
+      EXPECT_FALSE(r.time_s >= 2.5 && r.time_s < 5.0) << "flash outage";
+    } else {
+      const double phase = std::fmod(r.time_s, 4.0);
+      EXPECT_FALSE(phase >= 1.5 && phase < 3.0) << "trace dead period";
+    }
+  }
+  EXPECT_EQ(per_tenant[0], 0);
+  EXPECT_GT(per_tenant[1], 0);
+  EXPECT_GT(per_tenant[2], 0);
+  EXPECT_GT(per_tenant[3], 0);
+  EXPECT_TRUE(generate_fleet_arrivals({idle}, 3).empty());
+}
+
+TEST(FleetArrivals, DeadPeriodEndingOnARoundedBoundaryTerminates) {
+  // Period 2 ends at 3 * 0.7, and 3 * 0.7 / 0.7 rounds to just below 3: the
+  // jump out of the dead period must not land back in it.
+  WorkloadSpec w;
+  w.pattern = WorkloadPattern::kTrace;
+  w.base_ips = 100.0;
+  w.duration_s = 5.0;
+  w.period_s = 0.7;
+  w.trace = {1.0, 1.0, 0.0, 1.0};
+  const std::vector<double> times = WorkloadModel(w, 9).generate_arrivals();
+  ASSERT_FALSE(times.empty());
+  EXPECT_GT(times.back(), 2.1);
+  EXPECT_EQ(std::count_if(times.begin(), times.end(),
+                          [](double t) { return t >= 1.5 && t < 2.1; }),
+            0);
+}
+
+/// The picks a full ascending sort makes.
+LatencyQuantiles sorted_quantiles(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  auto pick = [&](double q) {
+    return v[std::min(v.size() - 1,
+                      static_cast<std::size_t>(q * static_cast<double>(
+                                                       v.size())))];
+  };
+  return {pick(0.50), pick(0.99), pick(0.999)};
+}
+
+TEST(FleetQuantiles, SelectionEqualsSortedPicks) {
+  Rng rng(31);
+  std::vector<std::size_t> sizes = {1, 2, 3, 999, 1000, 1001};
+  sizes.push_back(1 + rng.uniform_index(20000));
+  for (std::size_t n : sizes) {
+    for (int dup = 0; dup < 2; ++dup) {
+      std::vector<double> v(n);
+      for (double& x : v) {
+        // dup = 1: a handful of distinct values, so every pick sits inside
+        // a long run of duplicates.
+        x = dup == 1 ? static_cast<double>(rng.uniform_index(4))
+                     : rng.uniform(0.0, 500.0);
+      }
+      const LatencyQuantiles want = sorted_quantiles(v);
+      const LatencyQuantiles got = latency_quantiles(v);
+      EXPECT_EQ(got.p50_ms, want.p50_ms) << "n=" << n << " dup=" << dup;
+      EXPECT_EQ(got.p99_ms, want.p99_ms) << "n=" << n << " dup=" << dup;
+      EXPECT_EQ(got.p999_ms, want.p999_ms) << "n=" << n << " dup=" << dup;
+    }
+  }
+  std::vector<double> empty;
+  const LatencyQuantiles none = latency_quantiles(empty);
+  EXPECT_EQ(none.p50_ms, 0.0);
+  EXPECT_EQ(none.p999_ms, 0.0);
+}
+
+// ---------------------------------------------------------------------------
 // Size-1 identity
 // ---------------------------------------------------------------------------
 
@@ -211,6 +434,51 @@ TEST(FleetIdentity, Size1FaultedReproducesSimulateEdgeByteForByte) {
   ASSERT_EQ(fm.devices.size(), 1u);
   EXPECT_EQ(em.csv_row(), fm.devices[0].csv_row());
   EXPECT_TRUE(traces_equal(em.trace, fm.devices[0].trace));
+}
+
+// ---------------------------------------------------------------------------
+// Golden episodes
+// ---------------------------------------------------------------------------
+
+// Captured before the arrival merge and the quantile selection replaced
+// their full sorts: the episode must not move by a single bit. The JSON
+// (about 8 kB with the per-device rows) is pinned by size and FNV-1a 64;
+// on a mismatch the test prints it for diffing.
+struct GoldenEpisode {
+  const char* csv_row;
+  std::size_t json_size;
+  std::uint64_t json_fnv;
+};
+
+void expect_golden(int variant, const GoldenEpisode& want) {
+  const FleetMetrics fm =
+      simulate_fleet(controlled_library(), RuntimePolicy{},
+                     golden_fleet(variant));
+  EXPECT_EQ(fm.csv_row(), want.csv_row);
+  const std::string json = fm.to_json().dump();
+  EXPECT_EQ(json.size(), want.json_size);
+  EXPECT_EQ(fnv1a64(json), want.json_fnv) << json;
+}
+
+TEST(FleetGolden, StaggeredBreakersEpisode) {
+  expect_golden(0, {"50243,45476,4767,0,11.016436015190862,495.81157110760063,"
+                    "504.85713997531832,93.947500000000005,3.8732084102730449,"
+                    "25382,39,0,0,0.29239395931846923,5,4,0,0,50659,25",
+                    8150, 0x66b767a5fbeb5283ULL});
+}
+
+TEST(FleetGolden, BatchedEpisode) {
+  expect_golden(1, {"50243,44536,5707,0,41.180771672420065,482.9556229030344,"
+                    "508.04047269575005,92.424999999999997,4.599367884898272,"
+                    "8474,32,0,0,0.3340665500648724,5,5,0,0,57027,25",
+                    8137, 0xf65ae13e44af81c1ULL});
+}
+
+TEST(FleetGolden, SheddingEpisode) {
+  expect_golden(2, {"50243,36877,1939,11427,22.20536353018041,467.56272095553499,"
+                    "504.67862181156164,92.0625,5.5630760697411628,19505,20,0,0,"
+                    "0.33453276931514853,5,5,0,0,50659,25",
+                    8144, 0x2b3f160a311b7b79ULL});
 }
 
 // ---------------------------------------------------------------------------
