@@ -79,6 +79,23 @@ void BM_GemmABt(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmABt)->Arg(64)->Arg(256);
 
+// Dot-kernel column tails at the conv2 weight-gradient shape (m = 12
+// filters, k = 784 pixels): 16 columns take one tail sliver, 17 columns a
+// wider one.
+void BM_GemmABtTail(benchmark::State& state) {
+  const int m = 12, k = 784, n = static_cast<int>(state.range(0));
+  std::vector<float> a(static_cast<std::size_t>(m) * k, 1.5f);
+  std::vector<float> b(static_cast<std::size_t>(n) * k, 0.5f);
+  std::vector<float> c(static_cast<std::size_t>(m) * n, 0.0f);
+  for (auto _ : state) {
+    kernels::gemm_a_bt_accumulate(a.data(), b.data(), c.data(), m, k, n);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2L * m * k * n);
+}
+BENCHMARK(BM_GemmABtTail)->Arg(16)->Arg(17);
+
 void BM_GemmABtRef(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   std::vector<float> a(static_cast<std::size_t>(n) * n, 1.5f);
@@ -112,9 +129,8 @@ void BM_Conv2dForward(benchmark::State& state) {
   Tensor w({32, 16, 3, 3});
   w.randn_(rng, 0.5f);
   Tensor bias;
-  std::vector<float> scratch;
   for (auto _ : state) {
-    Tensor y = ops::conv2d_forward(x, w, bias, scratch);
+    Tensor y = ops::conv2d_forward(x, w, bias);
     benchmark::DoNotOptimize(y.data());
   }
 }
@@ -127,15 +143,14 @@ void BM_Conv2dBackward(benchmark::State& state) {
   Tensor w({32, 16, 3, 3});
   w.randn_(rng, 0.5f);
   Tensor bias;
-  std::vector<float> scratch;
-  Tensor y = ops::conv2d_forward(x, w, bias, scratch);
+  Tensor y = ops::conv2d_forward(x, w, bias);
   Tensor dy(y.shape());
   dy.randn_(rng, 1.0f);
   Tensor dw(w.shape());
   Tensor db;
   for (auto _ : state) {
     Tensor dx;
-    ops::conv2d_backward(x, w, dy, dx, dw, db, scratch);
+    ops::conv2d_backward(x, w, dy, dx, dw, db);
     benchmark::DoNotOptimize(dx.data());
   }
 }
@@ -170,9 +185,8 @@ void BM_Conv2dCnvForward(benchmark::State& state) {
   Tensor w({s.fout, s.cin, 3, 3});
   w.randn_(rng, 0.5f);
   Tensor bias;
-  std::vector<float> scratch;
   for (auto _ : state) {
-    Tensor y = ops::conv2d_forward(x, w, bias, scratch);
+    Tensor y = ops::conv2d_forward(x, w, bias);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() * 16L * s.patch * s.fout * s.cin *
@@ -191,16 +205,60 @@ void BM_Conv2dCnvBackward(benchmark::State& state) {
   dy.randn_(rng, 1.0f);
   Tensor dw(w.shape());
   Tensor db;
-  std::vector<float> scratch;
   for (auto _ : state) {
     Tensor dx;
-    ops::conv2d_backward(x, w, dy, dx, dw, db, scratch);
+    ops::conv2d_backward(x, w, dy, dx, dw, db);
     benchmark::DoNotOptimize(dx.data());
   }
   state.SetItemsProcessed(state.iterations() * 16L * s.patch * s.fout * s.cin *
                           9 * 4);
 }
 BENCHMARK(BM_Conv2dCnvBackward)->Apply(cnv_conv_args);
+
+// The model's first conv (conv1, 3 -> 12 channels on 32x32) as training runs
+// it: weight gradient only, no input gradient.
+void BM_Conv2dCnvBackwardNoInputGrad(benchmark::State& state) {
+  Rng rng(14);
+  Tensor x({16, 3, 32, 32});
+  x.randn_(rng, 1.0f);
+  Tensor w({12, 3, 3, 3});
+  w.randn_(rng, 0.5f);
+  Tensor dy({16, 12, 30, 30});
+  dy.randn_(rng, 1.0f);
+  Tensor dw(w.shape());
+  Tensor dx, db;
+  for (auto _ : state) {
+    ops::conv2d_backward(x, w, dy, dx, dw, db, /*need_input_grad=*/false);
+    benchmark::DoNotOptimize(dw.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 16L * 900 * 12 * 3 * 9 * 2);
+}
+BENCHMARK(BM_Conv2dCnvBackwardNoInputGrad);
+
+// The conv weight gradient alone (kernels::conv_weight_grad, batch 16) at
+// conv2's shape (12 -> 12 channels on 30x30) and at the pruned input
+// widths the sweep produces there, keyed by input channels: cin 8 and 16
+// give 72 and 144 gradient columns, whose 16-wide tails are one vector on
+// avx512.
+void BM_ConvWeightGrad(benchmark::State& state) {
+  const int cin = static_cast<int>(state.range(0));
+  const kernels::ConvShape s{16, cin, 30, 30, 3, 12};
+  Rng rng(15);
+  Tensor x({16, cin, 30, 30});
+  x.randn_(rng, 1.0f);
+  Tensor dy({16, 12, 28, 28});
+  dy.randn_(rng, 1.0f);
+  Tensor dw({12, cin, 3, 3});
+  for (auto _ : state) {
+    kernels::conv_weight_grad(dy.data(), x.data(), s, dw.data());
+    benchmark::DoNotOptimize(dw.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 16L * s.patch() * s.rows() *
+                          12 * 2);
+}
+BENCHMARK(BM_ConvWeightGrad)->Arg(12)->Arg(8)->Arg(16);
 
 // The 2-bit activation quantizer on conv2's training output (16x12x28x28).
 void BM_ActQuantForward(benchmark::State& state) {

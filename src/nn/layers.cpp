@@ -37,7 +37,7 @@ Tensor QuantConv2d::forward(const Tensor& input, bool train) {
   quantize_weight_per_channel(weight_.value, weight_bits_, cached_qweight_);
   if (train) cached_input_ = input;
   static const Tensor kNoBias;
-  return ops::conv2d_forward(input, cached_qweight_, kNoBias, col_scratch_);
+  return ops::conv2d_forward(input, cached_qweight_, kNoBias);
 }
 
 QuantConv2d::QuantConv2d(Tensor weight, int weight_bits)
@@ -54,8 +54,7 @@ void QuantConv2d::backward_into(const Tensor& grad_output, Tensor& grad_input,
   // STE: gradient w.r.t. the quantized weight is applied to the latent float
   // weight directly.
   ops::conv2d_backward(cached_input_, cached_qweight_, grad_output, grad_input,
-                       weight_.grad, no_bias_grad, col_scratch_,
-                       need_input_grad);
+                       weight_.grad, no_bias_grad, need_input_grad);
 }
 
 Tensor QuantConv2d::backward(const Tensor& grad_output) {

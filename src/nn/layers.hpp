@@ -115,7 +115,6 @@ class QuantConv2d : public Layer {
   int weight_bits_;
   Tensor cached_input_;
   Tensor cached_qweight_;
-  std::vector<float> col_scratch_;
 };
 
 /// Fully-connected layer with optional weight quantization.

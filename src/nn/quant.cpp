@@ -429,10 +429,9 @@ struct CodeView {
 /// dequantized values (same round, so the codes are bitwise identical to
 /// what the float path's next layer would consume).
 void run_float_front(const PackedStage& st, const Tensor& input,
-                     std::vector<float>& col, std::vector<std::uint8_t>& buf,
-                     CodeView& view) {
+                     std::vector<std::uint8_t>& buf, CodeView& view) {
   static const Tensor kNoBias;
-  const Tensor x = ops::conv2d_forward(input, st.qweight, kNoBias, col);
+  const Tensor x = ops::conv2d_forward(input, st.qweight, kNoBias);
   const int n = x.dim(0);
   const int f = x.dim(1);
   const std::size_t plane =
@@ -550,7 +549,7 @@ Tensor run_segment(const PackedSegment& seg, const Tensor* float_in,
       case PackedStage::Kind::kFloatFront: {
         ADAPEX_CHECK(float_in != nullptr,
                      "packed_forward: float front without a float input");
-        run_float_front(st, *float_in, sc.col, out_buf(), view);
+        run_float_front(st, *float_in, out_buf(), view);
         break;
       }
       case PackedStage::Kind::kConv:

@@ -133,7 +133,6 @@ struct PackedModel {
 /// Reusable scratch for packed_forward (one per evaluation thread).
 struct PackedScratch {
   packed::PackedActivations acts;
-  std::vector<float> col;             ///< Float-front im2col scratch.
   std::vector<std::uint8_t> bufs[4];  ///< Backbone + head code ping-pongs.
   std::vector<std::uint8_t> group;    ///< Grouped narrow-conv GEMM output.
 };

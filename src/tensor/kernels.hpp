@@ -1,8 +1,9 @@
 // Blocked, vectorized GEMM micro-kernels with fused epilogues.
 //
 // This is the performance layer under tensor/ops.hpp: cache-blocked,
-// register-tiled GEMM kernels with B-panel packing and a j-vectorized inner
-// loop (compiler auto-vectorization over contiguous output columns). The
+// register-tiled GEMM kernels with B-panel packing and micro-kernels written
+// on native-width vector types across contiguous output columns, plus conv
+// entry points that pack their GEMM operands straight from the images. The
 // implementation is compiled three times — SSE2 baseline, AVX2, AVX-512 —
 // and the widest variant the host supports is selected once at runtime
 // (common/isa_dispatch.hpp), so default (non -march=native) builds still use
@@ -75,6 +76,48 @@ void gemm_a_bt_accumulate(const float* a, const float* b, float* c, int m,
 /// (overwrites C), else epilogue(C[i][j] + dot).
 void gemm_a_bt_bias(const float* a, const float* b, const float* col_bias,
                     float* c, int m, int k, int n, Epilogue epilogue);
+
+/// A stride-1, unpadded, square convolution over `images` input images of
+/// [channels, height, width] floats stored back to back, with `filters`
+/// output channels. Its im2col operand
+///   B[(c*kernel + ky)*kernel + kx][i*out_h*out_w + y*out_w + x]
+///       = image_i[c][y + ky][x + kx]
+/// is never built: the conv kernels below pack their register slivers
+/// straight from the images, so each is byte-identical to the matching GEMM
+/// over an explicit im2col panel (see DESIGN.md "Kernel layer").
+struct ConvShape {
+  int images = 1, channels = 1, height = 1, width = 1, kernel = 1,
+      filters = 1;
+
+  int out_h() const { return height - kernel + 1; }
+  int out_w() const { return width - kernel + 1; }
+  int patch() const { return out_h() * out_w(); }
+  int rows() const { return channels * kernel * kernel; }  ///< im2col rows
+  int cols() const { return images * patch(); }            ///< im2col cols
+  std::size_t image_size() const {
+    return static_cast<std::size_t>(channels) * height * width;
+  }
+};
+
+/// out[F, cols] = gemm_bias_accumulate(w[F, rows], im2col(x), row_bias,
+/// out, ..., epilogue): the images' output planes side by side, with the
+/// same per-element order, zero skip and density fallback.
+void conv_forward(const float* w, const float* x, const ConvShape& s,
+                  const float* row_bias, float* out, Epilogue epilogue);
+
+/// For each image i in ascending order, grad_w[F, rows] +=
+/// dout_i[F, patch] * im2col(x_i)^T with gemm_a_bt_accumulate's per-element
+/// order (a fresh accumulator over ascending pixels, added once). dout_i
+/// starts at dout + i*F*patch.
+void conv_weight_grad(const float* dout, const float* x, const ConvShape& s,
+                      float* grad_w);
+
+/// grad_x_i += col2im(w^T * dout_i) for every image of the group, where
+/// w^T * dout is gemm_at_b_accumulate's product into a zero panel. Rows of
+/// that product are scatter-added in ascending im2col-row order, which is
+/// col2im's per-element order, so no [rows, cols] panel is built.
+void conv_input_grad(const float* w, const float* dout, const ConvShape& s,
+                     float* grad_x);
 
 /// Name of the dispatched implementation: "avx512", "avx2", or "sse2".
 const char* active_isa();

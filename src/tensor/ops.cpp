@@ -17,58 +17,13 @@ int out_dim(int in, int kernel, int stride) {
 
 namespace {
 
-// im2col / col2im over a column panel with row stride `ld` (>= oh*ow), so a
-// group of images can share one [C*k*k, g*oh*ow] panel.
-void im2col_strided(const float* img, int channels, int height, int width,
-                    int kernel, float* col, std::size_t ld) {
-  const int oh = height - kernel + 1;
-  const int ow = width - kernel + 1;
-  std::size_t row = 0;
-  for (int c = 0; c < channels; ++c) {
-    const float* plane = img + static_cast<std::size_t>(c) * height * width;
-    for (int ky = 0; ky < kernel; ++ky) {
-      for (int kx = 0; kx < kernel; ++kx) {
-        float* dst = col + row * ld;
-        for (int y = 0; y < oh; ++y) {
-          const float* src = plane + static_cast<std::size_t>(y + ky) * width + kx;
-          std::memcpy(dst + static_cast<std::size_t>(y) * ow, src,
-                      static_cast<std::size_t>(ow) * sizeof(float));
-        }
-        ++row;
-      }
-    }
-  }
-}
-
-void col2im_strided(const float* col, std::size_t ld, int channels,
-                    int height, int width, int kernel, float* img) {
-  const int oh = height - kernel + 1;
-  const int ow = width - kernel + 1;
-  std::size_t row = 0;
-  for (int c = 0; c < channels; ++c) {
-    float* plane = img + static_cast<std::size_t>(c) * height * width;
-    for (int ky = 0; ky < kernel; ++ky) {
-      for (int kx = 0; kx < kernel; ++kx) {
-        const float* src = col + row * ld;
-        for (int y = 0; y < oh; ++y) {
-          float* dst = plane + static_cast<std::size_t>(y + ky) * width + kx;
-          const float* s = src + static_cast<std::size_t>(y) * ow;
-          for (int x = 0; x < ow; ++x) dst[x] += s[x];
-        }
-        ++row;
-      }
-    }
-  }
-}
-
 // Convolutions whose output plane is narrower than one register sliver of
 // the widest kernel tier would run one latency-bound narrow GEMM per image
-// (conv5/conv6 of CNV: 3x3 and 1x1 planes). They instead stack a group of
-// images side by side into one panel of about kGroupCols columns, which
-// bounds the group scratch at C*k*k*kGroupCols floats. The batch is split
-// into equal groups, so no short last group falls back to a narrow GEMM.
-// Grouping only regroups independent output columns, never a per-element
-// reduction.
+// (conv5/conv6 of CNV: 3x3 and 1x1 planes). They instead treat a group of
+// images as one GEMM of about kGroupCols columns, which bounds the grouped
+// output panel at F*kGroupCols floats. The batch is split into equal
+// groups, so no short last group falls back to a narrow GEMM. Grouping only
+// regroups independent output columns, never a per-element reduction.
 constexpr std::size_t kNarrowPatch = 64;
 constexpr std::size_t kGroupCols = 256;
 
@@ -80,25 +35,52 @@ int image_group(int batch, std::size_t patch) {
   return (batch + groups - 1) / groups;
 }
 
+kernels::ConvShape conv_shape(const Tensor& input, const Tensor& weight,
+                              int images) {
+  return {images,       input.dim(1),  input.dim(2),
+          input.dim(3), weight.dim(2), weight.dim(0)};
+}
+
 }  // namespace
 
 void im2col(const float* img, int channels, int height, int width, int kernel,
             float* col) {
-  const std::size_t patch =
-      static_cast<std::size_t>(height - kernel + 1) * (width - kernel + 1);
-  im2col_strided(img, channels, height, width, kernel, col, patch);
+  const int oh = height - kernel + 1;
+  const int ow = width - kernel + 1;
+  for (int c = 0; c < channels; ++c) {
+    const float* plane = img + static_cast<std::size_t>(c) * height * width;
+    for (int ky = 0; ky < kernel; ++ky) {
+      for (int kx = 0; kx < kernel; ++kx) {
+        for (int y = 0; y < oh; ++y) {
+          std::memcpy(col, plane + static_cast<std::size_t>(y + ky) * width + kx,
+                      static_cast<std::size_t>(ow) * sizeof(float));
+          col += ow;
+        }
+      }
+    }
+  }
 }
 
 void col2im_accumulate(const float* col, int channels, int height, int width,
                        int kernel, float* img) {
-  const std::size_t patch =
-      static_cast<std::size_t>(height - kernel + 1) * (width - kernel + 1);
-  col2im_strided(col, patch, channels, height, width, kernel, img);
+  const int oh = height - kernel + 1;
+  const int ow = width - kernel + 1;
+  for (int c = 0; c < channels; ++c) {
+    float* plane = img + static_cast<std::size_t>(c) * height * width;
+    for (int ky = 0; ky < kernel; ++ky) {
+      for (int kx = 0; kx < kernel; ++kx) {
+        for (int y = 0; y < oh; ++y) {
+          float* dst = plane + static_cast<std::size_t>(y + ky) * width + kx;
+          for (int x = 0; x < ow; ++x) dst[x] += col[x];
+          col += ow;
+        }
+      }
+    }
+  }
 }
 
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
-                      const Tensor& bias, std::vector<float>& col_scratch,
-                      bool fuse_relu) {
+                      const Tensor& bias, bool fuse_relu) {
   ADAPEX_CHECK(input.ndim() == 4, "conv2d input must be [N,C,H,W]");
   ADAPEX_CHECK(weight.ndim() == 4, "conv2d weight must be [F,C,k,k]");
   const int batch = input.dim(0), cin = input.dim(1), h = input.dim(2),
@@ -108,18 +90,13 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
                                          std::to_string(cin) + " channels");
   ADAPEX_CHECK(weight.dim(2) == weight.dim(3), "conv2d kernel must be square");
   const int oh = out_dim(h, k, 1), ow = out_dim(w, k, 1);
-  const int kdim = cin * k * k;
   const std::size_t patch = static_cast<std::size_t>(oh) * ow;
   const std::size_t image = static_cast<std::size_t>(cin) * h * w;
   const int group = image_group(batch, patch);
-  // A multi-image group's im2col and output panels are per-thread scratch,
-  // so each layer's own col_scratch (kept alive with the model) stays one
-  // image wide. A single image's [F, oh*ow] block of `out` already has the
-  // output panel's layout and is written in place.
-  thread_local std::vector<float> group_col;
+  // A single image's [F, oh*ow] block of `out` already has the output
+  // panel's layout and is written in place; a multi-image group's panel is
+  // per-thread scratch, scattered to the images' blocks afterwards.
   thread_local std::vector<float> group_out;
-  std::vector<float>& col = group > 1 ? group_col : col_scratch;
-  col.resize(static_cast<std::size_t>(kdim) * group * patch);
   if (group > 1) {
     group_out.resize(static_cast<std::size_t>(fout) * group * patch);
   }
@@ -130,19 +107,15 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
   for (int n0 = 0; n0 < batch; n0 += group) {
     const int g = std::min(group, batch - n0);
     const std::size_t cols = static_cast<std::size_t>(g) * patch;
-    for (int i = 0; i < g; ++i) {
-      im2col_strided(input.data() + static_cast<std::size_t>(n0 + i) * image,
-                     cin, h, w, k, col.data() + i * patch, cols);
-    }
     float* optr = out.data() + static_cast<std::size_t>(n0) * fout * patch;
     float* cptr = g == 1 ? optr : group_out.data();
     if (g > 1 && bias.empty()) std::fill_n(cptr, fout * cols, 0.0f);
     // Bias broadcast and (optionally) ReLU are fused into the kernel's
     // accumulate/store instead of separate fill/activation passes.
-    kernels::gemm_bias_accumulate(weight.data(), col.data(),
-                                  bias.empty() ? nullptr : bias.data(), cptr,
-                                  fout, kdim, static_cast<int>(cols),
-                                  epilogue);
+    kernels::conv_forward(weight.data(), input.data() + n0 * image,
+                          conv_shape(input, weight, g),
+                          bias.empty() ? nullptr : bias.data(), cptr,
+                          epilogue);
     if (g == 1) continue;
     // Scatter the [F, g*oh*ow] panel to the images' [F, oh*ow] blocks.
     for (int i = 0; i < g; ++i) {
@@ -160,73 +133,40 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
 void conv2d_backward(const Tensor& input, const Tensor& weight,
                      const Tensor& grad_output, Tensor& grad_input,
                      Tensor& grad_weight, Tensor& grad_bias,
-                     std::vector<float>& col_scratch, bool need_input_grad) {
+                     bool need_input_grad) {
   const int batch = input.dim(0), cin = input.dim(1), h = input.dim(2),
             w = input.dim(3);
   const int fout = weight.dim(0), k = weight.dim(2);
-  const int oh = out_dim(h, k, 1), ow = out_dim(w, k, 1);
-  const int kdim = cin * k * k;
-  const std::size_t patch = static_cast<std::size_t>(oh) * ow;
+  const std::size_t patch =
+      static_cast<std::size_t>(out_dim(h, k, 1)) * out_dim(w, k, 1);
   const std::size_t image = static_cast<std::size_t>(cin) * h * w;
-  const int group = need_input_grad ? image_group(batch, patch) : 1;
-  col_scratch.resize(static_cast<std::size_t>(kdim) * patch);
-  // Reused across calls (thread_local keeps pool workers independent) so the
-  // training hot loop does not allocate fresh panels per image batch.
-  thread_local std::vector<float> dcol;
-  thread_local std::vector<float> dout_panel;
-  if (need_input_grad) {
-    dcol.resize(static_cast<std::size_t>(kdim) * group * patch);
-    if (group > 1) {
-      dout_panel.resize(static_cast<std::size_t>(fout) * group * patch);
+  // dW += dOut * col^T: one fresh dot per image, added in ascending image
+  // order (the reduction order is part of the contract; see DESIGN.md).
+  kernels::conv_weight_grad(grad_output.data(), input.data(),
+                            conv_shape(input, weight, batch),
+                            grad_weight.data());
+  if (!grad_bias.empty()) {
+    for (int n = 0; n < batch; ++n) {
+      const float* dout =
+          grad_output.data() + static_cast<std::size_t>(n) * fout * patch;
+      for (int f = 0; f < fout; ++f) {
+        const float* drow = dout + static_cast<std::size_t>(f) * patch;
+        float acc = 0.0f;
+        for (std::size_t p = 0; p < patch; ++p) acc += drow[p];
+        grad_bias[static_cast<std::size_t>(f)] += acc;
+      }
     }
-    grad_input = Tensor(input.shape());
   }
+  if (!need_input_grad) return;
+  // dX = col2im(W^T * dOut) per group of narrow-plane images.
+  grad_input = Tensor(input.shape());
+  const int group = image_group(batch, patch);
   for (int n0 = 0; n0 < batch; n0 += group) {
     const int g = std::min(group, batch - n0);
-    const std::size_t cols = static_cast<std::size_t>(g) * patch;
-    const float* dout0 =
-        grad_output.data() + static_cast<std::size_t>(n0) * fout * patch;
-    // dW += dOut * col^T: one fresh dot per image, added in ascending image
-    // order (the reduction order is part of the contract; see DESIGN.md).
-    for (int i = 0; i < g; ++i) {
-      const float* dout = dout0 + static_cast<std::size_t>(i) * fout * patch;
-      im2col(input.data() + static_cast<std::size_t>(n0 + i) * image, cin, h,
-             w, k, col_scratch.data());
-      kernels::gemm_a_bt_accumulate(dout, col_scratch.data(),
-                                    grad_weight.data(), fout,
-                                    static_cast<int>(patch), kdim);
-      if (!grad_bias.empty()) {
-        for (int f = 0; f < fout; ++f) {
-          const float* drow = dout + static_cast<std::size_t>(f) * patch;
-          float acc = 0.0f;
-          for (std::size_t p = 0; p < patch; ++p) acc += drow[p];
-          grad_bias[static_cast<std::size_t>(f)] += acc;
-        }
-      }
-    }
-    if (!need_input_grad) continue;
-    // dcol = W^T * dOut over the group's [F, g*oh*ow] panel.
-    const float* dpanel = dout0;
-    if (g > 1) {
-      for (int i = 0; i < g; ++i) {
-        const float* dout = dout0 + static_cast<std::size_t>(i) * fout * patch;
-        for (int f = 0; f < fout; ++f) {
-          std::memcpy(dout_panel.data() + static_cast<std::size_t>(f) * cols +
-                          i * patch,
-                      dout + static_cast<std::size_t>(f) * patch,
-                      patch * sizeof(float));
-        }
-      }
-      dpanel = dout_panel.data();
-    }
-    std::fill_n(dcol.data(), static_cast<std::size_t>(kdim) * cols, 0.0f);
-    kernels::gemm_at_b_accumulate(weight.data(), dpanel, dcol.data(), kdim,
-                                  fout, static_cast<int>(cols));
-    for (int i = 0; i < g; ++i) {
-      col2im_strided(dcol.data() + i * patch, cols, cin, h, w, k,
-                     grad_input.data() +
-                         static_cast<std::size_t>(n0 + i) * image);
-    }
+    kernels::conv_input_grad(
+        weight.data(),
+        grad_output.data() + static_cast<std::size_t>(n0) * fout * patch,
+        conv_shape(input, weight, g), grad_input.data() + n0 * image);
   }
 }
 

@@ -1,4 +1,4 @@
-// Numeric kernels: GEMM, convolution (im2col-based), pooling, batch
+// Numeric kernels: GEMM, convolution (implicit im2col), pooling, batch
 // normalization, activations, softmax, and their backward passes.
 //
 // Forward/backward pairs implement exactly the math the nn layer graph needs
@@ -23,7 +23,8 @@ namespace adapex::ops {
 int out_dim(int in, int kernel, int stride);
 
 /// im2col for one image: input [C,H,W] -> col [C*kh*kw, oh*ow], stride 1,
-/// no padding.
+/// no padding. The conv ops never build this panel; it is the reference
+/// form their kernels are tested against.
 void im2col(const float* img, int channels, int height, int width, int kernel,
             float* col);
 
@@ -32,24 +33,38 @@ void col2im_accumulate(const float* col, int channels, int height, int width,
                        int kernel, float* img);
 
 /// Convolution forward. input [N,C,H,W], weight [F,C,k,k], bias [F] (may be
-/// empty), output [N,F,oh,ow]. `col_scratch` is resized to one image's
-/// C*k*k x oh*ow im2col panel (a group of narrow-plane images shares a
-/// per-thread panel instead). With fuse_relu the ReLU is applied in the GEMM
-/// epilogue — bit-identical to conv2d_forward followed by relu_forward,
-/// without the extra pass.
+/// empty), output [N,F,oh,ow]. The kernels pack the im2col operand straight
+/// from the input (kernels::conv_forward); no im2col panel is built. With
+/// fuse_relu the ReLU is applied in the GEMM epilogue — bit-identical to
+/// conv2d_forward followed by relu_forward, without the extra pass.
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
-                      const Tensor& bias, std::vector<float>& col_scratch,
-                      bool fuse_relu = false);
+                      const Tensor& bias, bool fuse_relu = false);
 
 /// Convolution backward: fills grad_input (same shape as input), accumulates
-/// into grad_weight/grad_bias. `col_scratch` as in conv2d_forward. With
-/// need_input_grad == false grad_input is left untouched and its GEMM and
-/// col2im are skipped; the weight and bias gradients are bit-identical.
+/// into grad_weight/grad_bias. With need_input_grad == false grad_input is
+/// left untouched and its GEMM and scatter are skipped; the weight and bias
+/// gradients are bit-identical.
 void conv2d_backward(const Tensor& input, const Tensor& weight,
                      const Tensor& grad_output, Tensor& grad_input,
                      Tensor& grad_weight, Tensor& grad_bias,
-                     std::vector<float>& col_scratch,
                      bool need_input_grad = true);
+
+/// Older signatures that took an im2col scratch panel, which the conv
+/// kernels no longer need; `col_scratch` is ignored.
+inline Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
+                             const Tensor& bias,
+                             std::vector<float>& /*col_scratch*/,
+                             bool fuse_relu = false) {
+  return conv2d_forward(input, weight, bias, fuse_relu);
+}
+inline void conv2d_backward(const Tensor& input, const Tensor& weight,
+                            const Tensor& grad_output, Tensor& grad_input,
+                            Tensor& grad_weight, Tensor& grad_bias,
+                            std::vector<float>& /*col_scratch*/,
+                            bool need_input_grad = true) {
+  conv2d_backward(input, weight, grad_output, grad_input, grad_weight,
+                  grad_bias, need_input_grad);
+}
 
 /// Linear forward: input [N,In], weight [Out,In], bias [Out] -> [N,Out].
 /// With fuse_relu the ReLU is applied in the GEMM epilogue — bit-identical

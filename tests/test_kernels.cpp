@@ -39,6 +39,9 @@ const Shape kShapes[] = {
     // 27, 108) and around one AVX-512 sliver, with m not a multiple of any
     // tier's kMR.
     {5, 900, 27}, {7, 784, 44}, {13, 100, 63}, {11, 9, 65}, {9, 144, 108},
+    // One-vector tails: conv2's weight gradient at cin 16 (n = 16 past
+    // 128), the 10-class classifier (n = 10), and a pruned cin-8 gradient.
+    {12, 784, 16}, {16, 96, 10}, {7, 784, 8},
 };
 
 std::vector<float> random_matrix(std::size_t len, std::uint64_t seed,
@@ -522,6 +525,71 @@ TEST(Kernels, ConvBackwardMatchesPerImageReferenceBitwise) {
       EXPECT_EQ(dx_skip.shape(), std::vector<int>{1});
       ASSERT_TRUE(same_bits(dw_ref, dw_skip)) << isa << " batch=" << cc.batch;
       ASSERT_TRUE(same_bits(db_ref, db_skip)) << isa << " batch=" << cc.batch;
+    }
+  });
+}
+
+// The channel counts the pruning sweep produces, on every tier, with and
+// without narrow-plane image grouping, and with dense-enough and sparse
+// (density fallback) weights. The weight-gradient rows cin*9 = 27, 36, 72,
+// 144, 180 and 252 end in tail slivers of every width (16/32/48/64 on
+// avx512). Filter 0 is all zeros with a -0.0 bias, so a kernel that seeds
+// its accumulators by adding to 0.0f instead of copying the bias shows.
+TEST(Kernels, ConvPrunedChannelsMatchPerImageReferenceBitwise) {
+  struct Plane {
+    int batch, hw;
+  };
+  // A 28x28 output (one image per GEMM), then 3x3 and 1x1 outputs whose
+  // image groups are 81 and 70 columns wide, past one avx512 sliver.
+  const Plane planes[] = {{2, 30}, {9, 5}, {70, 3}};
+  for_each_isa([&](const char* isa) {
+    std::uint64_t seed = 900;
+    for (const int cin : {3, 4, 8, 16, 20, 28}) {
+      for (const int fout : {4, 8, 16, 20}) {
+        for (const Plane& pl : planes) {
+          for (const double zeros : {0.4, 0.85}) {
+            const int o = pl.hw - 2;
+            const Tensor x =
+                random_tensor({pl.batch, cin, pl.hw, pl.hw}, ++seed, 0.1);
+            Tensor w = random_tensor({fout, cin, 3, 3}, ++seed, zeros);
+            std::fill_n(w.data(), cin * 9, 0.0f);
+            Tensor bias = random_tensor({fout}, ++seed, 0.0);
+            bias[0] = -0.0f;
+            const std::string where =
+                std::string(isa) + " cin=" + std::to_string(cin) +
+                " fout=" + std::to_string(fout) +
+                " hw=" + std::to_string(pl.hw) +
+                " zeros=" + std::to_string(zeros);
+            for (const bool relu : {false, true}) {
+              std::vector<float> scratch;
+              ASSERT_TRUE(same_bits(ref_conv_forward(x, w, bias, relu),
+                                    ops::conv2d_forward(x, w, bias, scratch,
+                                                        relu)))
+                  << where << " relu=" << relu;
+            }
+
+            const Tensor dy =
+                random_tensor({pl.batch, fout, o, o}, ++seed, 0.2);
+            const Tensor dw0 = random_tensor(w.shape(), ++seed, 0.0);
+            const Tensor db0 = random_tensor({fout}, ++seed, 0.0);
+            Tensor dx_ref, dw_ref = dw0, db_ref = db0;
+            ref_conv_backward(x, w, dy, dx_ref, dw_ref, db_ref);
+            Tensor dx, dw = dw0, db = db0;
+            std::vector<float> scratch;
+            ops::conv2d_backward(x, w, dy, dx, dw, db, scratch);
+            ASSERT_TRUE(same_bits(dx_ref, dx)) << where << " dx";
+            ASSERT_TRUE(same_bits(dw_ref, dw)) << where << " dW";
+            ASSERT_TRUE(same_bits(db_ref, db)) << where << " db";
+
+            Tensor dx_skip({1}), dw_skip = dw0, db_skip = db0;
+            ops::conv2d_backward(x, w, dy, dx_skip, dw_skip, db_skip, scratch,
+                                 /*need_input_grad=*/false);
+            EXPECT_EQ(dx_skip.shape(), std::vector<int>{1}) << where;
+            ASSERT_TRUE(same_bits(dw_ref, dw_skip)) << where << " dW skip";
+            ASSERT_TRUE(same_bits(db_ref, db_skip)) << where << " db skip";
+          }
+        }
+      }
     }
   });
 }
