@@ -49,8 +49,9 @@ void BM_GemmRef(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmRef)->Arg(64)->Arg(128)->Arg(256);
 
-// 85%-zero A (a pruned+quantized weight matrix): adaptive dispatch routes
-// this to the scalar zero-skip path, which beats packing at this density.
+// 85%-zero A: the blocked kernel's exact-zero skip at a density no
+// workload reaches (pruning removes whole filters, so pruned weights are
+// smaller, not sparser).
 void BM_GemmSparse(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(12);

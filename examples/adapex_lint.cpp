@@ -9,8 +9,7 @@
 //               [--emit-folding PATH]
 //   adapex_lint --fleet-scenario SCENARIO.json [--min-severity ...] [--json]
 //   adapex_lint --gen-spec [--journal-dir DIR] [--max-point-retries N]
-//               [--partial-policy fail|emit_partial]
-//               [--checksum-mode fnv1a64|crc32] [--verify-dataflow]
+//               [--partial-policy fail|emit_partial] [--verify-dataflow]
 //               [--eval-path auto|float|packed]
 //               [--min-severity ...] [--json]
 //
@@ -33,9 +32,9 @@
 // scenario and fault-spec rules on its base), skipping the model path
 // entirely. The same --json / --min-severity / exit-code contract applies.
 //
-// --gen-spec switches to the crash-safety rules RG1-RG5 and the
+// --gen-spec switches to the crash-safety rules RG1-RG3 and RG5 and the
 // packed-inference rule RQ2 (library/generator.hpp): the
-// journal/retry/partial/checksum/eval-path knobs of a library-generation
+// journal/retry/partial/eval-path knobs of a library-generation
 // spec are validated exactly as generate_library() would before spending
 // any training time — CI can gate a sweep's configuration without running
 // it.
@@ -81,8 +80,8 @@ int usage() {
       "  adapex_lint --fleet-scenario SCENARIO.json [--min-severity ...]"
       " [--json]\n"
       "  adapex_lint --gen-spec [--journal-dir DIR] [--max-point-retries N]\n"
-      "              [--partial-policy fail|emit_partial]\n"
-      "              [--checksum-mode fnv1a64|crc32] [--verify-dataflow]\n"
+      "              [--partial-policy fail|emit_partial]"
+      " [--verify-dataflow]\n"
       "              [--eval-path auto|float|packed]\n"
       "              [--min-severity ...] [--json]\n"
       "devices: zcu104 (default) | ultra96 | zcu102\n"
@@ -176,7 +175,8 @@ int main(int argc, char** argv) {
 
     if (flags.count("gen-spec")) {
       // Crash-safety mode: validate a generation spec's robustness knobs
-      // against RG1-RG5 without building a model or training anything.
+      // against RG1-RG3 and RG5 without building a model or training
+      // anything.
       LibraryGenSpec spec;
       if (flags.count("journal-dir")) spec.journal_dir = flags["journal-dir"];
       if (flags.count("max-point-retries")) {
@@ -193,9 +193,6 @@ int main(int argc, char** argv) {
                             " (expected fail|emit_partial)");
         }
       }
-      if (flags.count("checksum-mode")) {
-        spec.checksum_mode = flags["checksum-mode"];
-      }
       if (flags.count("eval-path")) spec.eval_path = flags["eval-path"];
       spec.verify_dataflow = flags.count("verify-dataflow") > 0;
       const analysis::LintReport report = lint_gen_spec(spec);
@@ -205,9 +202,8 @@ int main(int argc, char** argv) {
                                          ? std::string("disabled")
                                          : spec.journal_dir)
                   << ", retries " << spec.max_point_retries << ", policy "
-                  << to_string(spec.partial_policy) << ", checksum "
-                  << spec.checksum_mode << ", eval path " << spec.eval_path
-                  << ")\n";
+                  << to_string(spec.partial_policy) << ", eval path "
+                  << spec.eval_path << ")\n";
       }
       return code;
     }

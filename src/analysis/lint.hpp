@@ -45,13 +45,12 @@
 // diagnostics infrastructure, their range checks written with
 // analysis::SpecCheck: the fault-spec rules (runtime/faults.hpp), the
 // edge-scenario and fleet-serving rules FS1-FS8 (edge/fleet.hpp), and the
-// generation-spec rules RG1-RG5 and RQ2 (library/generator.hpp):
+// generation-spec rules RG1-RG3, RG5 and RQ2 (library/generator.hpp):
 //
 //   RG1 journal_dir must be a creatable, writable directory (probed).
 //   RG2 max_point_retries bounds: < 0 is an error, > 8 warns.
 //   RG3 PartialPolicy::kEmitPartial under verify_dataflow warns — verifier
 //       rejections would be quarantined instead of failing the run.
-//   RG4 checksum_mode must be fnv1a64 | crc32.
 //   RG5 relative journal_dir warns (resume depends on the CWD).
 //   RQ2 eval_path must be auto | float | packed.
 //

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <system_error>
@@ -15,23 +14,12 @@ namespace {
 
 constexpr const char* kSealedFormat = "adapex-sealed-v1";
 
-std::array<std::uint32_t, 256> make_crc32_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-std::string to_hex(std::uint64_t v, int digits) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%0*llx", digits,
-                static_cast<unsigned long long>(v));
-  return buf;
+/// Checksum tag "fnv1a64:<16 hex>" of `bytes`.
+std::string content_checksum(const std::string& bytes) {
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(fnv1a64(bytes)));
+  return std::string("fnv1a64:") + hex;
 }
 
 }  // namespace
@@ -43,35 +31,6 @@ std::uint64_t fnv1a64(const std::string& bytes) {
     h *= 1099511628211ULL;
   }
   return h;
-}
-
-std::uint32_t crc32(const std::string& bytes) {
-  static const std::array<std::uint32_t, 256> table = make_crc32_table();
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (char ch : bytes) {
-    c = table[(c ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
-
-bool checksum_mode_valid(const std::string& mode) {
-  return mode == "fnv1a64" || mode == "crc32";
-}
-
-std::string content_checksum(const std::string& bytes,
-                             const std::string& mode) {
-  if (mode == "fnv1a64") return "fnv1a64:" + to_hex(fnv1a64(bytes), 16);
-  if (mode == "crc32") return "crc32:" + to_hex(crc32(bytes), 8);
-  throw ConfigError("unknown checksum mode: '" + mode +
-                    "' (expected fnv1a64|crc32)");
-}
-
-bool checksum_matches(const std::string& bytes, const std::string& tag) {
-  const std::size_t colon = tag.find(':');
-  if (colon == std::string::npos) return false;
-  const std::string mode = tag.substr(0, colon);
-  if (!checksum_mode_valid(mode)) return false;
-  return content_checksum(bytes, mode) == tag;
 }
 
 void atomic_write_file(const std::string& path, const std::string& contents) {
@@ -98,12 +57,11 @@ std::string quarantine_file(const std::string& path) {
   return target;
 }
 
-std::string seal_document(const std::string& kind, const Json& payload,
-                          const std::string& checksum_mode) {
+std::string seal_document(const std::string& kind, const Json& payload) {
   Json envelope = Json::object();
   envelope["format"] = kSealedFormat;
   envelope["kind"] = kind;
-  envelope["checksum"] = content_checksum(payload.dump(1), checksum_mode);
+  envelope["checksum"] = content_checksum(payload.dump(1));
   envelope["payload"] = payload;
   return envelope.dump(1);
 }
@@ -130,7 +88,7 @@ Json open_document(const Json& doc, const std::string& kind) {
   }
   const Json& payload = doc.at("payload");
   const std::string tag = doc.at("checksum").as_string();
-  if (!checksum_matches(payload.dump(1), tag)) {
+  if (content_checksum(payload.dump(1)) != tag) {
     throw IntegrityError("content checksum mismatch (stored " + tag +
                          "): the artifact is corrupt");
   }

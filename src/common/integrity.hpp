@@ -22,10 +22,10 @@
 //      (not deleted), preserving the evidence for postmortems while
 //      clearing the path for regeneration.
 //
-// Checksum modes: "fnv1a64" (default; the same hash the artifact-cache key
-// uses) and "crc32" (IEEE 802.3 polynomial). The mode is recorded in the
-// checksum tag ("fnv1a64:<16 hex>" / "crc32:<8 hex>"), so readers verify
-// with whatever mode the writer used.
+// The content checksum is FNV-1a 64 (the same hash the artifact-cache key
+// uses), tagged "fnv1a64:<16 hex>". A tag naming any other hash fails
+// verification like a corrupt payload does, so the reader quarantines the
+// file and regenerates it.
 
 #pragma once
 
@@ -50,20 +50,6 @@ class IntegrityError : public ParseError {
 /// FNV-1a 64-bit over a byte string (also used by the library cache key).
 std::uint64_t fnv1a64(const std::string& bytes);
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over a byte string.
-std::uint32_t crc32(const std::string& bytes);
-
-/// True for the supported checksum modes: "fnv1a64" | "crc32".
-bool checksum_mode_valid(const std::string& mode);
-
-/// Checksum tag "<mode>:<hex>" of `bytes` under `mode`. Throws ConfigError
-/// on an unknown mode (lint rule RG4 rejects it earlier on the spec path).
-std::string content_checksum(const std::string& bytes, const std::string& mode);
-
-/// Verifies `bytes` against a stored "<mode>:<hex>" tag; the mode is taken
-/// from the tag itself. Returns false on mismatch or a malformed tag.
-bool checksum_matches(const std::string& bytes, const std::string& tag);
-
 /// Publishes `contents` at `path` atomically: writes `<path>.<pid>.tmp` in
 /// the same directory, then rename()s it into place. Concurrent writers of
 /// one path never interleave within a temp file, and readers observe either
@@ -79,17 +65,17 @@ std::string quarantine_file(const std::string& path);
 
 /// Wraps a JSON payload in a sealed envelope:
 ///   {"format": "adapex-sealed-v1", "kind": <kind>,
-///    "checksum": "<mode>:<hex over payload.dump(1)>", "payload": ...}
+///    "checksum": "fnv1a64:<16 hex over payload.dump(1)>", "payload": ...}
 /// and returns the envelope's serialization (ready for atomic_write_file).
-std::string seal_document(const std::string& kind, const Json& payload,
-                          const std::string& checksum_mode = "fnv1a64");
+std::string seal_document(const std::string& kind, const Json& payload);
 
 /// True when `doc` looks like a sealed envelope (format + payload fields).
 bool is_sealed_document(const Json& doc);
 
 /// Verifies a sealed envelope: format, expected `kind`, and the content
-/// checksum over the payload's canonical re-serialization. Returns the
-/// payload. Throws IntegrityError on any violation.
+/// checksum over the payload's canonical re-serialization (a tag naming
+/// another hash is a mismatch). Returns the payload. Throws IntegrityError
+/// on any violation.
 Json open_document(const Json& doc, const std::string& kind);
 
 /// Parses `text` and opens it as a sealed document of `kind`.

@@ -237,8 +237,7 @@ Library generate_or_load_library(const LibraryGenSpec& spec,
   // the next load verifies, and concurrent benches racing on the same key
   // each publish a complete file — the last writer wins with identical
   // bytes (generation is deterministic).
-  atomic_write_file(
-      path, seal_document("library", lib.to_json(), spec.checksum_mode));
+  atomic_write_file(path, seal_document("library", lib.to_json()));
   return lib;
 }
 

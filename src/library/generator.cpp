@@ -15,7 +15,6 @@
 
 #include "analysis/dataflow.hpp"
 #include "analysis/lint.hpp"
-#include "common/integrity.hpp"
 #include "common/thread_pool.hpp"
 #include "library/cache.hpp"
 #include "nn/eval.hpp"
@@ -99,13 +98,6 @@ analysis::LintReport lint_gen_spec(const LibraryGenSpec& spec) {
                "missing from the Library instead of failing the run",
                "use PartialPolicy::kFail when verifying, or audit the "
                "GenerationReport for quarantined points");
-  }
-
-  // RG4: checksum-mode well-formedness.
-  if (!checksum_mode_valid(spec.checksum_mode)) {
-    report.add("RG4", analysis::Severity::kError, "checksum_mode",
-               "unknown checksum_mode '" + spec.checksum_mode + "'",
-               "use fnv1a64 or crc32");
   }
 
   // RQ2: eval-path well-formedness. (RQ1, the freeze-before-pack
@@ -515,7 +507,7 @@ Library generate_library(const LibraryGenSpec& spec) {
   GenerationJournal journal;
   if (!spec.journal_dir.empty()) {
     journal = GenerationJournal(
-        spec.journal_dir, library_cache_key(spec), spec.checksum_mode,
+        spec.journal_dir, library_cache_key(spec),
         [&spec](const std::string& m) { progress(spec, m); });
   }
 

@@ -153,9 +153,6 @@ struct LibraryGenSpec {
   /// that finished work survives for the next attempt. kEmitPartial emits
   /// a Library missing the quarantined points, explicit in the report.
   PartialPolicy partial_policy = PartialPolicy::kFail;
-  /// Content-checksum algorithm sealing journal checkpoints and the cached
-  /// artifact: "fnv1a64" (default) or "crc32" (rule RG4).
-  std::string checksum_mode = "fnv1a64";
   /// Optional flight recorder: when set, filled with per-point outcomes
   /// (computed/replayed/retried/quarantined, attempts, wall time) and the
   /// checkpoint-overhead share. Not part of the cache key.
@@ -177,8 +174,8 @@ struct LibraryGenSpec {
 /// Fills prune_rates_pct / conf_thresholds_pct with the paper's sweeps.
 void set_paper_sweeps(LibraryGenSpec& spec);
 
-/// Lint rules RG1-RG5 over the crash-safety knobs of a generation spec
-/// (catalog in analysis/lint.hpp):
+/// Lint rules RG1-RG3 and RG5 over the crash-safety knobs of a generation
+/// spec (catalog in analysis/lint.hpp):
 ///   RG1 (error)   journal_dir exists as a non-directory, or cannot be
 ///                 created/written (probed with a temp file).
 ///   RG2 (error)   max_point_retries < 0; (warning) > 8 — that many
@@ -188,7 +185,6 @@ void set_paper_sweeps(LibraryGenSpec& spec);
 ///                 verify_dataflow: a verifier-rejected point would be
 ///                 quarantined and silently missing instead of failing the
 ///                 run loudly.
-///   RG4 (error)   checksum_mode is not one of fnv1a64 | crc32.
 ///   RG5 (warning) journal_dir is a relative path — resumability then
 ///                 depends on the working directory of the next run.
 /// and the packed-inference rule RQ2 (RQ1, the freeze-before-pack

@@ -152,11 +152,9 @@ JournalPoint JournalPoint::from_json(const Json& j) {
 }
 
 GenerationJournal::GenerationJournal(
-    const std::string& root, const std::string& key, std::string checksum_mode,
+    const std::string& root, const std::string& key,
     std::function<void(const std::string&)> log)
-    : dir_(root + "/" + key),
-      checksum_mode_(std::move(checksum_mode)),
-      log_(std::move(log)) {
+    : dir_(root + "/" + key), log_(std::move(log)) {
   std::filesystem::create_directories(dir_);
 }
 
@@ -204,7 +202,7 @@ bool GenerationJournal::load_point(std::size_t index, ModelVariant variant,
 void GenerationJournal::record_point(const JournalPoint& point) const {
   if (!enabled()) return;
   atomic_write_file(point_path(point.index),
-                    seal_document(kPointKind, point.to_json(), checksum_mode_));
+                    seal_document(kPointKind, point.to_json()));
   // A point that now succeeded (e.g. after a transient failure in an
   // earlier run) supersedes its stale quarantine record.
   std::error_code ec;
@@ -221,8 +219,7 @@ void GenerationJournal::record_failure(std::size_t index, ModelVariant variant,
   j["rate_pct"] = rate_pct;
   j["attempts"] = attempts;
   j["error"] = error;
-  atomic_write_file(failure_path(index),
-                    seal_document(kFailureKind, j, checksum_mode_));
+  atomic_write_file(failure_path(index), seal_document(kFailureKind, j));
 }
 
 bool GenerationJournal::load_meta(double* reference_accuracy) const {
@@ -245,7 +242,7 @@ void GenerationJournal::record_meta(double reference_accuracy) const {
   if (!enabled()) return;
   Json j = Json::object();
   j["reference_accuracy"] = reference_accuracy;
-  atomic_write_file(meta_path(), seal_document(kMetaKind, j, checksum_mode_));
+  atomic_write_file(meta_path(), seal_document(kMetaKind, j));
 }
 
 }  // namespace adapex

@@ -154,7 +154,6 @@ class GenerationJournal {
   /// Opens (creating as needed) `<root>/<key>`. `log` receives one-line
   /// notes about replays and quarantines (may be null).
   GenerationJournal(const std::string& root, const std::string& key,
-                    std::string checksum_mode,
                     std::function<void(const std::string&)> log = nullptr);
 
   bool enabled() const { return !dir_.empty(); }
@@ -190,7 +189,6 @@ class GenerationJournal {
   void note(const std::string& msg) const;
 
   std::string dir_;
-  std::string checksum_mode_ = "fnv1a64";
   std::function<void(const std::string&)> log_;
 };
 

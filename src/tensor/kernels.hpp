@@ -9,8 +9,8 @@
 // (common/isa_dispatch.hpp), so default (non -march=native) builds still use
 // wide vectors.
 //
-// Determinism contract (see DESIGN.md "Kernel layer"): every kernel performs
-//, per output element, exactly the same sequence of float operations as the
+// Determinism contract (see DESIGN.md "Kernel layer"): every kernel performs,
+// per output element, exactly the same sequence of float operations as the
 // naive reference implementation in kernels::ref —
 //   * gemm_accumulate / gemm_at_b_accumulate: the element's running value
 //     lives in C; products are added in ascending-k order; terms whose A
@@ -23,12 +23,10 @@
 // byte-identical to the reference at any block size, vector width, and
 // thread count.
 //
-// Because the orders are identical, dispatch is free to pick whichever
-// implementation is faster per call: the direct kernels fall back to the
-// scalar reference form when N is narrower than one sliver or when A is
-// mostly exact zeros (pruned/quantized weights), where the naive zero-skip
-// beats packing (below the measured 0.3 density crossover). The choice
-// never changes the output bytes.
+// Each entry point makes one call into the dispatched tier at every shape:
+// columns past the last full sliver run on a zero-padded sliver, and the
+// direct kernels' exact-zero skip serves sparse weights, so no scalar path
+// is kept beside the blocked one (kernels::ref is the test reference).
 
 #pragma once
 
@@ -101,7 +99,7 @@ struct ConvShape {
 
 /// out[F, cols] = gemm_bias_accumulate(w[F, rows], im2col(x), row_bias,
 /// out, ..., epilogue): the images' output planes side by side, with the
-/// same per-element order, zero skip and density fallback.
+/// same per-element order and zero skip.
 void conv_forward(const float* w, const float* x, const ConvShape& s,
                   const float* row_bias, float* out, Epilogue epilogue);
 

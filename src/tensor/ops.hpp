@@ -49,23 +49,6 @@ void conv2d_backward(const Tensor& input, const Tensor& weight,
                      Tensor& grad_weight, Tensor& grad_bias,
                      bool need_input_grad = true);
 
-/// Older signatures that took an im2col scratch panel, which the conv
-/// kernels no longer need; `col_scratch` is ignored.
-inline Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
-                             const Tensor& bias,
-                             std::vector<float>& /*col_scratch*/,
-                             bool fuse_relu = false) {
-  return conv2d_forward(input, weight, bias, fuse_relu);
-}
-inline void conv2d_backward(const Tensor& input, const Tensor& weight,
-                            const Tensor& grad_output, Tensor& grad_input,
-                            Tensor& grad_weight, Tensor& grad_bias,
-                            std::vector<float>& /*col_scratch*/,
-                            bool need_input_grad = true) {
-  conv2d_backward(input, weight, grad_output, grad_input, grad_weight,
-                  grad_bias, need_input_grad);
-}
-
 /// Linear forward: input [N,In], weight [Out,In], bias [Out] -> [N,Out].
 /// With fuse_relu the ReLU is applied in the GEMM epilogue — bit-identical
 /// to linear_forward followed by relu_forward, without the extra pass.

@@ -110,10 +110,9 @@ TEST(Kernels, GemmABtMatchesReferenceBitwise) {
   }
 }
 
-// ~90% exact zeros in A trips the adaptive density fallback (scalar
-// reference path) even at sliver-wide N; the output bytes must not care
-// which implementation dispatch picked.
-TEST(Kernels, SparseFallbackMatchesReferenceBitwise) {
+// ~90% exact zeros in A: the blocked kernels' zero skip drops most terms of
+// every element, and the output bytes must still equal the reference's.
+TEST(Kernels, SparseWeightsMatchReferenceBitwise) {
   for (const auto& s : kShapes) {
     Rng zrng(1234);
     auto a = random_matrix(static_cast<std::size_t>(s.m) * s.k, 111, false);
@@ -131,7 +130,7 @@ TEST(Kernels, SparseFallbackMatchesReferenceBitwise) {
                              c_ref.size() * sizeof(float)))
         << "m=" << s.m << " k=" << s.k << " n=" << s.n;
 
-    // Fused bias+relu through the same fallback.
+    // Fused bias+relu with the same sparse A.
     std::vector<float> c_fref(static_cast<std::size_t>(s.m) * s.n);
     for (int i = 0; i < s.m; ++i) {
       for (int j = 0; j < s.n; ++j) {
@@ -150,7 +149,7 @@ TEST(Kernels, SparseFallbackMatchesReferenceBitwise) {
                              c_fref.size() * sizeof(float)))
         << "m=" << s.m << " k=" << s.k << " n=" << s.n;
 
-    // A^T B with sparse A ([K,M]) takes the ref fallback before transposing.
+    // A^T B with sparse A ([K,M]), repacked before the blocked kernel.
     const auto at = random_matrix(static_cast<std::size_t>(s.k) * s.m, 115, false);
     auto at_sparse = at;
     Rng zrng2(5678);
@@ -338,9 +337,8 @@ TEST(Kernels, FusedForwardOpsMatchUnfusedCompositionBitwise) {
   wt.randn_(rng, 0.5f);
   Tensor bias({5});
   bias.randn_(rng, 0.5f);
-  std::vector<float> scratch;
-  Tensor plain = ops::relu_forward(ops::conv2d_forward(x, wt, bias, scratch));
-  Tensor fused = ops::conv2d_forward(x, wt, bias, scratch, /*fuse_relu=*/true);
+  Tensor plain = ops::relu_forward(ops::conv2d_forward(x, wt, bias));
+  Tensor fused = ops::conv2d_forward(x, wt, bias, /*fuse_relu=*/true);
   ASSERT_EQ(plain.shape(), fused.shape());
   EXPECT_EQ(0, std::memcmp(plain.data(), fused.data(),
                            plain.numel() * sizeof(float)));
@@ -473,16 +471,14 @@ TEST(Kernels, ConvForwardMatchesPerImageReferenceBitwise) {
   for_each_isa([](const char* isa) {
     std::uint64_t seed = 500;
     for (const auto& cc : kConvCases) {
-      // ~40% exact-zero weights exercise the zero skip and the adaptive
-      // density fallback.
+      // ~40% exact-zero weights exercise the zero skip.
       const Tensor x = random_tensor({cc.batch, cc.cin, cc.hw, cc.hw}, ++seed, 0.1);
       const Tensor w = random_tensor({cc.fout, cc.cin, 3, 3}, ++seed, 0.4);
       const Tensor bias = random_tensor({cc.fout}, ++seed, 0.0);
       for (const bool with_bias : {false, true}) {
         for (const bool relu : {false, true}) {
           const Tensor& b = with_bias ? bias : Tensor();
-          std::vector<float> scratch;
-          const Tensor got = ops::conv2d_forward(x, w, b, scratch, relu);
+          const Tensor got = ops::conv2d_forward(x, w, b, relu);
           ASSERT_TRUE(same_bits(ref_conv_forward(x, w, b, relu), got))
               << isa << " batch=" << cc.batch << " cin=" << cc.cin
               << " hw=" << cc.hw << " bias=" << with_bias << " relu=" << relu;
@@ -508,8 +504,7 @@ TEST(Kernels, ConvBackwardMatchesPerImageReferenceBitwise) {
       ref_conv_backward(x, w, dy, dx_ref, dw_ref, db_ref);
 
       Tensor dx, dw = dw0, db = db0;
-      std::vector<float> scratch;
-      ops::conv2d_backward(x, w, dy, dx, dw, db, scratch);
+      ops::conv2d_backward(x, w, dy, dx, dw, db);
       ASSERT_TRUE(same_bits(dx_ref, dx)) << isa << " dx batch=" << cc.batch
                                          << " cin=" << cc.cin << " hw=" << cc.hw;
       ASSERT_TRUE(same_bits(dw_ref, dw)) << isa << " dW batch=" << cc.batch
@@ -520,7 +515,7 @@ TEST(Kernels, ConvBackwardMatchesPerImageReferenceBitwise) {
       // Skipping the input gradient leaves dx untouched and the parameter
       // gradients bit-identical.
       Tensor dx_skip({1}), dw_skip = dw0, db_skip = db0;
-      ops::conv2d_backward(x, w, dy, dx_skip, dw_skip, db_skip, scratch,
+      ops::conv2d_backward(x, w, dy, dx_skip, dw_skip, db_skip,
                            /*need_input_grad=*/false);
       EXPECT_EQ(dx_skip.shape(), std::vector<int>{1});
       ASSERT_TRUE(same_bits(dw_ref, dw_skip)) << isa << " batch=" << cc.batch;
@@ -530,18 +525,21 @@ TEST(Kernels, ConvBackwardMatchesPerImageReferenceBitwise) {
 }
 
 // The channel counts the pruning sweep produces, on every tier, with and
-// without narrow-plane image grouping, and with dense-enough and sparse
-// (density fallback) weights. The weight-gradient rows cin*9 = 27, 36, 72,
-// 144, 180 and 252 end in tail slivers of every width (16/32/48/64 on
-// avx512). Filter 0 is all zeros with a -0.0 bias, so a kernel that seeds
-// its accumulators by adding to 0.0f instead of copying the bias shows.
+// without narrow-plane image grouping, and with 40% and 85% zero weights.
+// The weight-gradient rows cin*9 = 27, 36, 72, 144, 180 and 252 end in tail
+// slivers of every width (16/32/48/64 on avx512). Filter 0 is all zeros with
+// a -0.0 bias, so a kernel that seeds its accumulators by adding to 0.0f
+// instead of copying the bias shows.
 TEST(Kernels, ConvPrunedChannelsMatchPerImageReferenceBitwise) {
   struct Plane {
     int batch, hw;
   };
   // A 28x28 output (one image per GEMM), then 3x3 and 1x1 outputs whose
-  // image groups are 81 and 70 columns wide, past one avx512 sliver.
-  const Plane planes[] = {{2, 30}, {9, 5}, {70, 3}};
+  // image groups are 81 and 70 columns wide, past one avx512 sliver, and
+  // the narrow planes of a batch of 16 (1x1: 16 columns; 3x3: 144) and of
+  // one image (1x1: 1 column), so every tier's forward and input-gradient
+  // tails run below one vector, below one sliver and past one sliver.
+  const Plane planes[] = {{2, 30}, {9, 5}, {70, 3}, {16, 3}, {16, 5}, {1, 3}};
   for_each_isa([&](const char* isa) {
     std::uint64_t seed = 900;
     for (const int cin : {3, 4, 8, 16, 20, 28}) {
@@ -561,10 +559,8 @@ TEST(Kernels, ConvPrunedChannelsMatchPerImageReferenceBitwise) {
                 " hw=" + std::to_string(pl.hw) +
                 " zeros=" + std::to_string(zeros);
             for (const bool relu : {false, true}) {
-              std::vector<float> scratch;
               ASSERT_TRUE(same_bits(ref_conv_forward(x, w, bias, relu),
-                                    ops::conv2d_forward(x, w, bias, scratch,
-                                                        relu)))
+                                    ops::conv2d_forward(x, w, bias, relu)))
                   << where << " relu=" << relu;
             }
 
@@ -575,14 +571,13 @@ TEST(Kernels, ConvPrunedChannelsMatchPerImageReferenceBitwise) {
             Tensor dx_ref, dw_ref = dw0, db_ref = db0;
             ref_conv_backward(x, w, dy, dx_ref, dw_ref, db_ref);
             Tensor dx, dw = dw0, db = db0;
-            std::vector<float> scratch;
-            ops::conv2d_backward(x, w, dy, dx, dw, db, scratch);
+            ops::conv2d_backward(x, w, dy, dx, dw, db);
             ASSERT_TRUE(same_bits(dx_ref, dx)) << where << " dx";
             ASSERT_TRUE(same_bits(dw_ref, dw)) << where << " dW";
             ASSERT_TRUE(same_bits(db_ref, db)) << where << " db";
 
             Tensor dx_skip({1}), dw_skip = dw0, db_skip = db0;
-            ops::conv2d_backward(x, w, dy, dx_skip, dw_skip, db_skip, scratch,
+            ops::conv2d_backward(x, w, dy, dx_skip, dw_skip, db_skip,
                                  /*need_input_grad=*/false);
             EXPECT_EQ(dx_skip.shape(), std::vector<int>{1}) << where;
             ASSERT_TRUE(same_bits(dw_ref, dw_skip)) << where << " dW skip";

@@ -155,11 +155,10 @@ TEST(SpecLintIdentity, GenSpec) {
   spec.max_point_retries = -1;
   spec.partial_policy = PartialPolicy::kEmitPartial;
   spec.verify_dataflow = true;
-  spec.checksum_mode = "md5";
   spec.eval_path = "sideways";
   const std::vector<std::string> want = {
       "RG2 error @ max_point_retries", "RG3 warning @ partial_policy",
-      "RG4 error @ checksum_mode", "RQ2 error @ eval_path"};
+      "RQ2 error @ eval_path"};
   EXPECT_EQ(findings(lint_gen_spec(spec)), want);
   LibraryGenSpec many;
   many.max_point_retries = 9;

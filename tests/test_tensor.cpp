@@ -129,8 +129,7 @@ TEST(Ops, ConvForwardMatchesDirectLoop) {
   wt.randn_(rng, 0.5f);
   Tensor bias({f});
   bias.randn_(rng, 0.1f);
-  std::vector<float> scratch;
-  Tensor y = ops::conv2d_forward(x, wt, bias, scratch);
+  Tensor y = ops::conv2d_forward(x, wt, bias);
   ASSERT_EQ(y.shape(), (std::vector<int>{n, f, 3, 3}));
   for (int ni = 0; ni < n; ++ni) {
     for (int fi = 0; fi < f; ++fi) {
@@ -160,19 +159,18 @@ TEST(Ops, ConvBackwardGradcheck) {
   Tensor wt({f, cin, k, k});
   wt.randn_(rng, 0.5f);
   Tensor bias;
-  std::vector<float> scratch;
 
   // Loss = sum(conv(x, w)); analytic gradients.
-  Tensor y = ops::conv2d_forward(x, wt, bias, scratch);
+  Tensor y = ops::conv2d_forward(x, wt, bias);
   Tensor dy(y.shape());
   dy.fill(1.0f);
   Tensor dx, dw(wt.shape()), db;
-  ops::conv2d_backward(x, wt, dy, dx, dw, db, scratch);
+  ops::conv2d_backward(x, wt, dy, dx, dw, db);
 
   // Finite differences on a handful of elements of x and w.
   const float eps = 1e-3f;
   auto loss_of = [&](void) {
-    Tensor out = ops::conv2d_forward(x, wt, bias, scratch);
+    Tensor out = ops::conv2d_forward(x, wt, bias);
     return out.sum();
   };
   for (std::size_t i : {0ul, 7ul, 23ul, x.numel() - 1}) {
