@@ -151,9 +151,7 @@ int main(int argc, char** argv) {
   print_header("setup", "AdaPEx design-time flow (library generation)");
   for (const auto& dataset : {cifar10_like_spec(), gtsrb_like_spec()}) {
     LibraryGenSpec spec = bench_spec(dataset);
-    const std::size_t threads = spec.num_threads > 0
-                                    ? static_cast<std::size_t>(spec.num_threads)
-                                    : ThreadPool::env_thread_count();
+    const std::size_t threads = ThreadPool::thread_count(spec.num_threads);
     const std::string cached_path = default_artifact_dir() + "/library_" +
                                     library_cache_key(spec) + ".json";
     const bool cache_hit = std::filesystem::exists(cached_path);

@@ -177,7 +177,7 @@ PackedMode eval_mode_from_spec(const LibraryGenSpec& spec) {
   return PackedMode::kAuto;
 }
 
-/// Serializes on_progress calls and releases messages in their serial
+/// Serializes on_progress calls and releases messages in their canonical
 /// order: message k is held until messages 0..k-1 have been published, so
 /// the progress stream reads identically at any thread count even though
 /// base training, the reference evaluation, and the design points overlap.
@@ -233,11 +233,6 @@ std::vector<DesignPoint> enumerate_design_points(const LibraryGenSpec& spec) {
     }
   }
   return points;
-}
-
-std::size_t resolve_thread_count(const LibraryGenSpec& spec) {
-  if (spec.num_threads > 0) return static_cast<std::size_t>(spec.num_threads);
-  return ThreadPool::env_thread_count();
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -689,7 +684,7 @@ Library generate_library(const LibraryGenSpec& spec) {
     if (!done[i]) todo.push_back(i);
   }
 
-  // Progress slots in the serial order of the messages: the base-training
+  // Progress slots in the canonical order of the messages: the base-training
   // banners, the reference accuracy, then one slot per undone point.
   std::size_t next_slot = 0;
   const std::size_t plain_slot = need_plain ? next_slot++ : 0;
@@ -723,7 +718,7 @@ Library generate_library(const LibraryGenSpec& spec) {
   };
   // Reference accuracy: unpruned no-exit model (journaled in meta.json so a
   // fully-replayed resume never retrains just to recompute one scalar).
-  auto reference = [&](std::size_t eval_threads) {
+  auto reference = [&] {
     if (have_meta) {
       lib.reference_accuracy = journal_ref;
       sink.publish(reference_slot, "journal: replayed reference accuracy " +
@@ -731,7 +726,7 @@ Library generate_library(const LibraryGenSpec& spec) {
       return;
     }
     auto eval = evaluate_exits(base_plain, data->test, /*batch_size=*/32,
-                               eval_threads, eval_mode_from_spec(spec));
+                               /*num_threads=*/1, eval_mode_from_spec(spec));
     lib.reference_accuracy = apply_threshold(eval, 2.0).accuracy;
     sink.publish(reference_slot, "reference accuracy (FINN, unpruned): " +
                                      std::to_string(lib.reference_accuracy));
@@ -743,46 +738,43 @@ Library generate_library(const LibraryGenSpec& spec) {
     sink.publish(first_point_slot + t, outcome_message(i));
   };
 
-  const std::size_t num_threads = std::min(
-      resolve_thread_count(spec), std::max<std::size_t>(todo.size(), 1));
-
-  if (num_threads <= 1) {
-    if (need_plain) train_plain();
-    if (need_ee) train_ee();
-    reference(/*eval_threads=*/0);
-    for (std::size_t t = 0; t < todo.size(); ++t) sweep_point(t);
-  } else {
+  const std::size_t num_threads =
+      std::min(ThreadPool::thread_count(spec.num_threads),
+               std::max<std::size_t>(todo.size(), 1));
+  if (num_threads > 1) {
     progress(spec, "sweeping " + std::to_string(todo.size()) +
                        " design points on " + std::to_string(num_threads) +
                        " threads");
-    // Dependency-driven schedule: dataset -> {plain base -> reference eval
-    // -> plain points, EE base -> EE points}. Both base trainings start at
-    // once and each submits its family's points as continuations, so one
-    // family's points fill idle workers while the other base still trains.
-    // The reference eval runs serially inside its task (pool tasks must not
-    // spin up nested pools); evaluation is bitwise thread-count independent.
-    ThreadPool pool(num_threads);
-    auto submit_family = [&](bool exits) {
-      for (std::size_t t = 0; t < todo.size(); ++t) {
-        if ((points[todo[t]].variant != ModelVariant::kNoExit) == exits) {
-          pool.submit([&, t] { sweep_point(t); });
-        }
-      }
-    };
-    pool.submit([&] {
-      if (need_ee) train_ee();
-      submit_family(/*exits=*/true);
-    });
-    pool.submit([&] {
-      if (need_plain) train_plain();
-      reference(/*eval_threads=*/1);
-      submit_family(/*exits=*/false);
-    });
-    // attempt_point contains every expected failure; the pool's capture
-    // path covers the base trainings and the reference evaluation, and
-    // drains the continuations a failed step would have fed.
-    pool.wait();
   }
+  // Dependency-driven schedule, the same at every thread count: dataset ->
+  // {plain base -> reference eval -> plain points, EE base -> EE points}.
+  // Each base task submits its family's points as continuations, so one
+  // family's points fill idle workers while the other base still trains; a
+  // single worker runs EE base, plain base, reference eval, EE points, plain
+  // points. The reference eval runs serially inside its task (pool tasks
+  // must not spin up nested pools); evaluation is bitwise thread-count
+  // independent.
+  ThreadPool pool(num_threads);
+  auto submit_family = [&](bool exits) {
+    for (std::size_t t = 0; t < todo.size(); ++t) {
+      if ((points[todo[t]].variant != ModelVariant::kNoExit) == exits) {
+        pool.submit([&, t] { sweep_point(t); });
+      }
+    }
+  };
+  pool.submit([&] {
+    if (need_ee) train_ee();
+    submit_family(/*exits=*/true);
+  });
+  pool.submit([&] {
+    if (need_plain) train_plain();
+    reference();
+    submit_family(/*exits=*/false);
+  });
+  // attempt_point contains every expected failure; the pool's capture path
+  // covers the base trainings and the reference evaluation, and drains the
+  // continuations a failed step would have fed.
+  pool.wait();
 
   // Flight record first — on a kFail throw below the caller's report still
   // explains exactly which points died and what succeeded before them.

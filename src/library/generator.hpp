@@ -13,22 +13,23 @@
 // thresholds are applied as post-processing (nn/eval.hpp).
 //
 // Parallelism and determinism: generation is a dependency graph on one
-// work-stealing pool (common/thread_pool.hpp):
+// FIFO thread pool (common/thread_pool.hpp), at every thread count:
 //
 //   dataset -+- plain base -- reference eval -- plain design points
 //            +- EE base ------------------------ EE design points
 //
-// Both base trainings start at once; when a base finishes, its task submits
-// that family's (variant, prune-rate) design points as continuations, so
-// one family's points run while the other base still trains. Every design
-// point clones the trained base, prunes, retrains, compiles, and evaluates
-// entirely on task-local state. Retrain seeds are derived per design point
-// with derive_seed(spec.seed, variant, rate) (common/rng.hpp) rather than
-// from the schedule, results land in pre-assigned slots, and Library rows
-// are assembled in sweep order after the barrier, so the generated Library
-// is byte-identical for every thread count (ADAPEX_THREADS=1 runs the graph
-// serially in its canonical order). Every progress message is released in
-// that serial order through one mutex-guarded sink.
+// Given two workers both base trainings start at once; when a base
+// finishes, its task submits that family's (variant, prune-rate) design
+// points as continuations, so one family's points run while the other base
+// still trains. Every design point clones the trained base, prunes,
+// retrains, compiles, and evaluates entirely on task-local state. Retrain
+// seeds are derived per design point with derive_seed(spec.seed, variant,
+// rate) (common/rng.hpp) rather than from the schedule, results land in
+// pre-assigned slots, and Library rows are assembled in sweep order after
+// the barrier, so the generated Library is byte-identical for every thread
+// count (one worker runs the same graph in submission order). Every
+// progress message is released in one canonical order through one
+// mutex-guarded sink.
 //
 // Crash safety and failure isolation (library/journal.hpp): with
 // `journal_dir` set, every completed design point is checkpointed to disk
@@ -102,7 +103,7 @@ struct LibraryGenSpec {
   analysis::DeviceProfile reach_device = analysis::DeviceProfile::zcu104();
   std::uint64_t seed = 7;
   /// Generation parallelism: 0 resolves ADAPEX_THREADS (default:
-  /// hardware_concurrency), 1 runs serially on the calling thread. The
+  /// hardware_concurrency); every count runs the same task graph. The
   /// generated Library is byte-identical at every thread count, so this is
   /// deliberately NOT part of the artifact cache key.
   int num_threads = 0;
@@ -165,9 +166,9 @@ struct LibraryGenSpec {
   std::function<void(std::size_t, int)> point_fault_hook;
   /// Progress sink (e.g. [](const std::string& s){ std::cerr << s << "\n"; }).
   /// May be called from worker threads, but calls are serialized under a
-  /// mutex and messages arrive in the serial run's order (base training,
-  /// reference accuracy, then design points in sweep order); a parallel run
-  /// adds one "sweeping N design points" banner first.
+  /// mutex and messages arrive in one order at every thread count (base
+  /// training, reference accuracy, then design points in sweep order); a
+  /// multi-threaded run adds one "sweeping N design points" banner first.
   std::function<void(const std::string&)> on_progress;
 };
 

@@ -99,9 +99,7 @@ ExitEvaluation evaluate_exits(BranchyModel& model, const Dataset& test,
   eval.confidence.assign(samples, std::vector<float>(exits, 0.0f));
   eval.correct.assign(samples, std::vector<std::uint8_t>(exits, 0));
 
-  const std::size_t threads = num_threads > 0
-                                  ? static_cast<std::size_t>(num_threads)
-                                  : ThreadPool::env_thread_count();
+  const std::size_t threads = ThreadPool::thread_count(num_threads);
 
   if (use_packed_path(model, mode)) {
     // Packed path: freeze once and share the frozen model const across

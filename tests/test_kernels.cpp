@@ -1,7 +1,8 @@
 // Differential tests for the blocked kernel layer (tensor/kernels.hpp):
-// every blocked kernel must be byte-identical to the retained naive
-// reference at awkward shapes, fused epilogues must equal their unfused
-// compositions bit for bit, all ISA tiers must agree, and the end-to-end
+// on every ISA tier the host supports, every blocked kernel must be
+// byte-identical to the retained naive reference at awkward shapes and
+// fused epilogues must equal their unfused compositions bit for bit; all
+// tiers must agree with each other, and the end-to-end
 // train -> eval pipeline must be byte-identical at any thread count.
 
 #include <gtest/gtest.h>
@@ -57,171 +58,197 @@ std::vector<float> random_matrix(std::size_t len, std::uint64_t seed,
   return out;
 }
 
-TEST(Kernels, GemmAccumulateMatchesReferenceBitwise) {
-  for (const auto& s : kShapes) {
-    const auto a = random_matrix(static_cast<std::size_t>(s.m) * s.k, 11, true);
-    const auto b = random_matrix(static_cast<std::size_t>(s.k) * s.n, 22, false);
-    // Nonzero initial C: accumulate semantics, not overwrite.
-    auto c_ref = random_matrix(static_cast<std::size_t>(s.m) * s.n, 33, false);
-    auto c_blk = c_ref;
-    kernels::ref::gemm_accumulate(a.data(), b.data(), c_ref.data(), s.m, s.k,
-                                  s.n);
-    kernels::gemm_accumulate(a.data(), b.data(), c_blk.data(), s.m, s.k, s.n);
-    ASSERT_EQ(0, std::memcmp(c_ref.data(), c_blk.data(),
-                             c_ref.size() * sizeof(float)))
-        << "m=" << s.m << " k=" << s.k << " n=" << s.n;
+/// Runs `body` once per ISA tier the host supports, restoring the tier.
+template <typename Fn>
+void for_each_isa(Fn&& body) {
+  const std::string initial = kernels::active_isa();
+  for (const char* isa : {"sse2", "avx2", "avx512"}) {
+    try {
+      kernels::force_isa(isa);
+    } catch (const ConfigError&) {
+      continue;  // host lacks this tier
+    }
+    body(isa);
   }
+  kernels::force_isa(initial.c_str());
+}
+
+TEST(Kernels, GemmAccumulateMatchesReferenceBitwise) {
+  for_each_isa([](const char* isa) {
+    for (const auto& s : kShapes) {
+      const auto a = random_matrix(static_cast<std::size_t>(s.m) * s.k, 11, true);
+      const auto b = random_matrix(static_cast<std::size_t>(s.k) * s.n, 22, false);
+      // Nonzero initial C: accumulate semantics, not overwrite.
+      auto c_ref = random_matrix(static_cast<std::size_t>(s.m) * s.n, 33, false);
+      auto c_blk = c_ref;
+      kernels::ref::gemm_accumulate(a.data(), b.data(), c_ref.data(), s.m, s.k,
+                                    s.n);
+      kernels::gemm_accumulate(a.data(), b.data(), c_blk.data(), s.m, s.k, s.n);
+      ASSERT_EQ(0, std::memcmp(c_ref.data(), c_blk.data(),
+                               c_ref.size() * sizeof(float)))
+          << isa << " m=" << s.m << " k=" << s.k << " n=" << s.n;
+    }
+  });
 }
 
 TEST(Kernels, GemmAtBMatchesReferenceBitwise) {
-  for (const auto& s : kShapes) {
-    // A stored [K,M].
-    const auto a = random_matrix(static_cast<std::size_t>(s.k) * s.m, 44, true);
-    const auto b = random_matrix(static_cast<std::size_t>(s.k) * s.n, 55, false);
-    auto c_ref = random_matrix(static_cast<std::size_t>(s.m) * s.n, 66, false);
-    auto c_blk = c_ref;
-    kernels::ref::gemm_at_b_accumulate(a.data(), b.data(), c_ref.data(), s.m,
-                                       s.k, s.n);
-    kernels::gemm_at_b_accumulate(a.data(), b.data(), c_blk.data(), s.m, s.k,
-                                  s.n);
-    ASSERT_EQ(0, std::memcmp(c_ref.data(), c_blk.data(),
-                             c_ref.size() * sizeof(float)))
-        << "m=" << s.m << " k=" << s.k << " n=" << s.n;
-  }
+  for_each_isa([](const char* isa) {
+    for (const auto& s : kShapes) {
+      // A stored [K,M].
+      const auto a = random_matrix(static_cast<std::size_t>(s.k) * s.m, 44, true);
+      const auto b = random_matrix(static_cast<std::size_t>(s.k) * s.n, 55, false);
+      auto c_ref = random_matrix(static_cast<std::size_t>(s.m) * s.n, 66, false);
+      auto c_blk = c_ref;
+      kernels::ref::gemm_at_b_accumulate(a.data(), b.data(), c_ref.data(), s.m,
+                                         s.k, s.n);
+      kernels::gemm_at_b_accumulate(a.data(), b.data(), c_blk.data(), s.m, s.k,
+                                    s.n);
+      ASSERT_EQ(0, std::memcmp(c_ref.data(), c_blk.data(),
+                               c_ref.size() * sizeof(float)))
+          << isa << " m=" << s.m << " k=" << s.k << " n=" << s.n;
+    }
+  });
 }
 
 TEST(Kernels, GemmABtMatchesReferenceBitwise) {
-  for (const auto& s : kShapes) {
-    const auto a = random_matrix(static_cast<std::size_t>(s.m) * s.k, 77, false);
-    // B stored [N,K].
-    const auto b = random_matrix(static_cast<std::size_t>(s.n) * s.k, 88, false);
-    // Nonzero initial C is the important case: the dot kernel must keep the
-    // reference's "fresh accumulator, then one add into C" order, which is
-    // NOT equivalent to seeding the accumulator with C.
-    auto c_ref = random_matrix(static_cast<std::size_t>(s.m) * s.n, 99, false);
-    auto c_blk = c_ref;
-    kernels::ref::gemm_a_bt_accumulate(a.data(), b.data(), c_ref.data(), s.m,
-                                       s.k, s.n);
-    kernels::gemm_a_bt_accumulate(a.data(), b.data(), c_blk.data(), s.m, s.k,
-                                  s.n);
-    ASSERT_EQ(0, std::memcmp(c_ref.data(), c_blk.data(),
-                             c_ref.size() * sizeof(float)))
-        << "m=" << s.m << " k=" << s.k << " n=" << s.n;
-  }
+  for_each_isa([](const char* isa) {
+    for (const auto& s : kShapes) {
+      const auto a = random_matrix(static_cast<std::size_t>(s.m) * s.k, 77, false);
+      // B stored [N,K].
+      const auto b = random_matrix(static_cast<std::size_t>(s.n) * s.k, 88, false);
+      // Nonzero initial C is the important case: the dot kernel must keep the
+      // reference's "fresh accumulator, then one add into C" order, which is
+      // NOT equivalent to seeding the accumulator with C.
+      auto c_ref = random_matrix(static_cast<std::size_t>(s.m) * s.n, 99, false);
+      auto c_blk = c_ref;
+      kernels::ref::gemm_a_bt_accumulate(a.data(), b.data(), c_ref.data(), s.m,
+                                         s.k, s.n);
+      kernels::gemm_a_bt_accumulate(a.data(), b.data(), c_blk.data(), s.m, s.k,
+                                    s.n);
+      ASSERT_EQ(0, std::memcmp(c_ref.data(), c_blk.data(),
+                               c_ref.size() * sizeof(float)))
+          << isa << " m=" << s.m << " k=" << s.k << " n=" << s.n;
+    }
+  });
 }
 
 // ~90% exact zeros in A: the blocked kernels' zero skip drops most terms of
 // every element, and the output bytes must still equal the reference's.
 TEST(Kernels, SparseWeightsMatchReferenceBitwise) {
-  for (const auto& s : kShapes) {
-    Rng zrng(1234);
-    auto a = random_matrix(static_cast<std::size_t>(s.m) * s.k, 111, false);
-    for (auto& v : a) {
-      if (zrng.bernoulli(0.9)) v = 0.0f;
-    }
-    const auto b = random_matrix(static_cast<std::size_t>(s.k) * s.n, 112, false);
-    const auto bias = random_matrix(static_cast<std::size_t>(s.m), 113, false);
-    auto c_ref = random_matrix(static_cast<std::size_t>(s.m) * s.n, 114, false);
-    auto c_blk = c_ref;
-    kernels::ref::gemm_accumulate(a.data(), b.data(), c_ref.data(), s.m, s.k,
-                                  s.n);
-    kernels::gemm_accumulate(a.data(), b.data(), c_blk.data(), s.m, s.k, s.n);
-    ASSERT_EQ(0, std::memcmp(c_ref.data(), c_blk.data(),
-                             c_ref.size() * sizeof(float)))
-        << "m=" << s.m << " k=" << s.k << " n=" << s.n;
-
-    // Fused bias+relu with the same sparse A.
-    std::vector<float> c_fref(static_cast<std::size_t>(s.m) * s.n);
-    for (int i = 0; i < s.m; ++i) {
-      for (int j = 0; j < s.n; ++j) {
-        c_fref[static_cast<std::size_t>(i) * s.n + j] =
-            bias[static_cast<std::size_t>(i)];
+  for_each_isa([](const char* isa) {
+    for (const auto& s : kShapes) {
+      Rng zrng(1234);
+      auto a = random_matrix(static_cast<std::size_t>(s.m) * s.k, 111, false);
+      for (auto& v : a) {
+        if (zrng.bernoulli(0.9)) v = 0.0f;
       }
-    }
-    kernels::ref::gemm_accumulate(a.data(), b.data(), c_fref.data(), s.m, s.k,
-                                  s.n);
-    for (auto& v : c_fref) v = v > 0.0f ? v : 0.0f;
-    std::vector<float> c_fused(static_cast<std::size_t>(s.m) * s.n, -1.0f);
-    kernels::gemm_bias_accumulate(a.data(), b.data(), bias.data(),
-                                  c_fused.data(), s.m, s.k, s.n,
-                                  kernels::Epilogue::kRelu);
-    ASSERT_EQ(0, std::memcmp(c_fref.data(), c_fused.data(),
-                             c_fref.size() * sizeof(float)))
-        << "m=" << s.m << " k=" << s.k << " n=" << s.n;
+      const auto b = random_matrix(static_cast<std::size_t>(s.k) * s.n, 112, false);
+      const auto bias = random_matrix(static_cast<std::size_t>(s.m), 113, false);
+      auto c_ref = random_matrix(static_cast<std::size_t>(s.m) * s.n, 114, false);
+      auto c_blk = c_ref;
+      kernels::ref::gemm_accumulate(a.data(), b.data(), c_ref.data(), s.m, s.k,
+                                    s.n);
+      kernels::gemm_accumulate(a.data(), b.data(), c_blk.data(), s.m, s.k, s.n);
+      ASSERT_EQ(0, std::memcmp(c_ref.data(), c_blk.data(),
+                               c_ref.size() * sizeof(float)))
+          << isa << " m=" << s.m << " k=" << s.k << " n=" << s.n;
 
-    // A^T B with sparse A ([K,M]), repacked before the blocked kernel.
-    const auto at = random_matrix(static_cast<std::size_t>(s.k) * s.m, 115, false);
-    auto at_sparse = at;
-    Rng zrng2(5678);
-    for (auto& v : at_sparse) {
-      if (zrng2.bernoulli(0.9)) v = 0.0f;
+      // Fused bias+relu with the same sparse A.
+      std::vector<float> c_fref(static_cast<std::size_t>(s.m) * s.n);
+      for (int i = 0; i < s.m; ++i) {
+        for (int j = 0; j < s.n; ++j) {
+          c_fref[static_cast<std::size_t>(i) * s.n + j] =
+              bias[static_cast<std::size_t>(i)];
+        }
+      }
+      kernels::ref::gemm_accumulate(a.data(), b.data(), c_fref.data(), s.m, s.k,
+                                    s.n);
+      for (auto& v : c_fref) v = v > 0.0f ? v : 0.0f;
+      std::vector<float> c_fused(static_cast<std::size_t>(s.m) * s.n, -1.0f);
+      kernels::gemm_bias_accumulate(a.data(), b.data(), bias.data(),
+                                    c_fused.data(), s.m, s.k, s.n,
+                                    kernels::Epilogue::kRelu);
+      ASSERT_EQ(0, std::memcmp(c_fref.data(), c_fused.data(),
+                               c_fref.size() * sizeof(float)))
+          << isa << " m=" << s.m << " k=" << s.k << " n=" << s.n;
+
+      // A^T B with sparse A ([K,M]), repacked before the blocked kernel.
+      const auto at = random_matrix(static_cast<std::size_t>(s.k) * s.m, 115, false);
+      auto at_sparse = at;
+      Rng zrng2(5678);
+      for (auto& v : at_sparse) {
+        if (zrng2.bernoulli(0.9)) v = 0.0f;
+      }
+      auto c_tref = random_matrix(static_cast<std::size_t>(s.m) * s.n, 116, false);
+      auto c_tblk = c_tref;
+      kernels::ref::gemm_at_b_accumulate(at_sparse.data(), b.data(),
+                                         c_tref.data(), s.m, s.k, s.n);
+      kernels::gemm_at_b_accumulate(at_sparse.data(), b.data(), c_tblk.data(),
+                                    s.m, s.k, s.n);
+      ASSERT_EQ(0, std::memcmp(c_tref.data(), c_tblk.data(),
+                               c_tref.size() * sizeof(float)))
+          << isa << " m=" << s.m << " k=" << s.k << " n=" << s.n;
     }
-    auto c_tref = random_matrix(static_cast<std::size_t>(s.m) * s.n, 116, false);
-    auto c_tblk = c_tref;
-    kernels::ref::gemm_at_b_accumulate(at_sparse.data(), b.data(),
-                                       c_tref.data(), s.m, s.k, s.n);
-    kernels::gemm_at_b_accumulate(at_sparse.data(), b.data(), c_tblk.data(),
-                                  s.m, s.k, s.n);
-    ASSERT_EQ(0, std::memcmp(c_tref.data(), c_tblk.data(),
-                             c_tref.size() * sizeof(float)))
-        << "m=" << s.m << " k=" << s.k << " n=" << s.n;
-  }
+  });
 }
 
 TEST(Kernels, FusedRowBiasEpilogueMatchesComposition) {
-  for (const auto& s : kShapes) {
-    const auto a = random_matrix(static_cast<std::size_t>(s.m) * s.k, 101, true);
-    const auto b = random_matrix(static_cast<std::size_t>(s.k) * s.n, 102, false);
-    const auto bias = random_matrix(static_cast<std::size_t>(s.m), 103, false);
-    // Composition: fill rows with bias, then plain accumulate, then relu.
-    std::vector<float> c_ref(static_cast<std::size_t>(s.m) * s.n);
-    for (int i = 0; i < s.m; ++i) {
-      for (int j = 0; j < s.n; ++j) {
-        c_ref[static_cast<std::size_t>(i) * s.n + j] =
-            bias[static_cast<std::size_t>(i)];
+  for_each_isa([](const char* isa) {
+    for (const auto& s : kShapes) {
+      const auto a = random_matrix(static_cast<std::size_t>(s.m) * s.k, 101, true);
+      const auto b = random_matrix(static_cast<std::size_t>(s.k) * s.n, 102, false);
+      const auto bias = random_matrix(static_cast<std::size_t>(s.m), 103, false);
+      // Composition: fill rows with bias, then plain accumulate, then relu.
+      std::vector<float> c_ref(static_cast<std::size_t>(s.m) * s.n);
+      for (int i = 0; i < s.m; ++i) {
+        for (int j = 0; j < s.n; ++j) {
+          c_ref[static_cast<std::size_t>(i) * s.n + j] =
+              bias[static_cast<std::size_t>(i)];
+        }
       }
-    }
-    kernels::ref::gemm_accumulate(a.data(), b.data(), c_ref.data(), s.m, s.k,
-                                  s.n);
-    for (auto& v : c_ref) v = v > 0.0f ? v : 0.0f;
+      kernels::ref::gemm_accumulate(a.data(), b.data(), c_ref.data(), s.m, s.k,
+                                    s.n);
+      for (auto& v : c_ref) v = v > 0.0f ? v : 0.0f;
 
-    std::vector<float> c_fused(static_cast<std::size_t>(s.m) * s.n, -1.0f);
-    kernels::gemm_bias_accumulate(a.data(), b.data(), bias.data(),
-                                  c_fused.data(), s.m, s.k, s.n,
-                                  kernels::Epilogue::kRelu);
-    ASSERT_EQ(0, std::memcmp(c_ref.data(), c_fused.data(),
-                             c_ref.size() * sizeof(float)))
-        << "m=" << s.m << " k=" << s.k << " n=" << s.n;
-  }
+      std::vector<float> c_fused(static_cast<std::size_t>(s.m) * s.n, -1.0f);
+      kernels::gemm_bias_accumulate(a.data(), b.data(), bias.data(),
+                                    c_fused.data(), s.m, s.k, s.n,
+                                    kernels::Epilogue::kRelu);
+      ASSERT_EQ(0, std::memcmp(c_ref.data(), c_fused.data(),
+                               c_ref.size() * sizeof(float)))
+          << isa << " m=" << s.m << " k=" << s.k << " n=" << s.n;
+    }
+  });
 }
 
 TEST(Kernels, FusedColBiasEpilogueMatchesComposition) {
-  for (const auto& s : kShapes) {
-    const auto a = random_matrix(static_cast<std::size_t>(s.m) * s.k, 201, false);
-    const auto b = random_matrix(static_cast<std::size_t>(s.n) * s.k, 202, false);
-    const auto bias = random_matrix(static_cast<std::size_t>(s.n), 203, false);
-    std::vector<float> c_ref(static_cast<std::size_t>(s.m) * s.n);
-    for (int i = 0; i < s.m; ++i) {
-      for (int j = 0; j < s.n; ++j) {
-        c_ref[static_cast<std::size_t>(i) * s.n + j] =
-            bias[static_cast<std::size_t>(j)];
+  for_each_isa([](const char* isa) {
+    for (const auto& s : kShapes) {
+      const auto a = random_matrix(static_cast<std::size_t>(s.m) * s.k, 201, false);
+      const auto b = random_matrix(static_cast<std::size_t>(s.n) * s.k, 202, false);
+      const auto bias = random_matrix(static_cast<std::size_t>(s.n), 203, false);
+      std::vector<float> c_ref(static_cast<std::size_t>(s.m) * s.n);
+      for (int i = 0; i < s.m; ++i) {
+        for (int j = 0; j < s.n; ++j) {
+          c_ref[static_cast<std::size_t>(i) * s.n + j] =
+              bias[static_cast<std::size_t>(j)];
+        }
       }
-    }
-    kernels::ref::gemm_a_bt_accumulate(a.data(), b.data(), c_ref.data(), s.m,
-                                       s.k, s.n);
-    for (auto& v : c_ref) v = v > 0.0f ? v : 0.0f;
+      kernels::ref::gemm_a_bt_accumulate(a.data(), b.data(), c_ref.data(), s.m,
+                                         s.k, s.n);
+      for (auto& v : c_ref) v = v > 0.0f ? v : 0.0f;
 
-    std::vector<float> c_fused(static_cast<std::size_t>(s.m) * s.n, -1.0f);
-    kernels::gemm_a_bt_bias(a.data(), b.data(), bias.data(), c_fused.data(),
-                            s.m, s.k, s.n, kernels::Epilogue::kRelu);
-    ASSERT_EQ(0, std::memcmp(c_ref.data(), c_fused.data(),
-                             c_ref.size() * sizeof(float)))
-        << "m=" << s.m << " k=" << s.k << " n=" << s.n;
-  }
+      std::vector<float> c_fused(static_cast<std::size_t>(s.m) * s.n, -1.0f);
+      kernels::gemm_a_bt_bias(a.data(), b.data(), bias.data(), c_fused.data(),
+                              s.m, s.k, s.n, kernels::Epilogue::kRelu);
+      ASSERT_EQ(0, std::memcmp(c_ref.data(), c_fused.data(),
+                               c_ref.size() * sizeof(float)))
+          << isa << " m=" << s.m << " k=" << s.k << " n=" << s.n;
+    }
+  });
 }
 
 TEST(Kernels, AllSupportedIsaTiersAgreeBitwise) {
-  const std::string initial = kernels::active_isa();
   const Shape s{9, 257, 129};
   const auto a = random_matrix(static_cast<std::size_t>(s.m) * s.k, 301, true);
   const auto b = random_matrix(static_cast<std::size_t>(s.k) * s.n, 302, false);
@@ -230,12 +257,7 @@ TEST(Kernels, AllSupportedIsaTiersAgreeBitwise) {
 
   std::vector<std::vector<float>> direct_results;
   std::vector<std::vector<float>> dot_results;
-  for (const char* isa : {"sse2", "avx2", "avx512"}) {
-    try {
-      kernels::force_isa(isa);
-    } catch (const ConfigError&) {
-      continue;  // host lacks this tier
-    }
+  for_each_isa([&](const char* /*isa*/) {
     auto c_direct = c0;
     kernels::gemm_accumulate(a.data(), b.data(), c_direct.data(), s.m, s.k,
                              s.n);
@@ -244,8 +266,7 @@ TEST(Kernels, AllSupportedIsaTiersAgreeBitwise) {
     kernels::gemm_a_bt_accumulate(a.data(), bt.data(), c_dot.data(), s.m, s.k,
                                   s.n);
     dot_results.push_back(std::move(c_dot));
-  }
-  kernels::force_isa(initial.c_str());
+  });
 
   ASSERT_GE(direct_results.size(), 1u);  // sse2 is always supported
   for (std::size_t i = 1; i < direct_results.size(); ++i) {
@@ -450,21 +471,6 @@ void ref_conv_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
       db[static_cast<std::size_t>(f)] += acc;
     }
   }
-}
-
-/// Runs `body` once per ISA tier the host supports, restoring the tier.
-template <typename Fn>
-void for_each_isa(Fn&& body) {
-  const std::string initial = kernels::active_isa();
-  for (const char* isa : {"sse2", "avx2", "avx512"}) {
-    try {
-      kernels::force_isa(isa);
-    } catch (const ConfigError&) {
-      continue;  // host lacks this tier
-    }
-    body(isa);
-  }
-  kernels::force_isa(initial.c_str());
 }
 
 TEST(Kernels, ConvForwardMatchesPerImageReferenceBitwise) {

@@ -1,5 +1,6 @@
-// Tests for the parallel library generator (determinism across thread
-// counts), the work-stealing thread pool, splitmix seed derivation, and the
+// Tests for the library generator's one schedule (the same dependency graph
+// on the FIFO thread pool at every thread count, byte-identical across
+// counts), the pool itself, splitmix seed derivation, and the
 // value-sensitive artifact-cache key.
 
 #include <gtest/gtest.h>
@@ -7,7 +8,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <set>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -158,6 +161,27 @@ TEST(ThreadPool, FailureDrainsQueuedContinuations) {
   });
   EXPECT_THROW(pool.wait(), ConfigError);
   EXPECT_EQ(ran.load(), 0);
+}
+
+TEST(ThreadPool, OneWorkerRunsTasksInSubmissionOrder) {
+  // One worker pops the front of the one FIFO queue: tasks run in
+  // submission order, and a continuation joins the back, after everything
+  // queued before it. The generator's one-thread run relies on this order.
+  ThreadPool pool(1);
+  std::promise<void> all_queued;
+  std::future<void> gate = all_queued.get_future();
+  std::vector<int> order;  // touched only by the single worker
+  pool.submit([&] {
+    gate.wait();  // tasks 1..3 are queued before the continuation below
+    order.push_back(0);
+    pool.submit([&order] { order.push_back(4); });
+  });
+  for (int i = 1; i <= 3; ++i) {
+    pool.submit([&order, i] { order.push_back(i); });
+  }
+  all_queued.set_value();
+  pool.wait();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(ThreadPool, SubmitWaitStressNeverHangs) {
