@@ -251,16 +251,15 @@ int main(int argc, char** argv) {
     // the walk-order sites before use) or a generated config.
     analysis::LintReport report;
     FoldingConfig folding;
-    std::vector<LayerSite> sites;
-    try {
-      sites = walk_compute_layers(model, config.in_channels,
-                                  config.image_size);
-    } catch (const Error&) {
-      // The strict walk rejects the model; rerun the lenient design rules
-      // so the user sees every violation, not just the first.
-      report = analysis::lint_design(model, FoldingConfig{}, config);
+    const ModelWalk walk =
+        walk_model(model, config.in_channels, config.image_size);
+    if (walk.findings.has_errors()) {
+      // A shape-broken model has no sites to fold: report every violation
+      // the design rules find with an empty folding.
+      report = analysis::lint_design(model, walk, FoldingConfig{});
       return emit(report, min_severity, json, "", Json());
     }
+    const std::vector<LayerSite>& sites = walk.sites;
     if (flags.count("folding")) {
       const Json j = Json::parse(read_file(flags["folding"]));
       report.merge(analysis::lint_folding_json(j, sites));

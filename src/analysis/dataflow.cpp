@@ -14,6 +14,15 @@ namespace analysis {
 namespace {
 
 constexpr double kReachEps = 1e-12;
+/// R9 fires when a gated (reach < 1) module's cycles * reach exceeds the
+/// full-traffic front section's II by more than this factor.
+constexpr double kBottleneckSlack = 1.25;
+/// cross_validate: maximum |static - measured| / measured steady-state II.
+constexpr double kIiRelTol = 0.01;
+/// cross_validate stimulus length bounds; the harness sizes the stream from
+/// the static lag bounds so the measurement window dominates transients.
+constexpr std::size_t kMinImages = 512;
+constexpr std::size_t kMaxImages = 60000;
 
 /// The branch level whose survival probability gates module `m` (mirrors
 /// module_touches: exit heads are gated by their branch point, backbone
@@ -284,14 +293,14 @@ DataflowReport analyze_dataflow(const Accelerator& acc,
     if (r >= 1.0 - kReachEps) continue;
     const double gated = static_cast<double>(acc.modules[m].cycles) * r;
     if (rep.front_ii_cycles > 0.0 &&
-        gated > options.bottleneck_slack * rep.front_ii_cycles) {
+        gated > kBottleneckSlack * rep.front_ii_cycles) {
       rep.lint.add(
           "R9", Severity::kWarning, acc.modules[m].name,
           "gated II " + fmt(gated) + " cycles (cycles " +
               std::to_string(acc.modules[m].cycles) + " x reach " + fmt(r) +
               ") exceeds the full-traffic front II of " +
               fmt(rep.front_ii_cycles) + " cycles by more than " +
-              fmt(options.bottleneck_slack) + "x",
+              fmt(kBottleneckSlack) + "x",
           "unfold this module (more PE/SIMD): it throttles the pipeline "
           "despite seeing only part of the traffic");
     }
@@ -373,8 +382,7 @@ DataflowReport analyze_dataflow(const Accelerator& acc,
   try {
     const AcceleratorPerf perf =
         estimate_performance(acc, exit_fractions, PowerModel{});
-    rep.lint.merge(lint_gated_throughput(acc, exit_fractions, perf,
-                                         options.accounting_rel_tol));
+    rep.lint.merge(lint_gated_throughput(acc, exit_fractions, perf));
   } catch (const Error& e) {
     rep.lint.add("R14", Severity::kError, "accelerator",
                  std::string("analytical performance model rejected the "
@@ -566,8 +574,8 @@ CrossValidation cross_validate(const Accelerator& acc,
                                                       acc.modules.size()) +
                                                   64));
   std::size_t n = static_cast<std::size_t>(std::ceil(
-      std::max(want, static_cast<double>(options.min_images))));
-  n = std::min(std::max(n, options.min_images), options.max_images);
+      std::max(want, static_cast<double>(kMinImages))));
+  n = std::min(std::max(n, kMinImages), kMaxImages);
   cv.num_images = n;
 
   const std::vector<int> stimulus = make_gated_stimulus(exit_fractions, n);
@@ -596,14 +604,14 @@ CrossValidation cross_validate(const Accelerator& acc,
               rep.bottleneck_module)];
   cv.ii_rel_err = std::abs(cv.static_ii_cycles - cv.measured_ii_cycles) /
                   std::max(cv.measured_ii_cycles, 1e-12);
-  if (cv.ii_rel_err > options.ii_rel_tol) {
+  if (cv.ii_rel_err > kIiRelTol) {
     cv.lint.add(
         "XV", Severity::kError,
         acc.modules[static_cast<std::size_t>(rep.bottleneck_module)].name,
         "static II " + fmt(cv.static_ii_cycles) +
             " disagrees with measured II " + fmt(cv.measured_ii_cycles) +
             " cycles (rel err " + fmt(cv.ii_rel_err) + " > " +
-            fmt(options.ii_rel_tol) + ")",
+            fmt(kIiRelTol) + ")",
         "the reach-scaled II model and the simulator diverge");
   }
 

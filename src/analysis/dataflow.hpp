@@ -44,8 +44,8 @@
 // simulate_pipeline twice (free-running for the measured II at the
 // bottleneck, steady-paced for link occupancy — the same measurement path
 // size_fifos uses), and asserts every static bound brackets the measured
-// value: steady II within ii_rel_tol (default 1%), every link high-water
-// mark inside [lower, upper]. generate_library() runs it behind
+// value: steady II within 1%, every link high-water mark inside
+// [lower, upper]. generate_library() runs it behind
 // LibraryGenSpec::verify_dataflow, adapex_lint behind --verify, and
 // bench_verifier sweeps the CNV design space with it to report tightness.
 
@@ -67,11 +67,6 @@ namespace analysis {
 
 /// Tuning knobs for one dataflow analysis.
 struct DataflowOptions {
-  /// R9 fires when a gated (reach < 1) module's cycles * reach exceeds the
-  /// full-traffic front section's II by more than this factor.
-  double bottleneck_slack = 1.25;
-  /// Relative tolerance of the R12/R14 accounting comparisons.
-  double accounting_rel_tol = 1e-6;
   /// Device whose BRAM budget R13 checks the buffering cost against.
   DeviceProfile device = DeviceProfile::zcu104();
   /// Optional proposed FIFO sizing plan; enables R10 and sharpens R11.
@@ -147,12 +142,7 @@ LintReport lint_gated_throughput(const Accelerator& acc,
 
 /// Agreement-harness knobs.
 struct CrossValidateOptions {
-  /// Maximum |static - measured| / measured steady-state II.
-  double ii_rel_tol = 0.01;
-  /// Stimulus length bounds; the harness sizes the stream from the static
-  /// lag bounds so the measurement window dominates transients.
-  std::size_t min_images = 512;
-  std::size_t max_images = 60000;
+  /// Options of the static analysis the measurements are checked against.
   DataflowOptions dataflow;
 };
 

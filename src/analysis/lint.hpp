@@ -24,8 +24,7 @@
 //       extension of the backbone path through its Branch module.
 //
 // The reach-aware dataflow verifier (analysis/dataflow.hpp) extends the
-// catalog with R8-R14, run from lint_accelerator() when
-// LintOptions::dataflow_rules is set:
+// catalog with R8-R14, which lint_accelerator() always runs:
 //
 //   R8  reach consistency: exit-fraction arity, range, unit sum, and
 //       non-negative monotone survival against the branch structure.
@@ -73,17 +72,8 @@ namespace analysis {
 
 /// Tuning knobs for a lint run.
 struct LintOptions {
+  /// Device whose capacities R5 (and the dataflow rules' R13) check against.
   DeviceProfile device = DeviceProfile::zcu104();
-  /// Utilization fraction above which R5 warns even though the design fits.
-  double budget_warn_fraction = 0.80;
-  /// R4 warns when an exit head's initiation interval exceeds the
-  /// post-branch backbone II by more than this factor.
-  double fifo_imbalance_warn = 1.5;
-  /// Cross-check R4 findings against the transaction-level FIFO sizing
-  /// model (cheap; set false for a purely analytical run).
-  bool cross_check_fifos = true;
-  /// Run the reach-aware dataflow rules R8-R14 (analysis/dataflow.hpp).
-  bool dataflow_rules = true;
   /// Exit distribution the dataflow rules analyze under; empty means
   /// uniform over the accelerator's outputs.
   std::vector<double> exit_fractions;
@@ -94,6 +84,11 @@ struct LintOptions {
 /// broken design — violations come back as diagnostics.
 LintReport lint_design(BranchyModel& model, const FoldingConfig& folding,
                        const AcceleratorConfig& config);
+
+/// The same rules over an existing walk of `model` (model/walk.hpp), for
+/// callers that go on to use the walk's sites and shapes.
+LintReport lint_design(BranchyModel& model, const ModelWalk& walk,
+                       const FoldingConfig& folding);
 
 /// Accelerator-level rules (R3, R4, R5, R7's path half) over a compiled
 /// design. Usable directly on hand-built or deserialized accelerators.

@@ -15,6 +15,12 @@ namespace analysis {
 
 namespace {
 
+/// R4 warns when an exit head's initiation interval exceeds the post-branch
+/// backbone II by more than this factor.
+constexpr double kFifoImbalanceWarn = 1.5;
+/// Utilization fraction above which R5 warns even though the design fits.
+constexpr double kBudgetWarnFraction = 0.80;
+
 std::string module_site(const Accelerator& acc, int index) {
   if (index < 0 || index >= static_cast<int>(acc.modules.size())) {
     return "module[" + std::to_string(index) + "]";
@@ -85,26 +91,22 @@ void lint_stream_widths(const Accelerator& acc, LintReport& report) {
 /// R4: FIFO backpressure hazards at Branch forks. A slow exit head makes
 /// the duplicated feature-map stream back up behind the branch; statically
 /// compare the head's initiation interval against the post-branch backbone
-/// II, then (optionally) cross-check the needed depth with the
-/// transaction-level fifo_sizing model.
-void lint_fifo_hazards(const Accelerator& acc, const LintOptions& options,
-                       LintReport& report) {
+/// II, then cross-check the needed depth with the transaction-level
+/// fifo_sizing model.
+void lint_fifo_hazards(const Accelerator& acc, LintReport& report) {
   if (acc.num_exits <= 0 ||
       acc.paths.size() != static_cast<std::size_t>(acc.num_exits) + 1) {
     return;
   }
   const std::vector<int>& backbone = acc.paths.back();
 
-  std::vector<FifoRequirement> sized;
-  if (options.cross_check_fifos) {
-    // Round-robin stimulus over every output keeps the check deterministic
-    // and cheap (a few dozen transactions).
-    std::vector<int> stimulus(8 * acc.paths.size());
-    for (std::size_t i = 0; i < stimulus.size(); ++i) {
-      stimulus[i] = static_cast<int>(i % acc.paths.size());
-    }
-    sized = size_fifos(acc, stimulus);
+  // Round-robin stimulus over every output keeps the cross-check
+  // deterministic and cheap (a few dozen transactions).
+  std::vector<int> stimulus(8 * acc.paths.size());
+  for (std::size_t i = 0; i < stimulus.size(); ++i) {
+    stimulus[i] = static_cast<int>(i % acc.paths.size());
   }
+  const std::vector<FifoRequirement> sized = size_fifos(acc, stimulus);
 
   for (int e = 0; e < acc.num_exits; ++e) {
     const auto& path = acc.paths[static_cast<std::size_t>(e)];
@@ -139,7 +141,7 @@ void lint_fifo_hazards(const Accelerator& acc, const LintOptions& options,
 
     const double imbalance =
         static_cast<double>(head_ii) / static_cast<double>(post_branch_ii);
-    if (imbalance <= options.fifo_imbalance_warn) continue;
+    if (imbalance <= kFifoImbalanceWarn) continue;
 
     std::string message =
         "exit head II (" + std::to_string(head_ii) +
@@ -148,15 +150,12 @@ void lint_fifo_hazards(const Accelerator& acc, const LintOptions& options,
         std::to_string(imbalance).substr(0, 4) +
         "x; the duplicated stream backs up behind the branch and stalls the "
         "backbone once the FIFO fills";
-    if (!sized.empty()) {
-      const int head_module = path[head_start];
-      for (const auto& req : sized) {
-        if (req.producer == branch_index && req.consumer == head_module) {
-          message += " (fifo_sizing: depth " +
-                     std::to_string(req.depth_images) + " images, " +
-                     std::to_string(req.bram) + " BRAM)";
-          break;
-        }
+    const int head_module = path[head_start];
+    for (const auto& req : sized) {
+      if (req.producer == branch_index && req.consumer == head_module) {
+        message += " (fifo_sizing: depth " + std::to_string(req.depth_images) +
+                   " images, " + std::to_string(req.bram) + " BRAM)";
+        break;
       }
     }
     report.add("R4", Severity::kWarning, module_site(acc, branch_index),
@@ -190,7 +189,7 @@ void lint_resource_budget(const Accelerator& acc, const LintOptions& options,
     }
   }
   const double worst = device.worst_utilization(acc.total);
-  if (device.fits(acc.total) && worst > options.budget_warn_fraction) {
+  if (device.fits(acc.total) && worst > kBudgetWarnFraction) {
     report.add("R5", Severity::kWarning, site,
                "design uses " + std::to_string(static_cast<int>(worst * 100)) +
                    "% of the scarcest resource",
@@ -293,19 +292,17 @@ LintReport lint_accelerator(const Accelerator& acc,
   }
   if (!lint_path_indices(acc, report)) return report;
   lint_stream_widths(acc, report);
-  lint_fifo_hazards(acc, options, report);
+  lint_fifo_hazards(acc, report);
   lint_resource_budget(acc, options, report);
   lint_path_structure(acc, report);
-  if (options.dataflow_rules) {
-    std::vector<double> fractions = options.exit_fractions;
-    if (fractions.empty()) {
-      fractions.assign(static_cast<std::size_t>(acc.num_exits) + 1,
-                       1.0 / static_cast<double>(acc.num_exits + 1));
-    }
-    DataflowOptions dopts;
-    dopts.device = options.device;
-    report.merge(analyze_dataflow(acc, fractions, dopts).lint);
+  std::vector<double> fractions = options.exit_fractions;
+  if (fractions.empty()) {
+    fractions.assign(static_cast<std::size_t>(acc.num_exits) + 1,
+                     1.0 / static_cast<double>(acc.num_exits + 1));
   }
+  DataflowOptions dopts;
+  dopts.device = options.device;
+  report.merge(analyze_dataflow(acc, fractions, dopts).lint);
   return report;
 }
 

@@ -4,22 +4,10 @@
 #include <cmath>
 
 #include "analysis/lint.hpp"
-#include "tensor/ops.hpp"
 
 namespace adapex {
 
 namespace {
-
-/// Geometry tracked while emitting modules for one Sequential.
-struct EmitState {
-  int channels = 0;
-  int dim = 0;
-  int features = 0;
-  bool flattened = false;
-  /// Parallelism (channels per cycle) of the producing stream, used to cost
-  /// pool/branch units that run at line rate.
-  int stream_pe = 1;
-};
 
 struct Emitter {
   const FoldingConfig& folding;
@@ -32,97 +20,60 @@ struct Emitter {
   std::vector<HlsModule> modules;
   std::size_t fold_index = 0;  // walk-order cursor
 
-  /// Emits all modules of one Sequential; appends the emitted module
-  /// indices to `path`. `exit_level` is the number of upstream branch
-  /// points; `exit_head` tags exit-head modules.
-  void emit_sequential(Sequential& seq, const std::string& prefix,
-                       EmitState& state, int exit_level, int exit_head,
+  /// Emits all modules of one Sequential, whose names and layer input
+  /// shapes come from its walk; appends the emitted module indices to
+  /// `path`. `stream_pe` is the parallelism (channels per cycle) of the
+  /// producing stream, which costs the pool/branch units that run at line
+  /// rate. `exit_level` is the number of upstream branch points;
+  /// `exit_head` tags exit-head modules.
+  void emit_sequential(Sequential& seq, const WalkedSequential& walked,
+                       int& stream_pe, int exit_level, int exit_head,
                        std::vector<int>& path) {
     int act_bits_default = 2;
     for (std::size_t i = 0; i < seq.size(); ++i) {
       Layer& layer = seq.layer(i);
+      auto emit = [&](HlsModuleKind kind, const char* suffix, long cycles,
+                      const Resources& resources, int in_elems,
+                      int out_elems) {
+        path.push_back(static_cast<int>(modules.size()));
+        modules.push_back(HlsModule{
+            .kind = kind,
+            .name = walked.prefix + "." + std::to_string(i) + suffix,
+            .cycles = cycles,
+            .resources = resources,
+            .exit_level = exit_level,
+            .exit_head = exit_head,
+            .in_stream_elems = in_elems,
+            .out_stream_elems = out_elems});
+      };
       switch (layer.kind()) {
-        case LayerKind::kConv: {
-          const std::size_t idx = next_index(layer);
-          const LayerSite& site = sites[idx];
-          const LayerFold fold = folding.folds[idx];
-          const MvtuGeometry g = site_mvtu_geometry(site);
-          ADAPEX_ASSERT(g.in_dim == state.dim);
-          ADAPEX_ASSERT(g.act_bits == act_bits_default);
-
-          HlsModule swu;
-          swu.kind = HlsModuleKind::kSwu;
-          swu.name = prefix + "." + std::to_string(i) + ".swu";
-          swu.cycles = swu_cycles(g, fold.simd);
-          swu.resources = swu_resources(g, fold.simd, config.cost);
-          swu.exit_level = exit_level;
-          swu.exit_head = exit_head;
-          swu.in_stream_elems = state.stream_pe;
-          swu.out_stream_elems = fold.simd;
-          path.push_back(static_cast<int>(modules.size()));
-          modules.push_back(swu);
-
-          HlsModule mvtu;
-          mvtu.kind = HlsModuleKind::kMvtu;
-          mvtu.name = prefix + "." + std::to_string(i) + ".mvtu";
-          mvtu.cycles = site_fold_cycles(site, fold);
-          mvtu.resources = mvtu_resources(g, fold.pe, fold.simd, config.cost);
-          mvtu.exit_level = exit_level;
-          mvtu.exit_head = exit_head;
-          mvtu.in_stream_elems = fold.simd;
-          mvtu.out_stream_elems = fold.pe;
-          path.push_back(static_cast<int>(modules.size()));
-          modules.push_back(mvtu);
-
-          state.channels = site.out_channels;
-          state.dim = g.out_dim;
-          state.stream_pe = fold.pe;
-          break;
-        }
+        case LayerKind::kConv:
         case LayerKind::kLinear: {
           const std::size_t idx = next_index(layer);
           const LayerSite& site = sites[idx];
           const LayerFold fold = folding.folds[idx];
           const MvtuGeometry g = site_mvtu_geometry(site);
           ADAPEX_ASSERT(g.act_bits == act_bits_default);
-
-          HlsModule mvtu;
-          mvtu.kind = HlsModuleKind::kMvtu;
-          mvtu.name = prefix + "." + std::to_string(i) + ".mvtu";
-          mvtu.cycles = site_fold_cycles(site, fold);
-          mvtu.resources = mvtu_resources(g, fold.pe, fold.simd, config.cost);
-          mvtu.exit_level = exit_level;
-          mvtu.exit_head = exit_head;
-          mvtu.in_stream_elems = fold.simd;
-          mvtu.out_stream_elems = fold.pe;
-          path.push_back(static_cast<int>(modules.size()));
-          modules.push_back(mvtu);
-
-          state.features = site.out_channels;
-          state.stream_pe = fold.pe;
+          if (site.is_conv) {
+            emit(HlsModuleKind::kSwu, ".swu", swu_cycles(g, fold.simd),
+                 swu_resources(g, fold.simd, config.cost), stream_pe,
+                 fold.simd);
+          }
+          emit(HlsModuleKind::kMvtu, ".mvtu", site_fold_cycles(site, fold),
+               mvtu_resources(g, fold.pe, fold.simd, config.cost), fold.simd,
+               fold.pe);
+          stream_pe = fold.pe;
           break;
         }
         case LayerKind::kMaxPool: {
-          auto& pool = static_cast<MaxPool2d&>(layer);
-          HlsModule m;
-          m.kind = HlsModuleKind::kPool;
-          m.name = prefix + "." + std::to_string(i) + ".pool";
-          m.cycles = pool_cycles(state.channels, state.dim, state.stream_pe);
-          m.resources = pool_resources(state.channels, state.stream_pe,
-                                       act_bits_default, config.cost);
-          m.exit_level = exit_level;
-          m.exit_head = exit_head;
-          m.in_stream_elems = state.stream_pe;
-          m.out_stream_elems = state.stream_pe;
-          path.push_back(static_cast<int>(modules.size()));
-          modules.push_back(m);
-          state.dim = ops::out_dim(state.dim, pool.kernel(), pool.stride());
+          const ActShape& in = walked.layer_in[i];
+          emit(HlsModuleKind::kPool, ".pool",
+               pool_cycles(in.channels, in.dim, stream_pe),
+               pool_resources(in.channels, stream_pe, act_bits_default,
+                              config.cost),
+               stream_pe, stream_pe);
           break;
         }
-        case LayerKind::kFlatten:
-          state.features = state.channels * state.dim * state.dim;
-          state.flattened = true;
-          break;
         case LayerKind::kActQuant: {
           auto& act = static_cast<ActQuant&>(layer);
           if (act.bits() > 0) act_bits_default = act.bits();
@@ -130,6 +81,8 @@ struct Emitter {
         }
         case LayerKind::kBatchNorm:
           break;  // absorbed into MVTU thresholds
+        case LayerKind::kFlatten:
+          break;  // a reindexing of the stream; no hardware
       }
     }
   }
@@ -152,62 +105,60 @@ Accelerator compile_accelerator(BranchyModel& model,
                                 const AcceleratorConfig& config) {
   // Precondition: the design-level lint rules must hold. All violations are
   // reported at once in a single ConfigError (analysis/lint.hpp), replacing
-  // the old first-check-wins ADAPEX_CHECK aborts.
-  analysis::lint_design(model, folding, config).throw_if_errors();
+  // the old first-check-wins ADAPEX_CHECK aborts. The emitter then reads
+  // every site, name and shape from the same walk.
+  const ModelWalk walk =
+      walk_model(model, config.in_channels, config.image_size);
+  analysis::lint_design(model, walk, folding).throw_if_errors();
 
-  const std::vector<LayerSite> sites =
-      walk_compute_layers(model, config.in_channels, config.image_size);
-  Emitter emitter{folding, config, sites, {}, 0};
+  Emitter emitter{folding, config, walk.sites, {}, 0};
   Accelerator acc;
   acc.fclk_mhz = config.fclk_mhz;
   acc.num_exits = static_cast<int>(model.num_exits());
 
-  // Backbone blocks; record per-block state and the module path prefix.
-  EmitState state;
-  state.channels = config.in_channels;
-  state.dim = config.image_size;
+  // Backbone blocks; record each block's output stream width and the
+  // module path prefix.
+  int stream_pe = 1;
   std::vector<int> backbone_path;
-  std::vector<EmitState> block_state(model.num_blocks());
-  // Exit attachment bookkeeping: exits are sorted by block; count upstream
-  // branch points to set exit levels.
-  std::vector<std::vector<int>> path_prefix_at_exit(model.num_exits());
+  std::vector<int> block_stream_pe(model.num_blocks());
+  // Each exit's path starts as the backbone path up to and including its
+  // branch. Exits are sorted by block; count upstream branch points to set
+  // exit levels.
+  std::vector<std::vector<int>> exit_paths(model.num_exits());
 
   int exits_seen = 0;
   for (std::size_t b = 0; b < model.num_blocks(); ++b) {
-    emitter.emit_sequential(model.block(b), "backbone.b" + std::to_string(b),
-                            state, exits_seen, -1, backbone_path);
-    block_state[b] = state;
+    emitter.emit_sequential(model.block(b), walk.blocks[b], stream_pe,
+                            exits_seen, -1, backbone_path);
+    block_stream_pe[b] = stream_pe;
     // Insert a branch module per exit attached at this block's output.
+    const ActShape& out = walk.blocks[b].out;
     for (std::size_t e = 0; e < model.num_exits(); ++e) {
       if (model.exit(e).after_block != static_cast<int>(b)) continue;
-      HlsModule branch;
-      branch.kind = HlsModuleKind::kBranch;
-      branch.name = "branch.exit" + std::to_string(e);
-      branch.cycles = branch_cycles(state.channels, state.dim, state.stream_pe);
-      branch.resources = branch_resources(state.channels, state.dim,
-                                          state.stream_pe, 2, config.cost);
-      branch.exit_level = exits_seen;
-      branch.exit_head = -1;
-      branch.in_stream_elems = state.stream_pe;
-      branch.out_stream_elems = state.stream_pe;
       backbone_path.push_back(static_cast<int>(emitter.modules.size()));
-      emitter.modules.push_back(branch);
-      path_prefix_at_exit[e] = backbone_path;  // snapshot incl. the branch
+      emitter.modules.push_back(HlsModule{
+          .kind = HlsModuleKind::kBranch,
+          .name = "branch.exit" + std::to_string(e),
+          .cycles = branch_cycles(out.channels, out.dim, stream_pe),
+          .resources = branch_resources(out.channels, out.dim, stream_pe, 2,
+                                        config.cost),
+          .exit_level = exits_seen,
+          .exit_head = -1,
+          .in_stream_elems = stream_pe,
+          .out_stream_elems = stream_pe});
+      exit_paths[e] = backbone_path;
       ++exits_seen;
     }
   }
 
   // Exit heads. The emitter's fold cursor continues in walk order (backbone
-  // layers first, then exit layers), matching walk_compute_layers.
-  std::vector<std::vector<int>> exit_paths(model.num_exits());
+  // layers first, then exit layers), matching the walk's sites.
   for (std::size_t e = 0; e < model.num_exits(); ++e) {
-    EmitState exit_state =
-        block_state[static_cast<std::size_t>(model.exit(e).after_block)];
-    std::vector<int> head_path = path_prefix_at_exit[e];
-    emitter.emit_sequential(*model.exit(e).head, "exit" + std::to_string(e),
-                            exit_state, static_cast<int>(e),
-                            static_cast<int>(e), head_path);
-    exit_paths[e] = std::move(head_path);
+    int head_pe =
+        block_stream_pe[static_cast<std::size_t>(model.exit(e).after_block)];
+    emitter.emit_sequential(*model.exit(e).head, walk.exits[e], head_pe,
+                            static_cast<int>(e), static_cast<int>(e),
+                            exit_paths[e]);
   }
 
   acc.modules = std::move(emitter.modules);

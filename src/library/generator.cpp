@@ -124,19 +124,17 @@ void progress(const LibraryGenSpec& spec, const std::string& msg) {
 /// reported in one structured ConfigError (see analysis/lint.hpp).
 void verify_base_design(BranchyModel& model, const LibraryGenSpec& spec,
                         const char* family) {
-  std::vector<LayerSite> sites;
-  try {
-    sites = walk_compute_layers(model, spec.accel.in_channels,
-                                spec.accel.image_size);
-  } catch (const Error&) {
-    // The strict walk rejects the geometry (e.g. AcceleratorConfig input
-    // channels that do not match the CNV); the lenient design rules below
-    // report every violation with an empty folding instead of the first.
-  }
+  const ModelWalk walk =
+      walk_model(model, spec.accel.in_channels, spec.accel.image_size);
+  // A shape-broken walk (e.g. AcceleratorConfig input channels that do not
+  // match the CNV) has no sites to fold; its R2 findings are reported
+  // against an empty folding.
   const FoldingConfig folding =
-      sites.empty() ? FoldingConfig{} : styled_folding(sites, spec.folding_style);
+      walk.findings.has_errors()
+          ? FoldingConfig{}
+          : styled_folding(walk.sites, spec.folding_style);
   const analysis::LintReport report =
-      analysis::lint_design(model, folding, spec.accel);
+      analysis::lint_design(model, walk, folding);
   if (report.has_errors()) {
     throw ConfigError(std::string(family) + " " + report.error_message());
   }
@@ -314,40 +312,28 @@ DesignPointResult run_design_point(const LibraryGenSpec& spec,
       rec.mitigation_overhead = mitigation.overhead;
     }
 
+    // One row per confidence threshold. A no-exit model has the single
+    // threshold -1, evaluated at 2.0, which no confidence clears; its one
+    // output then takes exit_fraction {1.0} exactly.
+    const std::vector<int> thresholds =
+        has_exits ? spec.conf_thresholds_pct : std::vector<int>{-1};
     std::vector<LibraryEntry> entries;
-    if (!has_exits) {
-      const auto stats = apply_threshold(eval, 2.0);
-      const auto perf = estimate_performance(acc, {1.0}, spec.power);
+    for (int ct : thresholds) {
+      const auto stats = apply_threshold(eval, ct < 0 ? 2.0 : ct / 100.0);
+      const auto perf =
+          estimate_performance(acc, stats.exit_fraction, spec.power);
       LibraryEntry entry;
       entry.accel_id = accel_id;
       entry.variant = point.variant;
       entry.prune_rate_pct = point.rate_pct;
-      entry.conf_threshold_pct = -1;
+      entry.conf_threshold_pct = ct;
       entry.accuracy = stats.accuracy;
-      entry.exit_fractions = {1.0};
+      entry.exit_fractions = stats.exit_fraction;
       entry.ips = perf.ips;
       entry.latency_ms = perf.latency_ms;
       entry.peak_power_w = perf.peak_power_w;
       entry.energy_per_inf_j = perf.energy_per_inf_j;
       entries.push_back(entry);
-    } else {
-      for (int ct : spec.conf_thresholds_pct) {
-        const auto stats = apply_threshold(eval, ct / 100.0);
-        const auto perf =
-            estimate_performance(acc, stats.exit_fraction, spec.power);
-        LibraryEntry entry;
-        entry.accel_id = accel_id;
-        entry.variant = point.variant;
-        entry.prune_rate_pct = point.rate_pct;
-        entry.conf_threshold_pct = ct;
-        entry.accuracy = stats.accuracy;
-        entry.exit_fractions = stats.exit_fraction;
-        entry.ips = perf.ips;
-        entry.latency_ms = perf.latency_ms;
-        entry.peak_power_w = perf.peak_power_w;
-        entry.energy_per_inf_j = perf.energy_per_inf_j;
-        entries.push_back(entry);
-      }
     }
     // Dataflow verification runs on the untaxed rows: the mitigation
     // throughput factor below is a modeled derate the reach-scaled II

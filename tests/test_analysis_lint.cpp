@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "analysis/lint.hpp"
 #include "core/scale.hpp"
@@ -82,6 +83,45 @@ TEST(LintR2, ShapeMismatchReportsEverySite) {
   // Both violations are reported in one pass — no first-check-wins abort.
   EXPECT_TRUE(has_finding(report, "R2", "backbone.b0.conv1", Severity::kError));
   EXPECT_TRUE(has_finding(report, "R2", "backbone.b0.fc0", Severity::kError));
+}
+
+/// The LintR2 fixture above as a model: a conv whose in_channels disagree
+/// with its producer and an fc whose in_features disagree with the flatten.
+BranchyModel shape_broken_model(Rng& rng) {
+  BranchyModel model;
+  auto block = std::make_unique<Sequential>();
+  block->append(std::make_unique<QuantConv2d>(3, 8, 3, 2, rng));
+  block->append(std::make_unique<QuantConv2d>(12, 16, 3, 2, rng));
+  block->append(std::make_unique<Flatten>());
+  block->append(std::make_unique<QuantLinear>(100, 10, 2, rng));
+  model.add_block(std::move(block));
+  return model;
+}
+
+// walk_compute_layers and lint_design share one walk, so the strict form
+// throws one ConfigError naming every R2 site the lint reports, not just
+// the first.
+TEST(ModelWalk, StrictWalkNamesEveryR2SiteTheLintReports) {
+  Rng rng(5);
+  BranchyModel model = shape_broken_model(rng);
+  const AcceleratorConfig config;
+  const LintReport report =
+      analysis::lint_design(model, FoldingConfig{}, config);
+  std::vector<std::string> r2_sites;
+  for (const Diagnostic& d : report.diagnostics) {
+    if (d.rule_id == "R2") r2_sites.push_back(d.site);
+  }
+  ASSERT_EQ(r2_sites.size(), 2u) << report.format_table();
+
+  try {
+    walk_compute_layers(model, config.in_channels, config.image_size);
+    FAIL() << "walk_compute_layers accepted a shape-broken model";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    for (const std::string& site : r2_sites) {
+      EXPECT_NE(what.find(site), std::string::npos) << site << "\n" << what;
+    }
+  }
 }
 
 TEST(LintR3, StreamWidthMismatchOnALink) {

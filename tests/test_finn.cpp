@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <sstream>
 #include <string>
 
 #include "analysis/dataflow.hpp"
@@ -596,6 +597,204 @@ TEST(Reconfig, TimeModel) {
   const double t = model.time_ms(fx.acc);
   EXPECT_GE(t, model.base_ms);
   EXPECT_LT(t, model.base_ms + 50.0);
+}
+
+
+// Golden module tables of the compiler: every module's name, kind, cycles,
+// resources, stream widths, exit_level and exit_head, plus the output
+// paths, for the CNV with the paper's exits at two scales under a styled
+// and a reach-aware folding. Any drift in what compile_accelerator emits
+// fails here; a deliberate cost-model change must re-capture the tables.
+std::string module_table(const Accelerator& acc) {
+  std::ostringstream os;
+  for (const HlsModule& m : acc.modules) {
+    os << m.name << ' ' << to_string(m.kind) << ' ' << m.cycles << ' '
+       << m.resources.lut << ' ' << m.resources.ff << ' ' << m.resources.bram
+       << ' ' << m.resources.dsp << ' ' << m.in_stream_elems << ' '
+       << m.out_stream_elems << ' ' << m.exit_level << ' ' << m.exit_head
+       << '\n';
+  }
+  for (const auto& path : acc.paths) {
+    os << "path";
+    for (int mi : path) os << ' ' << mi;
+    os << '\n';
+  }
+  return os.str();
+}
+
+struct GoldenTables {
+  double scale;
+  const char* styled;
+  const char* reach;
+};
+
+// clang-format off
+const GoldenTables kGoldenTables[] = {
+    {0.1875,
+R"(backbone.b0.0.swu SWU 900 366 403 1 0 1 27 0 -1
+backbone.b0.0.mvtu MVTU 2700 863 938 0 0 27 4 0 -1
+backbone.b0.3.swu SWU 2352 438 482 1 0 4 36 0 -1
+backbone.b0.3.mvtu MVTU 7056 1123 1191 0 0 36 4 0 -1
+backbone.b0.6.pool Pool 2352 84 93 0 0 4 4 0 -1
+branch.exit0 Branch 588 96 106 1 0 4 4 0 -1
+backbone.b1.0.swu SWU 1296 246 271 1 0 4 12 1 -1
+backbone.b1.0.mvtu MVTU 7776 549 515 0 0 12 4 1 -1
+backbone.b1.3.swu SWU 1800 246 271 1 0 4 12 1 -1
+backbone.b1.3.mvtu MVTU 10800 468 515 1 0 12 4 1 -1
+backbone.b1.6.pool Pool 600 84 93 0 0 4 4 1 -1
+branch.exit1 Branch 150 96 106 1 0 4 4 1 -1
+backbone.b2.0.swu SWU 162 246 271 1 0 4 12 2 -1
+backbone.b2.0.mvtu MVTU 1944 468 515 2 0 12 4 2 -1
+backbone.b2.3.swu SWU 36 246 271 1 0 4 12 2 -1
+backbone.b2.3.mvtu MVTU 432 468 515 3 0 12 4 2 -1
+backbone.b2.7.mvtu MVTU 288 183 202 1 0 8 2 2 -1
+backbone.b2.10.mvtu MVTU 576 183 202 1 0 8 2 2 -1
+backbone.b2.13.mvtu MVTU 60 213 202 0 0 8 2 2 -1
+exit0.0.swu SWU 1296 246 271 1 0 4 12 0 0
+exit0.0.mvtu MVTU 3888 509 515 0 0 12 4 0 0
+exit0.3.pool Pool 432 84 93 0 0 4 4 0 0
+exit0.5.mvtu MVTU 96 193 173 0 0 6 2 0 0
+exit0.8.mvtu MVTU 60 213 202 0 0 8 2 0 0
+exit1.0.swu SWU 162 246 271 1 0 4 12 1 1
+exit1.0.mvtu MVTU 972 468 515 1 0 12 4 1 1
+exit1.3.pool Pool 54 84 93 0 0 4 4 1 1
+exit1.5.mvtu MVTU 144 255 202 0 0 8 2 1 1
+exit1.8.mvtu MVTU 60 213 202 0 0 8 2 1 1
+path 0 1 2 3 4 5 19 20 21 22 23
+path 0 1 2 3 4 5 6 7 8 9 10 11 24 25 26 27 28
+path 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18
+)",
+R"(backbone.b0.0.swu SWU 900 366 403 1 0 1 27 0 -1
+backbone.b0.0.mvtu MVTU 2700 863 938 0 0 27 4 0 -1
+backbone.b0.3.swu SWU 1568 582 641 1 0 4 54 0 -1
+backbone.b0.3.mvtu MVTU 3136 2355 2546 0 0 54 6 0 -1
+backbone.b0.6.pool Pool 1568 96 106 0 0 6 6 0 -1
+branch.exit0 Branch 392 104 115 1 0 6 6 0 -1
+backbone.b1.0.swu SWU 1296 246 271 1 0 6 12 1 -1
+backbone.b1.0.mvtu MVTU 7776 549 515 0 0 12 4 1 -1
+backbone.b1.3.swu SWU 1200 294 324 1 0 4 18 1 -1
+backbone.b1.3.mvtu MVTU 7200 621 684 1 0 18 4 1 -1
+backbone.b1.6.pool Pool 600 84 93 0 0 4 4 1 -1
+branch.exit1 Branch 150 96 106 1 0 4 4 1 -1
+backbone.b2.0.swu SWU 324 198 218 1 0 4 6 2 -1
+backbone.b2.0.mvtu MVTU 15552 79 87 2 0 6 1 2 -1
+backbone.b2.3.swu SWU 432 158 174 1 0 1 1 2 -1
+backbone.b2.3.mvtu MVTU 20736 47 52 3 0 1 1 2 -1
+backbone.b2.7.mvtu MVTU 4608 47 52 1 0 1 1 2 -1
+backbone.b2.10.mvtu MVTU 9216 47 52 1 0 1 1 2 -1
+backbone.b2.13.mvtu MVTU 960 77 52 0 0 1 1 2 -1
+exit0.0.swu SWU 1296 246 271 1 0 6 12 0 0
+exit0.0.mvtu MVTU 3888 509 515 0 0 12 4 0 0
+exit0.3.pool Pool 432 84 93 0 0 4 4 0 0
+exit0.5.mvtu MVTU 96 193 173 0 0 6 2 0 0
+exit0.8.mvtu MVTU 60 213 202 0 0 8 2 0 0
+exit1.0.swu SWU 324 198 218 1 0 4 6 1 1
+exit1.0.mvtu MVTU 7776 79 87 1 0 6 1 1 1
+exit1.3.pool Pool 216 66 73 0 0 1 1 1 1
+exit1.5.mvtu MVTU 1152 125 59 0 0 2 1 1 1
+exit1.8.mvtu MVTU 960 77 52 0 0 1 1 1 1
+path 0 1 2 3 4 5 19 20 21 22 23
+path 0 1 2 3 4 5 6 7 8 9 10 11 24 25 26 27 28
+path 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18
+)"},
+    {0.5,
+R"(backbone.b0.0.swu SWU 900 366 403 1 0 1 27 0 -1
+backbone.b0.0.mvtu MVTU 7200 879 938 0 0 27 4 0 -1
+backbone.b0.3.swu SWU 6272 438 482 1 0 4 36 0 -1
+backbone.b0.3.mvtu MVTU 50176 1082 1191 1 0 36 4 0 -1
+backbone.b0.6.pool Pool 6272 84 93 0 0 4 4 0 -1
+branch.exit0 Branch 1568 96 106 1 0 4 4 0 -1
+backbone.b1.0.swu SWU 3456 246 271 1 0 4 12 1 -1
+backbone.b1.0.mvtu MVTU 55296 468 515 2 0 12 4 1 -1
+backbone.b1.3.swu SWU 4800 246 271 1 0 4 12 1 -1
+backbone.b1.3.mvtu MVTU 76800 468 515 4 0 12 4 1 -1
+backbone.b1.6.pool Pool 1600 84 93 0 0 4 4 1 -1
+branch.exit1 Branch 400 96 106 1 0 4 4 1 -1
+backbone.b2.0.swu SWU 432 246 271 1 0 4 12 2 -1
+backbone.b2.0.mvtu MVTU 13824 468 515 8 0 12 4 2 -1
+backbone.b2.3.swu SWU 96 246 271 1 0 4 12 2 -1
+backbone.b2.3.mvtu MVTU 3072 468 515 48 0 12 4 2 -1
+backbone.b2.7.mvtu MVTU 2048 183 202 4 0 8 2 2 -1
+backbone.b2.10.mvtu MVTU 4096 183 202 16 0 8 2 2 -1
+backbone.b2.13.mvtu MVTU 160 263 202 0 0 8 2 2 -1
+exit0.0.swu SWU 3456 246 271 1 0 4 12 0 0
+exit0.0.mvtu MVTU 27648 468 515 1 0 12 4 0 0
+exit0.3.pool Pool 1152 84 93 0 0 4 4 0 0
+exit0.5.mvtu MVTU 512 183 202 1 0 8 2 0 0
+exit0.8.mvtu MVTU 160 263 202 0 0 8 2 0 0
+exit1.0.swu SWU 432 246 271 1 0 4 12 1 1
+exit1.0.mvtu MVTU 6912 468 515 4 0 12 4 1 1
+exit1.3.pool Pool 144 84 93 0 0 4 4 1 1
+exit1.5.mvtu MVTU 1024 183 202 2 0 8 2 1 1
+exit1.8.mvtu MVTU 160 263 202 0 0 8 2 1 1
+path 0 1 2 3 4 5 19 20 21 22 23
+path 0 1 2 3 4 5 6 7 8 9 10 11 24 25 26 27 28
+path 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18
+)",
+R"(backbone.b0.0.swu SWU 900 366 403 1 0 1 27 0 -1
+backbone.b0.0.mvtu MVTU 7200 879 938 0 0 27 4 0 -1
+backbone.b0.3.swu SWU 6272 438 482 1 0 4 36 0 -1
+backbone.b0.3.mvtu MVTU 25088 2164 2381 1 0 36 8 0 -1
+backbone.b0.6.pool Pool 3136 108 119 0 0 8 8 0 -1
+branch.exit0 Branch 784 112 124 1 0 8 8 0 -1
+backbone.b1.0.swu SWU 2592 278 306 1 0 8 16 1 -1
+backbone.b1.0.mvtu MVTU 41472 570 627 2 0 16 4 1 -1
+backbone.b1.3.swu SWU 2400 342 377 1 0 4 24 1 -1
+backbone.b1.3.mvtu MVTU 38400 775 853 4 0 24 4 1 -1
+backbone.b1.6.pool Pool 1600 84 93 0 0 4 4 1 -1
+branch.exit1 Branch 400 96 106 1 0 4 4 1 -1
+backbone.b2.0.swu SWU 864 198 218 1 0 4 6 2 -1
+backbone.b2.0.mvtu MVTU 110592 79 87 12 0 6 1 2 -1
+backbone.b2.3.swu SWU 576 166 183 1 0 1 2 2 -1
+backbone.b2.3.mvtu MVTU 73728 53 59 16 0 2 1 2 -1
+backbone.b2.7.mvtu MVTU 32768 47 52 4 0 1 1 2 -1
+backbone.b2.10.mvtu MVTU 65536 47 52 8 0 1 1 2 -1
+backbone.b2.13.mvtu MVTU 1280 133 59 0 0 2 1 2 -1
+exit0.0.swu SWU 2592 278 306 1 0 8 16 0 0
+exit0.0.mvtu MVTU 20736 570 627 1 0 16 4 0 0
+exit0.3.pool Pool 1152 84 93 0 0 4 4 0 0
+exit0.5.mvtu MVTU 512 183 202 1 0 8 2 0 0
+exit0.8.mvtu MVTU 160 263 202 0 0 8 2 0 0
+exit1.0.swu SWU 648 214 236 1 0 4 8 1 1
+exit1.0.mvtu MVTU 41472 92 102 8 0 8 1 1 1
+exit1.3.pool Pool 576 66 73 0 0 1 1 1 1
+exit1.5.mvtu MVTU 16384 47 52 2 0 1 1 1 1
+exit1.8.mvtu MVTU 1280 133 59 0 0 2 1 1 1
+path 0 1 2 3 4 5 19 20 21 22 23
+path 0 1 2 3 4 5 6 7 8 9 10 11 24 25 26 27 28
+path 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18
+)"},
+};
+// clang-format on
+
+TEST(FinnGolden, ModuleTablesMatchPinnedCapture) {
+  for (const GoldenTables& golden : kGoldenTables) {
+    SCOPED_TRACE("scale " + std::to_string(golden.scale));
+    Rng rng(29);
+    const CnvConfig cfg = CnvConfig{}.scaled(golden.scale);
+    BranchyModel model =
+        build_cnv_with_exits(cfg, paper_exits_config(false), rng);
+    const auto sites =
+        walk_compute_layers(model, cfg.in_channels, cfg.image_size);
+    const FoldingConfig styled = styled_folding(sites);
+    const Accelerator acc =
+        compile_accelerator(model, styled, AcceleratorConfig{});
+    EXPECT_EQ(module_table(acc), golden.styled);
+
+    ReachAwareOptions opts;
+    opts.baseline = styled;
+    for (std::size_t e = 0; e < model.num_exits(); ++e) {
+      opts.exit_after_block.push_back(model.exit(e).after_block);
+    }
+    opts.fixed_overhead =
+        acc.total - folding_site_resources(sites, styled, opts.cost);
+    const FoldingConfig reach = reach_aware_folding(
+        sites, {0.5, 0.3, 0.2}, analysis::DeviceProfile::zcu104().caps, opts);
+    ASSERT_NE(reach.folds, styled.folds);
+    EXPECT_EQ(module_table(
+                  compile_accelerator(model, reach, AcceleratorConfig{})),
+              golden.reach);
+  }
 }
 
 }  // namespace
