@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -130,16 +131,18 @@ void append_escaped(std::string& out, const std::string& s) {
   out += '"';
 }
 
+/// Integral values below 1e15 as integers, everything else as "%.17g"
+/// would print it: std::to_chars in general format at precision 17 is
+/// defined to produce exactly printf's bytes, without the locale and
+/// format-string work.
 void append_number(std::string& out, double d) {
-  if (d == std::floor(d) && std::abs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
-    out += buf;
-  } else {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", d);
-    out += buf;
-  }
+  char buf[40];
+  const std::to_chars_result r =
+      d == std::floor(d) && std::abs(d) < 1e15
+          ? std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(d))
+          : std::to_chars(buf, buf + sizeof(buf), d,
+                          std::chars_format::general, 17);
+  out.append(buf, r.ptr);
 }
 
 void append_newline_indent(std::string& out, int indent, int depth) {

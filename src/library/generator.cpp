@@ -270,7 +270,8 @@ DesignPointResult run_design_point(const LibraryGenSpec& spec,
   }
 
   // Serial eval (num_threads=1): run_design_point already executes inside a
-  // design-point pool worker, and pool tasks must not spin up nested pools.
+  // design-point pool worker, beside the other points that keep the
+  // generator's threads busy.
   // Evaluated once; all accelerators of this point share the model, so the
   // per-threshold exit statistics are identical across them.
   const PackedMode eval_mode = eval_mode_from_spec(spec);

@@ -1,6 +1,8 @@
 #include "model/cnv.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/fields.hpp"
 #include "tensor/ops.hpp"
@@ -89,21 +91,44 @@ void validate(const CnvConfig& cfg) {
   ADAPEX_CHECK(cfg.num_classes >= 2, "need at least two classes");
 }
 
+/// Propagates a square `image_size` input through the backbone: three
+/// blocks of two valid 3x3 convs, the first two blocks ending in a 2x2
+/// pool. Returns "" and, when `dims` is given, each block's output size;
+/// or describes the first layer (named as model/walk names it) whose input
+/// is smaller than its window.
+std::string backbone_misfit(int image_size, std::vector<int>* dims) {
+  int dim = image_size;
+  const auto misfit = [&dim](const std::string& layer, const char* window) {
+    return layer + " (" + window + ") gets a " + std::to_string(dim) + "x" +
+           std::to_string(dim) + " input";
+  };
+  for (int b = 0; b < 3; ++b) {
+    const std::string block = "backbone.b" + std::to_string(b);
+    for (int c = 0; c < 2; ++c) {
+      if (dim < 3) return misfit(block + ".conv" + std::to_string(c), "3x3");
+      dim -= 2;
+    }
+    if (b < 2) {
+      if (dim < 2) return misfit(block + ".6.pool", "2x2");
+      dim = ops::out_dim(dim, 2, 2);
+    }
+    if (dims != nullptr) dims->push_back(dim);
+  }
+  return "";
+}
+
 }  // namespace
 
 std::vector<int> cnv_block_out_dims(const CnvConfig& config) {
-  int dim = config.image_size;
   std::vector<int> dims;
-  // Blocks 0 and 1: two valid 3x3 convs then 2x2 pool.
-  for (int b = 0; b < 2; ++b) {
-    dim = dim - 2 - 2;
-    dim = ops::out_dim(dim, 2, 2);
-    dims.push_back(dim);
-  }
-  // Block 2: two valid 3x3 convs, no pool.
-  dim = dim - 2 - 2;
-  dims.push_back(dim);
-  return dims;
+  const std::string misfit = backbone_misfit(config.image_size, &dims);
+  if (misfit.empty()) return dims;
+  int min_size = std::max(config.image_size, 0) + 1;
+  while (!backbone_misfit(min_size, nullptr).empty()) ++min_size;
+  throw ConfigError("image size " + std::to_string(config.image_size) +
+                    " is too small for the CNV topology: " + misfit +
+                    "; the smallest image size it accepts is " +
+                    std::to_string(min_size));
 }
 
 std::vector<int> cnv_block_out_channels(const CnvConfig& config) {
@@ -116,7 +141,6 @@ BranchyModel build_cnv(const CnvConfig& config, Rng& rng) {
   const auto& cc = config.conv_channels;
   const auto& ff = config.fc_features;
   const auto dims = cnv_block_out_dims(config);
-  ADAPEX_CHECK(dims.back() >= 1, "image too small for the CNV topology");
 
   BranchyModel model;
   auto block0 = std::make_unique<Sequential>();

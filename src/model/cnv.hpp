@@ -84,7 +84,8 @@ BranchyModel build_cnv_with_exits(const CnvConfig& config,
                                   const ExitsConfig& exits, Rng& rng);
 
 /// Feature-map spatial size at the output of each backbone block
-/// (e.g. {14, 5, 1} for 32x32 inputs).
+/// (e.g. {14, 5, 1} for 32x32 inputs). Throws ConfigError naming the first
+/// layer the image is too small for, and the smallest image size that fits.
 std::vector<int> cnv_block_out_dims(const CnvConfig& config);
 
 /// Output channel count at each backbone block's output (the last conv of

@@ -1,8 +1,10 @@
 #include "nn/eval.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <numeric>
+#include <optional>
 
 #include "common/thread_pool.hpp"
 #include "tensor/ops.hpp"
@@ -13,12 +15,14 @@ namespace {
 
 /// Runs the fixed batch grid of `test` and writes each sample's pre-sized
 /// result row in place: on the caller when threads <= 1, otherwise in
-/// contiguous chunks of batches over one pool (whose wait() rethrows the
-/// first worker exception). Each chunk calls make_forward(parallel) once
-/// for its own forward state, a callable Tensor -> std::vector<Tensor> of
-/// per-exit logits. Batch boundaries depend only on (test.size(),
-/// batch_size), so every sample is evaluated inside the same batch — hence
-/// with bit-identical forward math — no matter how batches are distributed.
+/// `threads` loops on the shared pool (the caller runs one) that each claim
+/// the next unclaimed batch until none is left. A loop calls
+/// make_forward(parallel) at its first batch for its own forward state, a
+/// callable Tensor -> std::vector<Tensor> of per-exit logits, so a loop
+/// that finds no batch left builds none. Batch boundaries depend only on
+/// (test.size(), batch_size), so every sample is evaluated inside the same
+/// batch — hence with bit-identical forward math — no matter which loop
+/// claims it.
 template <typename MakeForward>
 void evaluate_batches(const MakeForward& make_forward, const Dataset& test,
                       int batch_size, std::size_t threads,
@@ -31,16 +35,18 @@ void evaluate_batches(const MakeForward& make_forward, const Dataset& test,
 
   threads = std::min(threads, static_cast<std::size_t>(num_batches));
   const bool parallel = threads > 1;
-  const auto run = [&](int batch_begin, int batch_end) {
-    auto forward = make_forward(parallel);
-    for (int b = batch_begin; b < batch_end; ++b) {
+  std::atomic<int> next_batch{0};
+  const auto run = [&](std::size_t /*loop*/) {
+    std::optional<decltype(make_forward(parallel))> forward;
+    for (int b = next_batch++; b < num_batches; b = next_batch++) {
+      if (!forward) forward.emplace(make_forward(parallel));
       const int start = b * batch_size;
       const int end = std::min(start + batch_size, test.size());
       Tensor batch = test.batch_images(order.data() + start, end - start);
       const std::vector<int> labels =
           test.batch_labels(order.data() + start, end - start);
 
-      auto logits = forward(batch);
+      auto logits = (*forward)(batch);
       for (std::size_t e = 0; e < logits.size(); ++e) {
         const Tensor probs = ops::softmax(logits[e]);
         for (int i = 0; i < end - start; ++i) {
@@ -58,17 +64,10 @@ void evaluate_batches(const MakeForward& make_forward, const Dataset& test,
   };
 
   if (!parallel) {
-    run(0, num_batches);
+    run(0);
     return;
   }
-  ThreadPool pool(threads);
-  const int chunk = (num_batches + static_cast<int>(threads) - 1) /
-                    static_cast<int>(threads);
-  for (int begin = 0; begin < num_batches; begin += chunk) {
-    const int end = std::min(begin + chunk, num_batches);
-    pool.submit([&run, begin, end] { run(begin, end); });
-  }
-  pool.wait();
+  ThreadPool::shared().run_and_join(threads, run);
 }
 
 /// Resolves the effective path: kAuto probes freezability, kOn lets
@@ -103,8 +102,8 @@ ExitEvaluation evaluate_exits(BranchyModel& model, const Dataset& test,
 
   if (use_packed_path(model, mode)) {
     // Packed path: freeze once and share the frozen model const across
-    // workers; packed_forward keeps all mutable state in the per-worker
-    // scratch, so no clone is needed.
+    // loops; packed_forward keeps all mutable state in the per-loop scratch,
+    // so no clone is needed.
     const PackedModel frozen = freeze_packed(model);
     evaluate_batches(
         [&frozen](bool /*parallel*/) {
@@ -118,7 +117,7 @@ ExitEvaluation evaluate_exits(BranchyModel& model, const Dataset& test,
   }
 
   // Float path: forward mutates layer caches even in eval mode, so each
-  // parallel worker runs its own clone; a serial run uses the model in place.
+  // parallel loop runs its own clone; a serial run uses the model in place.
   evaluate_batches(
       [&model](bool parallel) {
         std::unique_ptr<BranchyModel> local;

@@ -44,17 +44,21 @@ struct EarlyExitStats {
 
 /// Runs the full test set through the model (eval mode) in batches.
 ///
-/// Batches are distributed over `num_threads` workers (0 = ADAPEX_THREADS /
-/// hardware concurrency; pass 1 for serial, e.g. from inside another thread
-/// pool). The batch grid is fixed by batch_size and each worker builds its
-/// own forward state (a model clone on the float path) and fills disjoint
+/// Batches run on at most `num_threads` threads at once (0 =
+/// ADAPEX_THREADS / hardware concurrency; 1 = serial on the caller). Above
+/// one, the caller and num_threads - 1 tasks on the process-wide
+/// ThreadPool::shared() each claim the next unclaimed batch until none is
+/// left; the pool is started by the first such call. The batch grid is
+/// fixed by batch_size, and each claiming loop builds its own forward state
+/// (a model clone on the float path) at its first batch and fills disjoint
 /// per-sample slots, so results are byte-identical at any thread count.
+/// Concurrent calls, pool tasks included, share the pool safely.
 ///
 /// `mode` selects the inference path (nn/quant.hpp): kOff runs the float
 /// layer graph; kOn freezes the model and runs the packed popcount path
 /// (throws if the model is not freezable, rule RQ1); kAuto (default) goes
 /// packed exactly when the model is freezable. The packed path freezes once
-/// and shares the frozen model const across workers (its forward is
+/// and shares the frozen model const across loops (its forward is
 /// cache-free), so the thread-count byte-identity contract holds on both
 /// paths.
 ExitEvaluation evaluate_exits(BranchyModel& model, const Dataset& test,

@@ -3,8 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/json.hpp"
 #include "common/rng.hpp"
@@ -114,6 +121,41 @@ TEST(Json, DumpParseRoundTrip) {
     EXPECT_EQ(back.at("n").as_int(), 42);
     EXPECT_TRUE(back.at("flag").as_bool());
     EXPECT_EQ(back.at("mixed").as_array().size(), 3u);
+  }
+}
+
+TEST(Json, NumberBytesMatchPrintfForms) {
+  // dump() formats numbers with std::to_chars. Its bytes are pinned to the
+  // printf forms it replaced: "%lld" for integral values below 1e15 in
+  // magnitude, "%.17g" for everything else.
+  const auto printf_form = [](double d) {
+    char buf[64];
+    if (d == std::floor(d) && std::abs(d) < 1e15) {
+      std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
+    } else {
+      std::snprintf(buf, sizeof(buf), "%.17g", d);
+    }
+    return std::string(buf);
+  };
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 3.14159, 1e-7, 123456789.125,
+      5e-324, -5e-324, DBL_MIN, DBL_MAX, -DBL_MAX, 1e15 - 1, 1e15, 1e15 + 1,
+      -(1e15 - 1), -1e15, 9007199254740993.0, 1e300, 1e-300,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t bits = rng.next_u64();
+    double d = 0.0;
+    std::memcpy(&d, &bits, sizeof(d));
+    values.push_back(d);  // any bit pattern: subnormals, NaNs, infinities
+    values.push_back(std::ldexp(rng.uniform(-1.0, 1.0), i % 120 - 60));
+    values.push_back(static_cast<double>(
+        static_cast<std::int64_t>(bits >> (i % 64)) % 2000000000000000LL));
+  }
+  for (const double d : values) {
+    ASSERT_EQ(Json(d).dump(), printf_form(d)) << "bits of " << d;
   }
 }
 

@@ -5,11 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <future>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -202,6 +208,127 @@ TEST(ThreadPool, SubmitWaitStressNeverHangs) {
     pool.wait();
     ASSERT_EQ(count.load(), 2 * fan) << "round " << round;
   }
+}
+
+TEST(ThreadPool, ConcurrentJoinsSeeOnlyTheirOwnTasksAndExceptions) {
+  // Two callers share one pool. Each call's counter and exception slot are
+  // its own: the failing caller always gets its own exception, the other
+  // never sees it, and each caller's slots hold only its own results.
+  ThreadPool pool(3);
+  constexpr std::size_t kTasks = 8;
+  constexpr int kRounds = 200;
+  std::atomic<int> good_failures{0}, bad_throws{0};
+  std::thread good([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<int> slots(kTasks, -1);
+      try {
+        pool.run_and_join(kTasks, [&](std::size_t i) {
+          slots[i] = round * 100 + static_cast<int>(i);
+        });
+      } catch (...) {
+        good_failures.fetch_add(1, std::memory_order_relaxed);
+      }
+      for (std::size_t i = 0; i < kTasks; ++i) {
+        if (slots[i] != round * 100 + static_cast<int>(i)) {
+          good_failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    }
+  });
+  std::thread bad([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      try {
+        pool.run_and_join(kTasks, [&](std::size_t i) {
+          if (i == 5) throw ConfigError("bad " + std::to_string(round));
+        });
+      } catch (const ConfigError& e) {
+        if (e.what() == "bad " + std::to_string(round)) {
+          bad_throws.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    }
+  });
+  good.join();
+  bad.join();
+  EXPECT_EQ(good_failures.load(), 0);
+  EXPECT_EQ(bad_throws.load(), kRounds);
+}
+
+TEST(ThreadPool, JoinFromInsidePoolTasksCompletes) {
+  // One worker, nested three deep, called both from run_and_join tasks and
+  // from a submit()ted task: every waiting thread runs queued tasks itself,
+  // so nothing waits on a worker that is busy waiting.
+  ThreadPool pool(1);
+  std::atomic<int> leaves{0};
+  const auto leaf = [&](std::size_t) {
+    leaves.fetch_add(1, std::memory_order_relaxed);
+  };
+  const auto middle = [&](std::size_t) { pool.run_and_join(3, leaf); };
+  pool.run_and_join(4, [&](std::size_t) { pool.run_and_join(2, middle); });
+  EXPECT_EQ(leaves.load(), 4 * 2 * 3);
+
+  pool.submit([&] { pool.run_and_join(4, middle); });
+  pool.submit([&] { pool.run_and_join(4, middle); });
+  pool.wait();
+  EXPECT_EQ(leaves.load(), 4 * 2 * 3 + 2 * 4 * 3);
+}
+
+TEST(ThreadPool, JoinRethrowsItsFirstExceptionAndPoolStaysUsable) {
+  ThreadPool pool(2);
+  // A throwing caller's share (task 0) and a throwing queued task: the call
+  // rethrows one of its own exceptions only after every task has stopped.
+  std::atomic<int> running{0};
+  EXPECT_THROW(pool.run_and_join(6,
+                                 [&](std::size_t i) {
+                                   running.fetch_add(1);
+                                   std::this_thread::sleep_for(
+                                       std::chrono::milliseconds(2));
+                                   running.fetch_sub(1);
+                                   if (i == 0 || i == 3) {
+                                     throw ConfigError("join failed");
+                                   }
+                                 }),
+               ConfigError);
+  EXPECT_EQ(running.load(), 0);
+
+  // The failure belonged to that call alone: the next call and a
+  // submit()/wait() round run normally.
+  std::atomic<int> count{0};
+  EXPECT_NO_THROW(pool.run_and_join(
+      16, [&](std::size_t) { count.fetch_add(1, std::memory_order_relaxed); }));
+  EXPECT_EQ(count.load(), 16);
+  pool.submit([&] { count.fetch_add(1, std::memory_order_relaxed); });
+  EXPECT_NO_THROW(pool.wait());
+  EXPECT_EQ(count.load(), 17);
+}
+
+TEST(ThreadPool, SharedPoolIsOnePoolAndForkedChildStartsItsOwn) {
+  ThreadPool& pool = ThreadPool::shared();
+  EXPECT_EQ(&pool, &ThreadPool::shared());
+  std::atomic<int> count{0};
+  pool.run_and_join(
+      4, [&](std::size_t) { count.fetch_add(1, std::memory_order_relaxed); });
+  EXPECT_EQ(count.load(), 4);
+#if defined(__SANITIZE_THREAD__)
+  // TSan ends a child of a multi-threaded fork that starts threads.
+  GTEST_SKIP() << "ThreadSanitizer does not support threads after fork";
+#else
+  // The parent's workers do not exist in a forked child: the child's first
+  // call starts a pool of its own, whose join completes.
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ThreadPool& child = ThreadPool::shared();
+    std::atomic<int> ran{0};
+    child.run_and_join(
+        8, [&](std::size_t) { ran.fetch_add(1, std::memory_order_relaxed); });
+    _exit(&child != &pool && ran.load() == 8 ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+#endif
 }
 
 TEST(ThreadPool, EnvThreadCountParsing) {

@@ -30,6 +30,35 @@ TEST(Cnv, BlockGeometry) {
   EXPECT_EQ(cnv_block_out_channels(cfg), (std::vector<int>{16, 32, 64}));
 }
 
+TEST(Cnv, TooSmallImageIsAConfigErrorNamingLayerAndMinimum) {
+  // 32 is the smallest input the backbone fits (a 1x1 map after block 2).
+  CnvConfig cfg = CnvConfig{}.scaled(0.25);
+  cfg.image_size = 32;
+  EXPECT_EQ(cnv_block_out_dims(cfg), (std::vector<int>{14, 5, 1}));
+  const auto message = [&cfg](int image_size) {
+    cfg.image_size = image_size;
+    Rng rng(1);
+    try {
+      build_cnv(cfg, rng);
+    } catch (const ConfigError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no ConfigError");
+  };
+  EXPECT_EQ(message(4),
+            "image size 4 is too small for the CNV topology: "
+            "backbone.b0.conv1 (3x3) gets a 2x2 input; the smallest image "
+            "size it accepts is 32");
+  EXPECT_EQ(message(31),
+            "image size 31 is too small for the CNV topology: "
+            "backbone.b2.conv1 (3x3) gets a 2x2 input; the smallest image "
+            "size it accepts is 32");
+  EXPECT_EQ(message(14),
+            "image size 14 is too small for the CNV topology: "
+            "backbone.b1.6.pool (2x2) gets a 1x1 input; the smallest image "
+            "size it accepts is 32");
+}
+
 TEST(Cnv, ForwardShapesAllExitOps) {
   Rng rng(1);
   CnvConfig cfg = CnvConfig{}.scaled(0.125);

@@ -652,20 +652,31 @@ TEST(PackedModel, EvaluateExitsDecisionIdentityPackedVsFloat) {
   }
 }
 
-TEST(PackedModel, PackedEvalByteIdenticalAcrossThreadCounts) {
+TEST(PackedModel, EvalRecordsByteIdenticalAtAnyThreadCountBothPaths) {
+  // Batch 12 over 64 test images: five full batches and a partial one of
+  // 4. Loops claim batches in whatever order the threads reach them, so
+  // identity here means no record depends on which loop ran its batch.
   TrainedFixture& fx = trained();
-  const auto serial = evaluate_exits(fx.model, fx.data.test, 16, 1,
-                                     PackedMode::kOn);
-  for (int threads : {2, 4}) {
-    const auto parallel = evaluate_exits(fx.model, fx.data.test, 16, threads,
-                                         PackedMode::kOn);
-    ASSERT_EQ(serial.confidence.size(), parallel.confidence.size());
-    for (std::size_t s = 0; s < serial.confidence.size(); ++s) {
-      ASSERT_EQ(0, std::memcmp(serial.confidence[s].data(),
-                               parallel.confidence[s].data(),
-                               serial.confidence[s].size() * sizeof(float)))
-          << "threads=" << threads << " sample=" << s;
-      ASSERT_TRUE(serial.correct[s] == parallel.correct[s]);
+  for (const PackedMode mode : {PackedMode::kOn, PackedMode::kOff}) {
+    const auto serial = evaluate_exits(fx.model, fx.data.test, 12, 1, mode);
+    ASSERT_EQ(serial.num_samples(), 64u);
+    for (int threads : {2, 3, 4, 7}) {
+      const auto parallel =
+          evaluate_exits(fx.model, fx.data.test, 12, threads, mode);
+      ASSERT_EQ(serial.num_samples(), parallel.num_samples());
+      for (std::size_t s = 0; s < serial.num_samples(); ++s) {
+        ASSERT_EQ(serial.confidence[s].size(), parallel.confidence[s].size());
+        ASSERT_EQ(0, std::memcmp(serial.confidence[s].data(),
+                                 parallel.confidence[s].data(),
+                                 serial.confidence[s].size() * sizeof(float)))
+            << "mode=" << static_cast<int>(mode) << " threads=" << threads
+            << " sample=" << s;
+        ASSERT_EQ(0, std::memcmp(serial.correct[s].data(),
+                                 parallel.correct[s].data(),
+                                 serial.correct[s].size()))
+            << "mode=" << static_cast<int>(mode) << " threads=" << threads
+            << " sample=" << s;
+      }
     }
   }
 }
