@@ -37,6 +37,9 @@ int main(int argc, char** argv) {
   CnvConfig cfg = CnvConfig{}.scaled(ExperimentScale::from_env().width_scale);
   BranchyModel model = build_cnv_with_exits(cfg, paper_exits_config(false), rng);
   auto sites = walk_compute_layers(model, cfg.in_channels, cfg.image_size);
+  const AcceleratorConfig aconfig;
+  const FoldingConfig styled = styled_folding(sites);
+  const Accelerator styled_acc = compile_accelerator(model, styled, aconfig);
 
   TextTable table({"folding", "ips_all_final", "ips_all_early",
                    "ct_speedup", "lut", "bram"});
@@ -46,21 +49,20 @@ int main(int argc, char** argv) {
     FoldingConfig config;
   };
   std::vector<Style> styles;
-  styles.push_back({"finn_cnv_style", styled_folding(sites)});
+  styles.push_back({"finn_cnv_style", styled});
   styles.push_back({"uniform_cap4", default_folding(sites, 4, 4)});
   styles.push_back({"uniform_cap8", default_folding(sites, 8, 8)});
   {
     // Balanced folding targeting the styled bottleneck.
     long target = 0;
-    Accelerator acc = compile_accelerator(model, styles[0].config,
-                                          AcceleratorConfig{});
-    for (const auto& m : acc.modules) target = std::max(target, m.cycles);
+    for (const auto& m : styled_acc.modules) {
+      target = std::max(target, m.cycles);
+    }
     styles.push_back({"balanced", balanced_folding(sites, target, 64, 64)});
   }
 
   for (const auto& style : styles) {
-    Accelerator acc =
-        compile_accelerator(model, style.config, AcceleratorConfig{});
+    const Accelerator acc = compile_accelerator(model, style.config, aconfig);
     const auto all_final = estimate_performance(acc, {0.0, 0.0, 1.0}, power);
     const auto all_early = estimate_performance(acc, {1.0, 0.0, 0.0}, power);
     table.add_row({style.name, TextTable::num(all_final.ips, 0),
@@ -76,19 +78,9 @@ int main(int argc, char** argv) {
                "reach-aware folding vs styled baseline (gated throughput per "
                "LUT across exit regimes)");
 
-  const AcceleratorConfig aconfig;
   const analysis::DeviceProfile device = analysis::DeviceProfile::zcu104();
-  const FoldingConfig styled = styled_folding(sites);
-  const Accelerator styled_acc = compile_accelerator(model, styled, aconfig);
-
-  ReachAwareOptions ra_opts;
-  ra_opts.baseline = styled;
-  ra_opts.cost = aconfig.cost;
-  for (std::size_t e = 0; e < model.num_exits(); ++e) {
-    ra_opts.exit_after_block.push_back(model.exit(e).after_block);
-  }
-  ra_opts.fixed_overhead =
-      styled_acc.total - folding_site_resources(sites, styled, aconfig.cost);
+  const ReachAwareOptions ra_opts =
+      reach_aware_options(model, sites, styled, styled_acc, aconfig.cost);
 
   const std::vector<std::vector<double>> regimes = {
       {0.7, 0.2, 0.1},
@@ -112,17 +104,13 @@ int main(int argc, char** argv) {
         reach_aware_folding(sites, regime, device.caps, ra_opts);
     const Accelerator ra_acc = compile_accelerator(model, ra, aconfig);
 
-    // Verifier gate: the static rules must accept the design and the
-    // transaction-level simulator must agree on this regime's II.
-    analysis::DataflowOptions dopts;
-    dopts.device = device;
-    const analysis::DataflowReport dataflow =
-        analysis::analyze_dataflow(ra_acc, regime, dopts);
+    // Verifier gate: cross_validate fails when the static dataflow rules
+    // reject the design, and when the transaction-level simulator
+    // disagrees on this regime's II.
     analysis::CrossValidateOptions cv_opts;
     cv_opts.dataflow.device = device;
-    const analysis::CrossValidation cv =
-        analysis::cross_validate(ra_acc, regime, cv_opts);
-    const bool verified = !dataflow.lint.has_errors() && cv.passed;
+    const bool verified =
+        analysis::cross_validate(ra_acc, regime, cv_opts).passed;
     all_verified = all_verified && verified;
 
     within_styled_resources =

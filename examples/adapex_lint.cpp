@@ -49,12 +49,14 @@
 //   1  usage errors
 //   2  runtime failures (unreadable files, bad flag values, ...)
 
+#include <charconv>
 #include <cstring>
 #include <iostream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "analysis/dataflow.hpp"
 #include "analysis/lint.hpp"
@@ -96,13 +98,27 @@ analysis::Severity severity_from_string(const std::string& s) {
   throw ConfigError("unknown severity: " + s + " (expected info|warning|error)");
 }
 
+/// Parses all of `text` as the value of `--flag`, or throws a ConfigError
+/// naming the flag.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || stop != end) {
+    throw ConfigError("--" + flag + ": '" + text + "' is not a valid " +
+                      (std::is_integral_v<T> ? "integer" : "number"));
+  }
+  return value;
+}
+
 std::vector<double> fractions_from_string(const std::string& s) {
   std::vector<double> fractions;
   std::stringstream ss(s);
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (item.empty()) continue;
-    fractions.push_back(std::stod(item));
+    fractions.push_back(parse_number<double>("fractions", item));
   }
   if (fractions.empty()) {
     throw ConfigError("--fractions needs a comma-separated probability list");
@@ -154,7 +170,7 @@ int main(int argc, char** argv) {
   const bool json = flags.count("json") > 0;
 
   try {
-    const analysis::Severity min_severity_early =
+    const analysis::Severity min_severity =
         flags.count("min-severity")
             ? severity_from_string(flags["min-severity"])
             : analysis::Severity::kInfo;
@@ -164,7 +180,7 @@ int main(int argc, char** argv) {
       const Json j = Json::parse(read_file(flags["fleet-scenario"]));
       const FleetScenario scenario = FleetScenario::from_json(j);
       const analysis::LintReport report = lint_fleet_scenario(scenario);
-      const int code = emit(report, min_severity_early, json, "", Json());
+      const int code = emit(report, min_severity, json, "", Json());
       if (!json) {
         std::cerr << "(" << scenario.devices.size() << " devices, "
                   << scenario.tenants.size() << " tenants, "
@@ -180,7 +196,8 @@ int main(int argc, char** argv) {
       LibraryGenSpec spec;
       if (flags.count("journal-dir")) spec.journal_dir = flags["journal-dir"];
       if (flags.count("max-point-retries")) {
-        spec.max_point_retries = std::stoi(flags["max-point-retries"]);
+        spec.max_point_retries =
+            parse_number<int>("max-point-retries", flags["max-point-retries"]);
       }
       if (flags.count("partial-policy")) {
         const std::string& p = flags["partial-policy"];
@@ -196,7 +213,7 @@ int main(int argc, char** argv) {
       if (flags.count("eval-path")) spec.eval_path = flags["eval-path"];
       spec.verify_dataflow = flags.count("verify-dataflow") > 0;
       const analysis::LintReport report = lint_gen_spec(spec);
-      const int code = emit(report, min_severity_early, json, "", Json());
+      const int code = emit(report, min_severity, json, "", Json());
       if (!json) {
         std::cerr << "(journal " << (spec.journal_dir.empty()
                                          ? std::string("disabled")
@@ -210,18 +227,20 @@ int main(int argc, char** argv) {
 
     AcceleratorConfig config;
     if (flags.count("in-channels")) {
-      config.in_channels = std::stoi(flags["in-channels"]);
+      config.in_channels =
+          parse_number<int>("in-channels", flags["in-channels"]);
     }
     if (flags.count("image-size")) {
-      config.image_size = std::stoi(flags["image-size"]);
+      config.image_size = parse_number<int>("image-size", flags["image-size"]);
     }
 
     BranchyModel model;
     if (!model_path.empty()) {
       model = load_model(model_path);
     } else {
-      const double scale =
-          flags.count("scale") ? std::stod(flags["scale"]) : 0.25;
+      const double scale = flags.count("scale")
+                               ? parse_number<double>("scale", flags["scale"])
+                               : 0.25;
       const std::string exits =
           flags.count("exits") ? flags["exits"] : "paper";
       CnvConfig cnv = CnvConfig{}.scaled(scale);
@@ -239,13 +258,14 @@ int main(int argc, char** argv) {
     if (flags.count("device")) {
       options.device = analysis::DeviceProfile::by_name(flags["device"]);
     }
+    // The exit regime the reach-aware folding targets, the dataflow rules
+    // analyze and --verify simulates: --fractions, or uniform.
     if (flags.count("fractions")) {
       options.exit_fractions = fractions_from_string(flags["fractions"]);
+    } else {
+      options.exit_fractions.assign(
+          model.num_outputs(), 1.0 / static_cast<double>(model.num_outputs()));
     }
-    const analysis::Severity min_severity =
-        flags.count("min-severity")
-            ? severity_from_string(flags["min-severity"])
-            : analysis::Severity::kInfo;
 
     // The folding under test: a user-supplied JSON (linted as R6 against
     // the walk-order sites before use) or a generated config.
@@ -285,28 +305,18 @@ int main(int argc, char** argv) {
       } else if (style == "default") {
         folding = default_folding(sites);
       } else if (style == "reach") {
-        // Reach-aware folds need the target exit regime (--fractions, or
-        // uniform) and the device budget (--device). The fixed overhead is
-        // taken from a compile of the styled baseline so the optimizer
-        // prices pool/branch/FIFO fabric it does not directly control.
-        ReachAwareOptions ra_opts;
-        ra_opts.baseline = styled_folding(sites);
-        for (std::size_t e = 0; e < model.num_exits(); ++e) {
-          ra_opts.exit_after_block.push_back(model.exit(e).after_block);
-        }
+        // Reach-aware folds need the target exit regime and the device
+        // budget (--device). The fixed overhead is taken from a compile of
+        // the styled baseline so the optimizer prices pool/branch/FIFO
+        // fabric it does not directly control.
+        const FoldingConfig styled = styled_folding(sites);
+        analysis::lint_design(model, walk, styled).throw_if_errors();
         const Accelerator styled_acc =
-            compile_accelerator(model, ra_opts.baseline, config);
-        ra_opts.cost = config.cost;
-        ra_opts.fixed_overhead =
-            styled_acc.total -
-            folding_site_resources(sites, ra_opts.baseline, config.cost);
-        std::vector<double> fractions = options.exit_fractions;
-        if (fractions.empty()) {
-          fractions.assign(model.num_outputs(),
-                           1.0 / static_cast<double>(model.num_outputs()));
-        }
-        folding = reach_aware_folding(sites, fractions, options.device.caps,
-                                      ra_opts);
+            compile_accelerator(model, walk, styled, config);
+        folding = reach_aware_folding(
+            sites, options.exit_fractions, options.device.caps,
+            reach_aware_options(model, sites, styled, styled_acc,
+                                config.cost));
       } else {
         throw ConfigError("unknown folding style: " + style);
       }
@@ -316,23 +326,18 @@ int main(int argc, char** argv) {
       std::cerr << "wrote folding to " << flags["emit-folding"] << "\n";
     }
 
-    report.merge(analysis::lint(model, folding, config, options));
+    Accelerator acc;
+    report.merge(analysis::lint(model, walk, folding, config, options, &acc));
 
     // Agreement harness: only meaningful once the static rules accept the
     // design (a rejected design cannot be compiled, let alone simulated).
     Json verify_json;
     std::string context_key;
     if (flags.count("verify") && !report.has_errors()) {
-      const Accelerator acc = compile_accelerator(model, folding, config);
-      std::vector<double> fractions = options.exit_fractions;
-      if (fractions.empty()) {
-        fractions.assign(static_cast<std::size_t>(acc.num_exits) + 1,
-                         1.0 / static_cast<double>(acc.num_exits + 1));
-      }
       analysis::CrossValidateOptions cv_opts;
       cv_opts.dataflow.device = options.device;
       const analysis::CrossValidation cv =
-          analysis::cross_validate(acc, fractions, cv_opts);
+          analysis::cross_validate(acc, options.exit_fractions, cv_opts);
       report.merge(cv.lint);
       if (json) {
         context_key = "verify";

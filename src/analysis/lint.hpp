@@ -55,9 +55,10 @@
 //
 // compile_accelerator() and generate_library() run the design-level rules as
 // a precondition (LintReport::throw_if_errors) and reject illegal design
-// points with a single aggregated ConfigError listing every violation (replacing the old first-check-wins
-// abort). The adapex_lint CLI (examples/adapex_lint.cpp) exposes the same
-// checks over serialized models and folding JSON files.
+// points with a single aggregated ConfigError listing every violation; a
+// caller that lints and then compiles passes its walk to both. The
+// adapex_lint CLI (examples/adapex_lint.cpp) exposes the same checks over
+// serialized models and folding JSON files.
 
 #pragma once
 
@@ -105,6 +106,12 @@ LintReport lint_folding_json(const Json& folding_json,
 LintReport lint(BranchyModel& model, const FoldingConfig& folding,
                 const AcceleratorConfig& config,
                 const LintOptions& options = LintOptions{});
+
+/// The same over a walk of `model` at the config's input shape; stores the
+/// compiled accelerator, if any, in `compiled`.
+LintReport lint(BranchyModel& model, const ModelWalk& walk,
+                const FoldingConfig& folding, const AcceleratorConfig& config,
+                const LintOptions& options, Accelerator* compiled = nullptr);
 
 }  // namespace analysis
 }  // namespace adapex

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/dataflow.hpp"
@@ -308,11 +309,19 @@ LintReport lint_accelerator(const Accelerator& acc,
 
 LintReport lint(BranchyModel& model, const FoldingConfig& folding,
                 const AcceleratorConfig& config, const LintOptions& options) {
-  LintReport report = lint_design(model, folding, config);
+  return lint(model, walk_model(model, config.in_channels, config.image_size),
+              folding, config, options);
+}
+
+LintReport lint(BranchyModel& model, const ModelWalk& walk,
+                const FoldingConfig& folding, const AcceleratorConfig& config,
+                const LintOptions& options, Accelerator* compiled) {
+  LintReport report = lint_design(model, walk, folding);
   if (report.has_errors()) return report;
   try {
-    const Accelerator acc = compile_accelerator(model, folding, config);
+    Accelerator acc = compile_accelerator(model, walk, folding, config);
     report.merge(lint_accelerator(acc, options));
+    if (compiled != nullptr) *compiled = std::move(acc);
   } catch (const Error& e) {
     // The design rules passed but compilation still failed: surface the
     // internal check as a structured finding rather than propagating.

@@ -90,8 +90,6 @@ struct Emitter {
   /// Advances the walk-order cursor for one compute layer, checking the
   /// emit order against the walk sites.
   std::size_t next_index(const Layer& layer) {
-    ADAPEX_CHECK(fold_index < folding.folds.size(),
-                 "folding config shorter than model layer list");
     ADAPEX_ASSERT(fold_index < sites.size() &&
                   sites[fold_index].layer == &layer);
     return fold_index++;
@@ -103,13 +101,18 @@ struct Emitter {
 Accelerator compile_accelerator(BranchyModel& model,
                                 const FoldingConfig& folding,
                                 const AcceleratorConfig& config) {
-  // Precondition: the design-level lint rules must hold. All violations are
-  // reported at once in a single ConfigError (analysis/lint.hpp), replacing
-  // the old first-check-wins ADAPEX_CHECK aborts. The emitter then reads
-  // every site, name and shape from the same walk.
   const ModelWalk walk =
       walk_model(model, config.in_channels, config.image_size);
   analysis::lint_design(model, walk, folding).throw_if_errors();
+  return compile_accelerator(model, walk, folding, config);
+}
+
+Accelerator compile_accelerator(BranchyModel& model, const ModelWalk& walk,
+                                const FoldingConfig& folding,
+                                const AcceleratorConfig& config) {
+  walk.findings.throw_if_errors();
+  ADAPEX_CHECK(folding.folds.size() == walk.sites.size(),
+               "folding arity does not match layer count");
 
   Emitter emitter{folding, config, walk.sites, {}, 0};
   Accelerator acc;
@@ -172,6 +175,22 @@ Accelerator compile_accelerator(BranchyModel& model,
     }
   }
   return acc;
+}
+
+ReachAwareOptions reach_aware_options(const BranchyModel& model,
+                                      const std::vector<LayerSite>& sites,
+                                      const FoldingConfig& styled,
+                                      const Accelerator& styled_acc,
+                                      const HlsCostModel& cost) {
+  ReachAwareOptions options;
+  options.baseline = styled;
+  options.cost = cost;
+  for (std::size_t e = 0; e < model.num_exits(); ++e) {
+    options.exit_after_block.push_back(model.exit(e).after_block);
+  }
+  options.fixed_overhead =
+      styled_acc.total - folding_site_resources(sites, styled, cost);
+  return options;
 }
 
 std::vector<int> module_predecessors(const Accelerator& acc) {

@@ -68,9 +68,25 @@ struct Accelerator {
 };
 
 /// Compiles the model against a folding config (walk order must match).
+/// Walks the model and throws every design-lint error (lint_design) in one
+/// ConfigError before emitting.
 Accelerator compile_accelerator(BranchyModel& model,
                                 const FoldingConfig& folding,
                                 const AcceleratorConfig& config);
+
+/// Emits from a walk of `model` at the config's input shape whose design
+/// lint the caller has run clean; re-checks only R2 and the fold count.
+Accelerator compile_accelerator(BranchyModel& model, const ModelWalk& walk,
+                                const FoldingConfig& folding,
+                                const AcceleratorConfig& config);
+
+/// reach_aware_folding's options with the styled design (`styled` over
+/// `sites`, compiled to `styled_acc`) as the baseline.
+ReachAwareOptions reach_aware_options(const BranchyModel& model,
+                                      const std::vector<LayerSite>& sites,
+                                      const FoldingConfig& styled,
+                                      const Accelerator& styled_acc,
+                                      const HlsCostModel& cost);
 
 /// Whether module `m` performs work on an image accepted at output
 /// `image_exit` under the stream-gating service model: backbone modules need

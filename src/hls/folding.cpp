@@ -126,18 +126,8 @@ MvtuGeometry site_mvtu_geometry(const LayerSite& site) {
 
 FoldingConfig default_folding(const std::vector<LayerSite>& sites, int pe_cap,
                               int simd_cap) {
-  FoldingConfig cfg;
-  cfg.folds.reserve(sites.size());
-  for (const auto& site : sites) {
-    LayerFold fold;
-    fold.pe = largest_divisor_at_most(site.out_channels, pe_cap);
-    // SIMD divides the im2col matrix width k^2 * ch_in for conv, not the
-    // bare channel count: kernel-window unrolling is what lets a conv
-    // layer reach simd_cap (and is the divisor validate_folding checks).
-    fold.simd = largest_divisor_at_most(site_matrix_width(site), simd_cap);
-    cfg.folds.push_back(fold);
-  }
-  return cfg;
+  const std::pair<int, int> caps{pe_cap, simd_cap};
+  return styled_folding(sites, FoldingStyle{{caps}, caps, caps, caps});
 }
 
 FoldingConfig styled_folding(const std::vector<LayerSite>& sites,
@@ -225,6 +215,9 @@ void validate_folding(const std::vector<LayerSite>& sites,
 
 namespace {
 
+/// Safety cap on reach_aware_folding's greedy reallocation rounds.
+constexpr int kMaxReachRounds = 4096;
+
 /// MVTU plus (for conv) SWU resources of one site under one fold — the
 /// fabric share the reach-aware optimizer reallocates.
 Resources site_fold_resources(const MvtuGeometry& g, const LayerFold& fold,
@@ -286,9 +279,7 @@ FoldingConfig reach_aware_folding(const std::vector<LayerSite>& sites,
                                   const std::vector<double>& exit_fractions,
                                   const Resources& budget,
                                   const ReachAwareOptions& options) {
-  FoldingConfig base = options.baseline.folds.empty()
-                           ? styled_folding(sites, options.style)
-                           : options.baseline;
+  const FoldingConfig& base = options.baseline;
   validate_folding(sites, base);
   ADAPEX_CHECK(!exit_fractions.empty(), "empty exit-fraction regime");
   ADAPEX_CHECK(options.exit_after_block.size() + 1 == exit_fractions.size(),
@@ -419,7 +410,7 @@ FoldingConfig reach_aware_folding(const std::vector<LayerSite>& sites,
   // the least gated throughput (best effort: a budget below the all-minimal
   // folding is left unsatisfied rather than thrown).
   Resources agg = aggregate();
-  for (int round = 0; !agg.fits_within(cap) && round < options.max_rounds;
+  for (int round = 0; !agg.fits_within(cap) && round < kMaxReachRounds;
        ++round) {
     const double t_now = gated_ii();
     std::size_t best_i = n;
@@ -456,7 +447,7 @@ FoldingConfig reach_aware_folding(const std::vector<LayerSite>& sites,
   // jointly. With gating, the bottleneck set quickly becomes the
   // full-traffic front end — this is where the fabric freed in phase 1
   // lands. Stops when an upgrade would not fit the cap (greedy first-fit).
-  for (int round = 0; round < options.max_rounds; ++round) {
+  for (int round = 0; round < kMaxReachRounds; ++round) {
     const double t = gated_ii();
     std::vector<std::size_t> bottleneck;
     for (std::size_t i = 0; i < n; ++i) {

@@ -120,15 +120,15 @@ FoldingConfig styled_folding(const std::vector<LayerSite>& sites,
 FoldingConfig balanced_folding(const std::vector<LayerSite>& sites,
                                long target_cycles, int pe_cap, int simd_cap);
 
-/// Knobs for reach_aware_folding.
+/// Inputs of reach_aware_folding beyond the sites and the regime.
+/// finn/accelerator.hpp reach_aware_options() fills all four from a
+/// compiled styled accelerator.
 struct ReachAwareOptions {
   /// Baseline folds the optimizer starts from and must weakly dominate
-  /// (same walk order as the sites). Empty folds: styled_folding(sites,
-  /// style). Callers whose model was pruned under a pre-prune styled
-  /// config pass that config here so the baseline matches the compiled
-  /// styled accelerator exactly.
+  /// (same walk order as the sites); required. Callers whose model was
+  /// pruned under a pre-prune styled config pass that config here so the
+  /// baseline matches the compiled styled accelerator exactly.
   FoldingConfig baseline;
-  FoldingStyle style;
   /// ExitSpec::after_block per exit, ascending — locates the branch points
   /// so every site's gate level (and thus its reach) can be derived. One
   /// entry per exit; exit_fractions has one more entry (the final output).
@@ -136,11 +136,9 @@ struct ReachAwareOptions {
   /// Resource model pricing the folds (must match the accelerator's).
   HlsCostModel cost;
   /// Fabric outside the MVTU/SWU sites (pool/branch units, mitigation
-  /// logic, ...) charged against the budget but not reallocated. Compute
-  /// as compiled_total - folding_site_resources(sites, baseline, cost).
+  /// logic, ...) charged against the budget but not reallocated:
+  /// compiled_total - folding_site_resources(sites, baseline, cost).
   Resources fixed_overhead;
-  /// Safety cap on greedy reallocation rounds.
-  int max_rounds = 4096;
 };
 
 /// Reach-aware heterogeneous folding (ATHEENA-style, see DESIGN.md
@@ -160,6 +158,6 @@ struct ReachAwareOptions {
 FoldingConfig reach_aware_folding(const std::vector<LayerSite>& sites,
                                   const std::vector<double>& exit_fractions,
                                   const Resources& budget,
-                                  const ReachAwareOptions& options = {});
+                                  const ReachAwareOptions& options);
 
 }  // namespace adapex

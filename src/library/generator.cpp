@@ -120,10 +120,12 @@ void progress(const LibraryGenSpec& spec, const std::string& msg) {
 }
 
 /// Verifies a freshly-built base model against the spec's folding style
-/// before any training epoch is spent on it. Every design-rule violation is
-/// reported in one structured ConfigError (see analysis/lint.hpp).
-void verify_base_design(BranchyModel& model, const LibraryGenSpec& spec,
-                        const char* family) {
+/// before any training epoch is spent on it, and returns that folding for
+/// the family's design points. Every design-rule violation is reported in
+/// one structured ConfigError (see analysis/lint.hpp).
+FoldingConfig verify_base_design(BranchyModel& model,
+                                 const LibraryGenSpec& spec,
+                                 const char* family) {
   const ModelWalk walk =
       walk_model(model, spec.accel.in_channels, spec.accel.image_size);
   // A shape-broken walk (e.g. AcceleratorConfig input channels that do not
@@ -138,6 +140,7 @@ void verify_base_design(BranchyModel& model, const LibraryGenSpec& spec,
   if (report.has_errors()) {
     throw ConfigError(std::string(family) + " " + report.error_message());
   }
+  return folding;
 }
 
 /// One (variant, prune-rate) task of the design-point sweep.
@@ -241,20 +244,17 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 /// Clones the family base model, prunes, retrains, compiles, and evaluates
 /// one design point. Touches only task-local state plus the const-shared
-/// base models, dataset, and spec — safe to run concurrently.
+/// base models, foldings, dataset, and spec — safe to run concurrently.
 DesignPointResult run_design_point(const LibraryGenSpec& spec,
                                    const SyntheticDataset& data,
                                    const BranchyModel& base,
+                                   const FoldingConfig& folding,
                                    const DesignPoint& point,
                                    int accel_id_base) {
   DesignPointResult result;
   const bool has_exits = point.variant != ModelVariant::kNoExit;
 
   BranchyModel model = base.clone();
-  auto sites = walk_compute_layers(model, spec.accel.in_channels,
-                                   spec.accel.image_size);
-  const FoldingConfig folding = styled_folding(sites, spec.folding_style);
-
   PruneOptions popts;
   popts.rate = point.rate_pct / 100.0;
   popts.prune_exits = point.variant == ModelVariant::kPrunedExits;
@@ -389,7 +389,16 @@ DesignPointResult run_design_point(const LibraryGenSpec& spec,
     for (auto& entry : entries) result.entries.push_back(std::move(entry));
   };
 
-  const Accelerator acc = compile_accelerator(model, folding, spec.accel);
+  // One walk of the pruned model serves every folding of this point (the
+  // styled folds stay valid: pruning preserves the divisibility of the
+  // folds it was given).
+  const ModelWalk walk =
+      walk_model(model, spec.accel.in_channels, spec.accel.image_size);
+  auto compile = [&](const FoldingConfig& f) {
+    analysis::lint_design(model, walk, f).throw_if_errors();
+    return compile_accelerator(model, walk, f, spec.accel);
+  };
+  const Accelerator acc = compile(folding);
   emit_accelerator(acc, accel_id_base, "styled", {});
 
   // Reach-aware Pareto points: one extra accelerator per configured exit
@@ -398,61 +407,37 @@ DesignPointResult run_design_point(const LibraryGenSpec& spec,
   // never ship a config the static model rejects or the transaction-level
   // simulator disagrees with.
   if (has_exits && !spec.reach_regimes.empty()) {
-    // The model was pruned above, so re-walk for current geometry; the
-    // styled baseline folds index the same walk order (pruning preserves
-    // the divisibility of the folds it was given).
-    auto pruned_sites = walk_compute_layers(model, spec.accel.in_channels,
-                                            spec.accel.image_size);
-    ReachAwareOptions ra_opts;
-    ra_opts.baseline = folding;
-    ra_opts.cost = spec.accel.cost;
-    for (const ExitSpec& e : spec.exits.exits) {
-      ra_opts.exit_after_block.push_back(e.after_block);
-    }
-    ra_opts.fixed_overhead =
-        acc.total -
-        folding_site_resources(pruned_sites, folding, spec.accel.cost);
+    const ReachAwareOptions ra_opts =
+        reach_aware_options(model, walk.sites, folding, acc, spec.accel.cost);
     for (std::size_t k = 0; k < spec.reach_regimes.size(); ++k) {
       const std::vector<double>& regime = spec.reach_regimes[k];
       ADAPEX_CHECK(static_cast<int>(regime.size()) == acc.num_exits + 1,
                    "reach regime arity must equal accelerator outputs");
-      const FoldingConfig ra = reach_aware_folding(
-          pruned_sites, regime, spec.reach_device.caps, ra_opts);
-      const Accelerator acc_ra = compile_accelerator(model, ra, spec.accel);
+      const Accelerator acc_ra = compile(reach_aware_folding(
+          walk.sites, regime, spec.reach_device.caps, ra_opts));
 
+      // cross_validate fails on the static rules R8-R14 before simulating.
       const auto t_verify = std::chrono::steady_clock::now();
-      analysis::DataflowOptions dopts;
-      dopts.device = spec.reach_device;
-      const analysis::DataflowReport dataflow =
-          analysis::analyze_dataflow(acc_ra, regime, dopts);
-      if (dataflow.lint.has_errors()) {
-        throw ConfigError(
-            "reach-aware folding rejected by the dataflow verifier (" +
-            std::string(to_string(point.variant)) + " rate " +
-            std::to_string(point.rate_pct) + "%, regime " + std::to_string(k) +
-            "): " + dataflow.lint.error_message());
-      }
       analysis::CrossValidateOptions cv_opts;
       cv_opts.dataflow.device = spec.reach_device;
       const analysis::CrossValidation cv =
           analysis::cross_validate(acc_ra, regime, cv_opts);
       ++result.cross_validations;
       result.verify_s += seconds_since(t_verify);
+      const std::string where = " (" + std::string(to_string(point.variant)) +
+                                " rate " + std::to_string(point.rate_pct) +
+                                "%, regime " + std::to_string(k) + ")";
       if (!cv.passed) {
-        throw ConfigError("reach-aware cross-validation failed (" +
-                          std::string(to_string(point.variant)) + " rate " +
-                          std::to_string(point.rate_pct) + "%, regime " +
-                          std::to_string(k) + "): " + cv.summary() + "\n" +
+        throw ConfigError("reach-aware cross-validation failed" + where +
+                          ": " + cv.summary() + "\n" +
                           cv.lint.error_message());
       }
       // The optimizer never uses more fabric than the styled baseline, so
       // a fitting styled design must stay fitting.
       if (spec.reach_device.fits(acc.total) &&
           !spec.reach_device.fits(acc_ra.total)) {
-        throw ConfigError("reach-aware folding exceeded the device budget (" +
-                          std::string(to_string(point.variant)) + " rate " +
-                          std::to_string(point.rate_pct) + "%, regime " +
-                          std::to_string(k) + ")");
+        throw ConfigError("reach-aware folding exceeded the device budget" +
+                          where);
       }
       emit_accelerator(acc_ra, accel_id_base + 1 + static_cast<int>(k),
                        "reach", regime);
@@ -561,16 +546,18 @@ Library generate_library(const LibraryGenSpec& spec) {
   // that violates them fails with the same ConfigError at every thread
   // count, and no training task is ever started for it.
   BranchyModel base_plain;
+  FoldingConfig folding_plain;
   if (need_plain) {
     Rng init_rng(spec.seed);
     base_plain = build_cnv(spec.cnv, init_rng);
-    verify_base_design(base_plain, spec, "no-exit CNV:");
+    folding_plain = verify_base_design(base_plain, spec, "no-exit CNV:");
   }
   BranchyModel base_ee;
+  FoldingConfig folding_ee;
   if (need_ee) {
     Rng ee_rng(spec.seed + 1);
     base_ee = build_cnv_with_exits(spec.cnv, spec.exits, ee_rng);
-    verify_base_design(base_ee, spec, "early-exit CNV:");
+    folding_ee = verify_base_design(base_ee, spec, "early-exit CNV:");
   }
 
   // Pre-assign each design point a contiguous accelerator-id block (styled
@@ -607,9 +594,10 @@ Library generate_library(const LibraryGenSpec& spec) {
               derive_seed(p.retrain_seed, kRetrySalt,
                           static_cast<std::uint64_t>(attempt));
         }
-        const BranchyModel& base =
-            p.variant != ModelVariant::kNoExit ? base_ee : base_plain;
-        results[i] = run_design_point(spec, *data, base, run, id_base[i]);
+        const bool ee = p.variant != ModelVariant::kNoExit;
+        results[i] =
+            run_design_point(spec, *data, ee ? base_ee : base_plain,
+                             ee ? folding_ee : folding_plain, run, id_base[i]);
         out.status =
             attempt == 0 ? PointStatus::kComputed : PointStatus::kRetried;
         out.attempts = attempt + 1;

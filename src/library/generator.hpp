@@ -93,9 +93,9 @@ struct LibraryGenSpec {
   /// shrunk to the regime's reach and whose freed fabric is reinvested in
   /// the full-traffic front end (hls/folding.hpp reach_aware_folding),
   /// emitted as extra Pareto rows. Every such accelerator is gated behind
-  /// the dataflow verifier regardless of `verify_dataflow`: rules R8-R14
-  /// must report no errors and cross_validate must agree on the regime, or
-  /// generation throws. Each regime needs one fraction per output (exits
+  /// the dataflow verifier regardless of `verify_dataflow`: cross_validate
+  /// (whose static pass runs rules R8-R14 first) must pass on the regime,
+  /// or generation throws. Each regime needs one fraction per output (exits
   /// then final). Empty (the default): the mode is off and the generated
   /// Library is byte-identical to previous schemas.
   std::vector<std::vector<double>> reach_regimes;

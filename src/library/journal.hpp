@@ -78,9 +78,9 @@ struct PointOutcome {
   /// Inference path that evaluated the point: "packed" or "float" (empty
   /// for replayed/quarantined points, which evaluated nothing this run).
   std::string eval_path;
-  /// Share of wall_s in the dataflow verifier (lint_entry_reach,
-  /// analyze_dataflow and cross_validate calls) on the successful attempt;
-  /// 0 when nothing was verified this run.
+  /// Share of wall_s in the dataflow verifier (lint_entry_reach and
+  /// cross_validate calls) on the successful attempt; 0 when nothing was
+  /// verified this run.
   double verify_s = 0.0;
   /// cross_validate runs on the successful attempt: one per distinct exit
   /// distribution per accelerator under verify_dataflow, plus one per

@@ -45,10 +45,24 @@ TEST(LintR1, FoldingDivisibilityViolationsReportRuleAndSite) {
   folding.folds[0].pe = 5;    // out_channels is a multiple of 4, never of 5.
   folding.folds[1].simd = 7;  // matrix width 9 * ch_in is never 7-divisible.
 
-  const LintReport report =
+  // lint_design alone, and lint(), which runs the design rules once and
+  // skips the compile: each broken site is one R1 error in both.
+  const LintReport design =
       analysis::lint_design(model, folding, AcceleratorConfig{});
-  EXPECT_TRUE(has_finding(report, "R1", sites[0].name, Severity::kError));
-  EXPECT_TRUE(has_finding(report, "R1", sites[1].name, Severity::kError));
+  const LintReport full = analysis::lint(model, folding, AcceleratorConfig{});
+  for (const LintReport* report : {&design, &full}) {
+    for (const LayerSite* site : {&sites[0], &sites[1]}) {
+      EXPECT_TRUE(has_finding(*report, "R1", site->name, Severity::kError));
+      EXPECT_EQ(std::count_if(report->diagnostics.begin(),
+                              report->diagnostics.end(),
+                              [&](const Diagnostic& d) {
+                                return d.rule_id == "R1" &&
+                                       d.site == site->name;
+                              }),
+                1)
+          << report->format_table();
+    }
+  }
 }
 
 TEST(LintR1, FoldingArityMismatchIsReported) {
@@ -264,15 +278,24 @@ TEST(LintClean, DefaultAndStyledFoldingsAcrossScales) {
           with_exits
               ? build_cnv_with_exits(cfg, paper_exits_config(false), rng)
               : build_cnv(cfg, rng);
-      auto sites = walk_compute_layers(model, cfg.in_channels, cfg.image_size);
+      const AcceleratorConfig config;
+      const ModelWalk walk =
+          walk_model(model, config.in_channels, config.image_size);
       for (const bool styled : {false, true}) {
         SCOPED_TRACE(styled ? "styled_folding" : "default_folding");
         const FoldingConfig folding =
-            styled ? styled_folding(sites) : default_folding(sites);
+            styled ? styled_folding(walk.sites) : default_folding(walk.sites);
+        Accelerator compiled;
         const LintReport report =
-            analysis::lint(model, folding, AcceleratorConfig{});
+            analysis::lint(model, walk, folding, config, LintOptions{},
+                           &compiled);
         EXPECT_EQ(report.count(Severity::kError), 0u)
             << report.format_table(Severity::kError);
+        // lint() hands back the accelerator it compiled from that walk.
+        const Accelerator acc = compile_accelerator(model, folding, config);
+        EXPECT_EQ(compiled.paths, acc.paths);
+        EXPECT_EQ(compiled.total.lut, acc.total.lut);
+        EXPECT_EQ(compiled.total.bram, acc.total.bram);
       }
     }
   }

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <set>
 #include <string>
@@ -16,6 +17,7 @@
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
+#include "test_support.hpp"
 
 namespace adapex {
 namespace {
@@ -281,10 +283,11 @@ TEST(Table, NumFormatting) {
 }
 
 TEST(Files, WriteReadRoundTrip) {
-  const std::string path = "/tmp/adapex_test_file.txt";
+  const std::string dir = scratch_dir("files");
+  const std::string path = dir + "/file.txt";
   write_file(path, "hello\nworld");
   EXPECT_EQ(read_file(path), "hello\nworld");
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
   EXPECT_THROW(read_file("/nonexistent/path/x"), Error);
 }
 

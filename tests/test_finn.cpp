@@ -10,6 +10,7 @@
 #include <string>
 
 #include "analysis/dataflow.hpp"
+#include "analysis/lint.hpp"
 #include "finn/accelerator.hpp"
 #include "finn/pipeline_sim.hpp"
 #include "finn/reconfig.hpp"
@@ -774,25 +775,26 @@ TEST(FinnGolden, ModuleTablesMatchPinnedCapture) {
     const CnvConfig cfg = CnvConfig{}.scaled(golden.scale);
     BranchyModel model =
         build_cnv_with_exits(cfg, paper_exits_config(false), rng);
-    const auto sites =
-        walk_compute_layers(model, cfg.in_channels, cfg.image_size);
-    const FoldingConfig styled = styled_folding(sites);
-    const Accelerator acc =
-        compile_accelerator(model, styled, AcceleratorConfig{});
+    // One walk, linted per folding, feeds both compiles (the generator's
+    // path); the 3-argument compile must emit the same tables.
+    const AcceleratorConfig config;
+    const ModelWalk walk =
+        walk_model(model, config.in_channels, config.image_size);
+    const FoldingConfig styled = styled_folding(walk.sites);
+    ASSERT_FALSE(analysis::lint_design(model, walk, styled).has_errors());
+    const Accelerator acc = compile_accelerator(model, walk, styled, config);
     EXPECT_EQ(module_table(acc), golden.styled);
+    EXPECT_EQ(module_table(compile_accelerator(model, styled, config)),
+              golden.styled);
 
-    ReachAwareOptions opts;
-    opts.baseline = styled;
-    for (std::size_t e = 0; e < model.num_exits(); ++e) {
-      opts.exit_after_block.push_back(model.exit(e).after_block);
-    }
-    opts.fixed_overhead =
-        acc.total - folding_site_resources(sites, styled, opts.cost);
     const FoldingConfig reach = reach_aware_folding(
-        sites, {0.5, 0.3, 0.2}, analysis::DeviceProfile::zcu104().caps, opts);
+        walk.sites, {0.5, 0.3, 0.2}, analysis::DeviceProfile::zcu104().caps,
+        reach_aware_options(model, walk.sites, styled, acc, config.cost));
     ASSERT_NE(reach.folds, styled.folds);
-    EXPECT_EQ(module_table(
-                  compile_accelerator(model, reach, AcceleratorConfig{})),
+    ASSERT_FALSE(analysis::lint_design(model, walk, reach).has_errors());
+    EXPECT_EQ(module_table(compile_accelerator(model, walk, reach, config)),
+              golden.reach);
+    EXPECT_EQ(module_table(compile_accelerator(model, reach, config)),
               golden.reach);
   }
 }

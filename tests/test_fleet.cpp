@@ -18,6 +18,7 @@
 #include "common/rng.hpp"
 #include "edge/fleet.hpp"
 #include "edge/simulation.hpp"
+#include "test_support.hpp"
 
 namespace adapex {
 namespace {
@@ -508,11 +509,10 @@ TEST(FleetDeterminism, ByteIdenticalAcrossRunsAndThreadsEnv) {
   const RuntimePolicy pol;
   const FleetScenario sc = correlated_fleet(9, 8.0, 6.0, 0.25);
 
-  setenv("ADAPEX_THREADS", "1", 1);
+  const ScopedEnv restore("ADAPEX_THREADS", "1");
   const FleetMetrics a = simulate_fleet(lib, pol, sc);
   setenv("ADAPEX_THREADS", "8", 1);
   const FleetMetrics b = simulate_fleet(lib, pol, sc);
-  unsetenv("ADAPEX_THREADS");
   EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
   EXPECT_GT(a.domain_spikes, 0);
 }

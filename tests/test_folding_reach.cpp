@@ -102,12 +102,8 @@ struct ReachFixture {
     sites = walk_compute_layers(model, cfg.in_channels, cfg.image_size);
     styled = styled_folding(sites);
     acc = compile_accelerator(model, styled, AcceleratorConfig{});
-    opts.baseline = styled;
-    for (std::size_t e = 0; e < model.num_exits(); ++e) {
-      opts.exit_after_block.push_back(model.exit(e).after_block);
-    }
-    opts.fixed_overhead =
-        acc.total - folding_site_resources(sites, styled, opts.cost);
+    opts = reach_aware_options(model, sites, styled, acc,
+                               AcceleratorConfig{}.cost);
   }
 };
 

@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 
 #include "core/adapex.hpp"
 #include "nn/quant.hpp"
+#include "test_support.hpp"
 
 namespace adapex {
 namespace {
@@ -163,7 +165,8 @@ TEST(Integration, AnalyticThroughputTracksSimOnLibraryModels) {
 
 TEST(Integration, LibrarySurvivesDiskRoundTripForServing) {
   const Library& lib = flow().library;
-  const std::string path = "/tmp/adapex_integration_lib.json";
+  const std::string dir = scratch_dir("integration");
+  const std::string path = dir + "/library.json";
   lib.save(path);
   Library loaded = Library::load(path);
   EdgeScenario scenario = scale_to_library(EdgeScenario{}, loaded, 1.2);
@@ -172,7 +175,7 @@ TEST(Integration, LibrarySurvivesDiskRoundTripForServing) {
   auto b = simulate_edge(loaded, {AdaptPolicy::kAdaPEx, 0.10}, scenario);
   EXPECT_EQ(a.served, b.served);
   EXPECT_DOUBLE_EQ(a.qoe, b.qoe);
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -3,13 +3,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <limits>
 
 #include "core/scale.hpp"
 #include "library/cache.hpp"
 #include "library/generator.hpp"
+#include "test_support.hpp"
 
 namespace adapex {
 namespace {
@@ -221,16 +221,16 @@ TEST(LibraryJson, NonFiniteValuesAreNotWritten) {
 
 TEST(LibraryModel, SaveLoadFile) {
   const Library& lib = shared_library();
-  const std::string path = "/tmp/adapex_test_library.json";
+  const std::string dir = scratch_dir("library");
+  const std::string path = dir + "/library.json";
   lib.save(path);
   Library loaded = Library::load(path);
   EXPECT_EQ(loaded.entries.size(), lib.entries.size());
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(LibraryCache, GeneratesThenLoads) {
-  const std::string dir = "/tmp/adapex_test_cache";
-  std::filesystem::remove_all(dir);
+  const std::string dir = scratch_dir("cache");
   auto spec = tiny_spec();
   spec.prune_rates_pct = {0};
   spec.conf_thresholds_pct = {50};

@@ -23,6 +23,7 @@
 #include "core/scale.hpp"
 #include "library/cache.hpp"
 #include "library/generator.hpp"
+#include "test_support.hpp"
 
 namespace adapex {
 namespace {
@@ -332,7 +333,7 @@ TEST(ThreadPool, SharedPoolIsOnePoolAndForkedChildStartsItsOwn) {
 }
 
 TEST(ThreadPool, EnvThreadCountParsing) {
-  ASSERT_EQ(setenv("ADAPEX_THREADS", "6", 1), 0);
+  const ScopedEnv restore("ADAPEX_THREADS", "6");
   EXPECT_EQ(ThreadPool::env_thread_count(), 6u);
   ASSERT_EQ(setenv("ADAPEX_THREADS", "0", 1), 0);
   EXPECT_THROW(ThreadPool::env_thread_count(), ConfigError);
@@ -379,14 +380,14 @@ TEST(LibraryParallel, ByteIdenticalAcrossThreadCounts) {
   }
 
   // Compare the saved artifacts byte for byte, not just the in-memory rows.
-  const std::string p1 = "/tmp/adapex_parallel_t1.json";
-  const std::string p4 = "/tmp/adapex_parallel_t4.json";
+  const std::string dir = scratch_dir("parallel");
+  const std::string p1 = dir + "/t1.json";
+  const std::string p4 = dir + "/t4.json";
   lib1.save(p1);
   lib4.save(p4);
   const std::string bytes1 = read_file(p1);
   const std::string bytes4 = read_file(p4);
-  std::remove(p1.c_str());
-  std::remove(p4.c_str());
+  std::filesystem::remove_all(dir);
   ASSERT_FALSE(bytes1.empty());
   EXPECT_EQ(bytes1, bytes4);
 }
@@ -398,10 +399,12 @@ TEST(LibraryParallel, ThreadCountFromEnv) {
   spec.num_threads = 1;
   const std::string serial = generate_library(spec).to_json().dump(1);
 
-  ASSERT_EQ(setenv("ADAPEX_THREADS", "3", 1), 0);
-  spec.num_threads = 0;  // resolve from the environment
-  const std::string via_env = generate_library(spec).to_json().dump(1);
-  ASSERT_EQ(unsetenv("ADAPEX_THREADS"), 0);
+  std::string via_env;
+  {
+    const ScopedEnv threads("ADAPEX_THREADS", "3");
+    spec.num_threads = 0;  // resolve from the environment
+    via_env = generate_library(spec).to_json().dump(1);
+  }
   EXPECT_EQ(serial, via_env);
 }
 
@@ -535,8 +538,7 @@ TEST(LibraryCacheKey, SensitiveToEveryGenerationKnob) {
 }
 
 TEST(LibraryCache, CorruptArtifactIsRegenerated) {
-  const std::string dir = "/tmp/adapex_test_cache_corrupt";
-  std::filesystem::remove_all(dir);
+  const std::string dir = scratch_dir("cache_corrupt");
   auto spec = fast_spec();
   spec.variants = {ModelVariant::kNoExit};
   spec.prune_rates_pct = {0};

@@ -18,6 +18,7 @@
 #include "library/cache.hpp"
 #include "library/generator.hpp"
 #include "library/journal.hpp"
+#include "test_support.hpp"
 
 namespace adapex {
 namespace {
@@ -33,15 +34,6 @@ LibraryGenSpec fast_spec() {
   spec.prune_rates_pct = {0, 25, 50};
   spec.conf_thresholds_pct = {0, 50};
   return spec;
-}
-
-/// Fresh scratch directory under /tmp, removed by the caller.
-std::string scratch_dir(const std::string& tag) {
-  const std::string dir =
-      "/tmp/adapex_test_" + tag + "_" + std::to_string(::getpid());
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
 }
 
 std::size_t count_checkpoints(const std::string& journal_root,

@@ -3,12 +3,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <filesystem>
 
 #include "data/dataset.hpp"
 #include "model/cnv.hpp"
 #include "model/serialize.hpp"
 #include "nn/trainer.hpp"
+#include "test_support.hpp"
 
 namespace adapex {
 namespace {
@@ -129,12 +130,13 @@ TEST(Serialize, FileRoundTrip) {
   Rng rng(4);
   CnvConfig cfg = CnvConfig{}.scaled(0.125);
   BranchyModel model = build_cnv(cfg, rng);
-  const std::string path = "/tmp/adapex_test_model.adpx";
+  const std::string dir = scratch_dir("model");
+  const std::string path = dir + "/model.adpx";
   save_model(model, path);
   BranchyModel loaded = load_model(path);
   EXPECT_EQ(loaded.num_blocks(), model.num_blocks());
   EXPECT_EQ(loaded.num_exits(), 0u);
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Serialize, RejectsCorruptedInput) {

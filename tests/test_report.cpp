@@ -7,6 +7,7 @@
 #include "core/scale.hpp"
 #include "finn/report.hpp"
 #include "model/cnv.hpp"
+#include "test_support.hpp"
 
 namespace adapex {
 namespace {
@@ -72,7 +73,7 @@ TEST(Scale, PresetsAreOrdered) {
 }
 
 TEST(Scale, FromEnvParses) {
-  setenv("ADAPEX_SCALE", "medium", 1);
+  const ScopedEnv restore("ADAPEX_SCALE", "medium");
   EXPECT_EQ(ExperimentScale::from_env().name, "medium");
   setenv("ADAPEX_SCALE", "bogus", 1);
   EXPECT_THROW(ExperimentScale::from_env(), ConfigError);

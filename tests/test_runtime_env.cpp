@@ -18,33 +18,10 @@
 #include "library/cache.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/packed.hpp"
+#include "test_support.hpp"
 
 namespace adapex {
 namespace {
-
-/// Sets (or, for nullopt, unsets) a variable for one scope and restores the
-/// previous state afterwards.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, std::optional<std::string> value) : name_(name) {
-    if (const char* old = std::getenv(name)) old_ = old;
-    apply(value);
-  }
-  ~ScopedEnv() { apply(old_); }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  void apply(const std::optional<std::string>& value) {
-    if (value) {
-      ::setenv(name_, value->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  const char* name_;
-  std::optional<std::string> old_;
-};
 
 /// Runs `fn`, expecting a ConfigError whose message names `variable`.
 template <typename Fn>
