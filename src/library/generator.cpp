@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <exception>
 #include <filesystem>
@@ -261,7 +262,12 @@ DesignPointResult run_design_point(const LibraryGenSpec& spec,
   popts.folding = folding;
   popts.in_channels = spec.accel.in_channels;
   popts.image_size = spec.accel.image_size;
-  const PruneReport report = prune_model(model, popts);
+  // The post-prune walk serves every folding of this point (the styled
+  // folds stay valid: pruning preserves the divisibility of the folds it
+  // was given, which prune_model checks on this walk); retraining changes
+  // weights, not shapes.
+  ModelWalk walk;
+  const PruneReport report = prune_model(model, popts, &walk);
 
   if (report.achieved_rate > 0.0) {
     TrainConfig rt = spec.retrain;
@@ -269,9 +275,9 @@ DesignPointResult run_design_point(const LibraryGenSpec& spec,
     train_model(model, data.train, spec.dataset.flip_symmetry, rt);
   }
 
-  // Serial eval (num_threads=1): run_design_point already executes inside a
-  // design-point pool worker, beside the other points that keep the
-  // generator's threads busy.
+  // Serial eval (num_threads=1): run_design_point already runs as a task of
+  // the generator's pool, beside the other points that keep its threads
+  // busy.
   // Evaluated once; all accelerators of this point share the model, so the
   // per-threshold exit statistics are identical across them.
   const PackedMode eval_mode = eval_mode_from_spec(spec);
@@ -389,11 +395,6 @@ DesignPointResult run_design_point(const LibraryGenSpec& spec,
     for (auto& entry : entries) result.entries.push_back(std::move(entry));
   };
 
-  // One walk of the pruned model serves every folding of this point (the
-  // styled folds stay valid: pruning preserves the divisibility of the
-  // folds it was given).
-  const ModelWalk walk =
-      walk_model(model, spec.accel.in_channels, spec.accel.image_size);
   auto compile = [&](const FoldingConfig& f) {
     analysis::lint_design(model, walk, f).throw_if_errors();
     return compile_accelerator(model, walk, f, spec.accel);
@@ -722,34 +723,42 @@ Library generate_library(const LibraryGenSpec& spec) {
                        " threads");
   }
   // Dependency-driven schedule, the same at every thread count: dataset ->
-  // {plain base -> reference eval -> plain points, EE base -> EE points}.
-  // Each base task submits its family's points as continuations, so one
-  // family's points fill idle workers while the other base still trains; a
-  // single worker runs EE base, plain base, reference eval, EE points, plain
-  // points. The reference eval runs serially inside its task (pool tasks
-  // must not spin up nested pools); evaluation is bitwise thread-count
-  // independent.
-  ThreadPool pool(num_threads);
-  auto submit_family = [&](bool exits) {
+  // {plain base -> reference eval -> plain points, EE base -> EE points},
+  // as nested joins on a pool of num_threads - 1 workers plus this thread.
+  // The outer join runs one task per family; each trains its base (the
+  // plain one then runs the reference eval, serially: evaluation is
+  // bitwise thread-count independent) and joins over its undone points,
+  // so one family's points fill idle threads while the other base still
+  // trains. The plain family is task 0, run by this thread first, so a
+  // one-thread run fails on the plain base before any point starts. A
+  // base-training or reference failure stops every point not yet started
+  // in either family, and the outer join rethrows it.
+  ThreadPool pool(num_threads - 1);
+  std::atomic<bool> failed{false};
+  pool.run_and_join(2, [&](std::size_t family) {
+    const bool exits = family == 1;
+    try {
+      if (exits) {
+        if (need_ee) train_ee();
+      } else {
+        if (need_plain) train_plain();
+        reference();
+      }
+    } catch (...) {
+      failed = true;
+      throw;
+    }
+    std::vector<std::size_t> mine;
     for (std::size_t t = 0; t < todo.size(); ++t) {
       if ((points[todo[t]].variant != ModelVariant::kNoExit) == exits) {
-        pool.submit([&, t] { sweep_point(t); });
+        mine.push_back(t);
       }
     }
-  };
-  pool.submit([&] {
-    if (need_ee) train_ee();
-    submit_family(/*exits=*/true);
+    if (mine.empty()) return;
+    pool.run_and_join(mine.size(), [&](std::size_t k) {
+      if (!failed) sweep_point(mine[k]);
+    });
   });
-  pool.submit([&] {
-    if (need_plain) train_plain();
-    reference();
-    submit_family(/*exits=*/false);
-  });
-  // attempt_point contains every expected failure; the pool's capture path
-  // covers the base trainings and the reference evaluation, and drains the
-  // continuations a failed step would have fed.
-  pool.wait();
 
   // Flight record first — on a kFail throw below the caller's report still
   // explains exactly which points died and what succeeded before them.

@@ -18,16 +18,17 @@
 //   dataset -+- plain base -- reference eval -- plain design points
 //            +- EE base ------------------------ EE design points
 //
-// Given two workers both base trainings start at once; when a base
-// finishes, its task submits that family's (variant, prune-rate) design
-// points as continuations, so one family's points run while the other base
-// still trains. Every design point clones the trained base, prunes,
+// The graph runs as nested joins (ThreadPool::run_and_join): an outer join
+// over the two families, each of which trains its base and then joins over
+// its (variant, prune-rate) design points. Given two threads both base
+// trainings start at once, and one family's points run while the other
+// base still trains. Every design point clones the trained base, prunes,
 // retrains, compiles, and evaluates entirely on task-local state. Retrain
 // seeds are derived per design point with derive_seed(spec.seed, variant,
 // rate) (common/rng.hpp) rather than from the schedule, results land in
 // pre-assigned slots, and Library rows are assembled in sweep order after
 // the barrier, so the generated Library is byte-identical for every thread
-// count (one worker runs the same graph in submission order). Every
+// count (one thread runs the same graph alone, in queue order). Every
 // progress message is released in one canonical order through one
 // mutex-guarded sink.
 //
@@ -103,9 +104,11 @@ struct LibraryGenSpec {
   analysis::DeviceProfile reach_device = analysis::DeviceProfile::zcu104();
   std::uint64_t seed = 7;
   /// Generation parallelism: 0 resolves ADAPEX_THREADS (default:
-  /// hardware_concurrency); every count runs the same task graph. The
-  /// generated Library is byte-identical at every thread count, so this is
-  /// deliberately NOT part of the artifact cache key.
+  /// hardware_concurrency). Every count runs the same task graph as nested
+  /// joins on a pool of count - 1 workers plus the calling thread (at 1 the
+  /// caller runs it alone). The generated Library is byte-identical at
+  /// every thread count, so this is deliberately NOT part of the artifact
+  /// cache key.
   int num_threads = 0;
   /// Check every Library row against the dataflow verifier
   /// (analysis/dataflow.hpp): the entry's recorded throughput must match

@@ -141,7 +141,8 @@ struct Consumer {
 
 }  // namespace
 
-PruneReport prune_model(BranchyModel& model, const PruneOptions& options) {
+PruneReport prune_model(BranchyModel& model, const PruneOptions& options,
+                        ModelWalk* walk_out) {
   ADAPEX_CHECK(options.rate >= 0.0 && options.rate < 1.0,
                "pruning rate must be in [0, 1)");
   auto sites =
@@ -267,11 +268,15 @@ PruneReport prune_model(BranchyModel& model, const PruneOptions& options) {
   // The dataflow-aware guarantee: the user's folding must still validate
   // against the pruned model. Skipped in the naive-pruning ablation, whose
   // entire point is that this validation would fail.
-  if (!options.ignore_dataflow_constraints) {
-    auto pruned_sites =
-        walk_compute_layers(model, options.in_channels, options.image_size);
-    validate_folding(pruned_sites, options.folding);
+  if (options.ignore_dataflow_constraints && walk_out == nullptr) {
+    return report;
   }
+  ModelWalk walk = walk_model(model, options.in_channels, options.image_size);
+  if (!options.ignore_dataflow_constraints) {
+    walk.findings.throw_if_errors();
+    validate_folding(walk.sites, options.folding);
+  }
+  if (walk_out != nullptr) *walk_out = std::move(walk);
   return report;
 }
 

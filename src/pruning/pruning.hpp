@@ -70,8 +70,13 @@ struct PruneReport {
 /// Prunes `model` in place. The folding config must match the *unpruned*
 /// model's layer list (walk order); after the pass the same folding is
 /// still valid for the pruned model (the dataflow-aware guarantee, asserted
-/// internally). Returns the per-layer report.
-PruneReport prune_model(BranchyModel& model, const PruneOptions& options);
+/// internally on a walk of the pruned model). Returns the per-layer report.
+/// When `walk_out` is given it receives that post-prune walk (in the
+/// ignore_dataflow_constraints ablation the walk is taken but nothing is
+/// asserted), so a caller that lints or compiles the pruned model need not
+/// walk it again.
+PruneReport prune_model(BranchyModel& model, const PruneOptions& options,
+                        ModelWalk* walk_out = nullptr);
 
 /// l1 norms of each conv filter (latent float weights), length = filters.
 std::vector<float> filter_l1_norms(const QuantConv2d& conv);

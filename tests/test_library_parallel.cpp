@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <future>
 #include <set>
 #include <string>
 #include <thread>
@@ -41,174 +40,65 @@ LibraryGenSpec fast_spec() {
   return spec;
 }
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait();
-  EXPECT_EQ(count.load(), 200);
-  // The pool is reusable after a barrier.
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait();
-  EXPECT_EQ(count.load(), 250);
-}
-
-TEST(ThreadPool, ThrowingTaskDoesNotTerminateAndWaitRethrows) {
-  // Before the exception-capture contract a throwing task escaped into its
-  // worker thread and std::terminate()d the whole process.
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&ran, i] {
-      if (i == 3) throw ConfigError("task 3 failed");
-      ran.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  EXPECT_THROW(pool.wait(), ConfigError);
-  // Tasks that ran before the failure completed; none ran twice.
-  EXPECT_LE(ran.load(), 7);
-}
-
-TEST(ThreadPool, FirstExceptionWinsAndQueueDrains) {
-  // Single worker: deterministic order. The first throwing task's exception
-  // is the one wait() rethrows, and every task queued after the failure is
-  // drained without running.
-  ThreadPool pool(1);
-  std::atomic<int> ran{0};
-  pool.submit([] { throw ConfigError("first"); });
-  pool.submit([] { throw ParseError("second"); });
-  for (int i = 0; i < 16; ++i) {
-    pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  }
-  try {
-    pool.wait();
-    FAIL() << "wait() must rethrow";
-  } catch (const ConfigError& e) {
-    EXPECT_STREQ(e.what(), "first");
-  }
-  EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(ThreadPool, ReusableAfterFailure) {
-  // wait() resets the failure state: the next submit/wait round behaves as
-  // if the pool were freshly constructed.
+TEST(ThreadPool, NestedJoinStressNeverHangs) {
+  // Many short rounds of joins at varying fan-out whose every task starts a
+  // nested join. A join that returned before a nested task finished shows
+  // up as a wrong count; a thread that slept through newly queued work (the
+  // lost-wakeup race) as a stalled round.
   ThreadPool pool(3);
-  pool.submit([] { throw ConfigError("boom"); });
-  EXPECT_THROW(pool.wait(), ConfigError);
-
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  EXPECT_NO_THROW(pool.wait());
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, ContinuationRunsBeforeWaitReturns) {
-  // A running task may submit follow-up tasks, which may submit their own;
-  // wait() covers the whole chain even though only the roots were
-  // submitted from outside the pool.
-  ThreadPool pool(4);
-  std::atomic<int> roots{0}, children{0}, grandchildren{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&] {
-      roots.fetch_add(1, std::memory_order_relaxed);
-      pool.submit([&] {
-        children.fetch_add(1, std::memory_order_relaxed);
-        pool.submit(
-            [&] { grandchildren.fetch_add(1, std::memory_order_relaxed); });
-      });
-    });
-  }
-  pool.wait();
-  EXPECT_EQ(roots.load(), 8);
-  EXPECT_EQ(children.load(), 8);
-  EXPECT_EQ(grandchildren.load(), 8);
-}
-
-TEST(ThreadPool, ContinuationExceptionIsRethrownByWait) {
-  ThreadPool pool(2);
-  pool.submit([&pool] {
-    pool.submit([] { throw ConfigError("continuation failed"); });
-  });
-  try {
-    pool.wait();
-    FAIL() << "wait() must rethrow the continuation's exception";
-  } catch (const ConfigError& e) {
-    EXPECT_STREQ(e.what(), "continuation failed");
-  }
-  // The failure state was reset: the next round runs normally.
-  std::atomic<int> count{0};
-  pool.submit([&] {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  });
-  EXPECT_NO_THROW(pool.wait());
-  EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ThreadPool, FailureDrainsQueuedContinuations) {
-  // Single worker: deterministic order. A task queues continuations and
-  // then throws; they are drained unrun, and so is a grandchild that a
-  // drained continuation would have submitted.
-  ThreadPool pool(1);
-  std::atomic<int> ran{0};
-  pool.submit([&] {
-    for (int i = 0; i < 16; ++i) {
-      pool.submit([&] {
-        ran.fetch_add(1, std::memory_order_relaxed);
-        pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-      });
-    }
-    throw ConfigError("parent failed");
-  });
-  EXPECT_THROW(pool.wait(), ConfigError);
-  EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(ThreadPool, OneWorkerRunsTasksInSubmissionOrder) {
-  // One worker pops the front of the one FIFO queue: tasks run in
-  // submission order, and a continuation joins the back, after everything
-  // queued before it. The generator's one-thread run relies on this order.
-  ThreadPool pool(1);
-  std::promise<void> all_queued;
-  std::future<void> gate = all_queued.get_future();
-  std::vector<int> order;  // touched only by the single worker
-  pool.submit([&] {
-    gate.wait();  // tasks 1..3 are queued before the continuation below
-    order.push_back(0);
-    pool.submit([&order] { order.push_back(4); });
-  });
-  for (int i = 1; i <= 3; ++i) {
-    pool.submit([&order, i] { order.push_back(i); });
-  }
-  all_queued.set_value();
-  pool.wait();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPool, SubmitWaitStressNeverHangs) {
-  // Many short rounds mixing outside submissions with continuations at
-  // varying fan-out. A barrier that opened before a continuation finished
-  // shows up as a wrong count; a worker that slept through a submission
-  // (the lost-wakeup race) as a stalled round.
-  ThreadPool pool(4);
   for (int round = 0; round < 500; ++round) {
     std::atomic<int> count{0};
-    const int fan = 1 + round % 7;
-    for (int i = 0; i < fan; ++i) {
-      pool.submit([&] {
+    const std::size_t fan = 1 + static_cast<std::size_t>(round % 7);
+    pool.run_and_join(fan, [&](std::size_t) {
+      count.fetch_add(1, std::memory_order_relaxed);
+      pool.run_and_join(2, [&](std::size_t) {
         count.fetch_add(1, std::memory_order_relaxed);
-        pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
       });
-    }
-    pool.wait();
-    ASSERT_EQ(count.load(), 2 * fan) << "round " << round;
+    });
+    ASSERT_EQ(count.load(), 3 * static_cast<int>(fan)) << "round " << round;
   }
+}
+
+TEST(ThreadPool, SleepingJoinerRunsWorkQueuedByANestedJoin) {
+  // One worker and the caller. The caller's share of the outer join ends at
+  // once, so it goes to sleep on an empty queue while the worker runs the
+  // outer task 1. That task's nested join queues a sibling and waits for
+  // it: only the sleeping caller is free to run it, so newly queued work
+  // must wake a waiting joiner, not just idle workers. A joiner that slept
+  // through the push would leave the sibling to the worker, after the wait
+  // below times out.
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto deadline = [] {
+    return std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  };
+  std::atomic<bool> outer_started{false}, sibling_ran{false};
+  std::thread::id sibling_thread;
+  pool.run_and_join(2, [&](std::size_t i) {
+    if (i == 0) {
+      const auto until = deadline();
+      while (!outer_started && std::chrono::steady_clock::now() < until) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      return;
+    }
+    outer_started = true;
+    // Give the caller time to fall asleep on the empty queue.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    pool.run_and_join(2, [&](std::size_t j) {
+      if (j == 1) {
+        sibling_thread = std::this_thread::get_id();
+        sibling_ran = true;
+        return;
+      }
+      const auto until = deadline();
+      while (!sibling_ran && std::chrono::steady_clock::now() < until) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  });
+  ASSERT_TRUE(sibling_ran.load());
+  EXPECT_EQ(sibling_thread, caller);
 }
 
 TEST(ThreadPool, ConcurrentJoinsSeeOnlyTheirOwnTasksAndExceptions) {
@@ -256,22 +146,26 @@ TEST(ThreadPool, ConcurrentJoinsSeeOnlyTheirOwnTasksAndExceptions) {
 }
 
 TEST(ThreadPool, JoinFromInsidePoolTasksCompletes) {
-  // One worker, nested three deep, called both from run_and_join tasks and
-  // from a submit()ted task: every waiting thread runs queued tasks itself,
-  // so nothing waits on a worker that is busy waiting.
-  ThreadPool pool(1);
-  std::atomic<int> leaves{0};
-  const auto leaf = [&](std::size_t) {
-    leaves.fetch_add(1, std::memory_order_relaxed);
-  };
-  const auto middle = [&](std::size_t) { pool.run_and_join(3, leaf); };
-  pool.run_and_join(4, [&](std::size_t) { pool.run_and_join(2, middle); });
-  EXPECT_EQ(leaves.load(), 4 * 2 * 3);
-
-  pool.submit([&] { pool.run_and_join(4, middle); });
-  pool.submit([&] { pool.run_and_join(4, middle); });
-  pool.wait();
-  EXPECT_EQ(leaves.load(), 4 * 2 * 3 + 2 * 4 * 3);
+  // Nested three deep on one worker and on none: every waiting thread runs
+  // queued tasks itself, so nothing waits on a worker that is busy waiting.
+  // With no workers every leaf runs on the caller.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{0}}) {
+    ThreadPool pool(workers);
+    std::atomic<int> leaves{0}, off_caller{0};
+    const auto leaf = [&](std::size_t) {
+      leaves.fetch_add(1, std::memory_order_relaxed);
+      if (std::this_thread::get_id() != caller) {
+        off_caller.fetch_add(1, std::memory_order_relaxed);
+      }
+    };
+    const auto middle = [&](std::size_t) { pool.run_and_join(3, leaf); };
+    pool.run_and_join(4, [&](std::size_t) { pool.run_and_join(2, middle); });
+    EXPECT_EQ(leaves.load(), 4 * 2 * 3) << workers << " workers";
+    if (workers == 0) {
+      EXPECT_EQ(off_caller.load(), 0);
+    }
+  }
 }
 
 TEST(ThreadPool, JoinRethrowsItsFirstExceptionAndPoolStaysUsable) {
@@ -292,15 +186,11 @@ TEST(ThreadPool, JoinRethrowsItsFirstExceptionAndPoolStaysUsable) {
                ConfigError);
   EXPECT_EQ(running.load(), 0);
 
-  // The failure belonged to that call alone: the next call and a
-  // submit()/wait() round run normally.
+  // The failure belonged to that call alone: the next call runs normally.
   std::atomic<int> count{0};
   EXPECT_NO_THROW(pool.run_and_join(
       16, [&](std::size_t) { count.fetch_add(1, std::memory_order_relaxed); }));
   EXPECT_EQ(count.load(), 16);
-  pool.submit([&] { count.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_NO_THROW(pool.wait());
-  EXPECT_EQ(count.load(), 17);
 }
 
 TEST(ThreadPool, SharedPoolIsOnePoolAndForkedChildStartsItsOwn) {
@@ -462,16 +352,22 @@ TEST(LibraryParallel, BaseDesignFailureSameErrorAtAnyThreadCount) {
 
 TEST(LibraryParallel, BaseTrainingFailureSurfacesAtAnyThreadCount) {
   // Base training fails inside a pool task at 4 threads. Three loss weights
-  // suit the early-exit CNV but not the plain one, so only the plain task
-  // throws while the early-exit task trains on and submits its design
-  // points, which the failure drains. wait() must rethrow the same error
-  // the serial run throws, with no hang and no terminate.
+  // suit the early-exit CNV but not the plain one, so only the plain family
+  // throws while the early-exit family trains on and joins over its design
+  // points, which the failure stops. The outer join must rethrow the same
+  // error the serial run throws, with no hang and no terminate; the serial
+  // run fails on the plain base before any design point starts.
   auto spec = fast_spec();
   spec.initial_train.exit_weights = {1.0, 0.3, 0.3};
   spec.initial_train.epochs = 1;  // the early-exit base still trains fully
+  std::atomic<int> started{0};
+  spec.point_fault_hook = [&started](std::size_t, int) {
+    started.fetch_add(1, std::memory_order_relaxed);
+  };
   spec.num_threads = 1;
   const std::string serial = generation_error(spec);
   EXPECT_NE(serial.find("exit_weights arity"), std::string::npos) << serial;
+  EXPECT_EQ(started.load(), 0);
   spec.num_threads = 4;
   EXPECT_EQ(generation_error(spec), serial);
 }
