@@ -20,7 +20,7 @@ int main() {
   // A workload ramp makes the adaptation sequence visible: start below
   // FINN capacity, ramp well past it.
   EdgeScenario scenario = scale_to_library(EdgeScenario{}, lib, 0.7);
-  scenario.deviation = 0.0;
+  scenario.workload.deviation = 0.0;
   scenario.seed = 3;
   // Emulate the ramp by splicing three episodes at rising load and
   // concatenating their traces.

@@ -532,8 +532,7 @@ Library serving_library() {
 void BM_EdgeEpisode(benchmark::State& state) {
   const Library lib = serving_library();
   EdgeScenario sc;
-  sc.cameras = 20;
-  sc.ips_per_camera = 30;
+  sc.workload.base_ips = 600.0;
   for (auto _ : state) {
     auto m = simulate_edge(lib, {AdaptPolicy::kAdaPEx, 0.10}, sc);
     benchmark::DoNotOptimize(m.qoe);

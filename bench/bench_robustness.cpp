@@ -93,11 +93,11 @@ int main(int argc, char** argv) {
   if (smoke) {
     // The hand-built library has no static-FINN point to scale against:
     // offer 1.3x the slow bitstream's throughput directly.
-    scenario.ips_per_camera = 120.0 * 1.30 / scenario.cameras;
+    scenario.workload.base_ips = 120.0 * 1.30;
   } else {
     scenario = scale_to_library(scenario, lib, 1.30);
   }
-  scenario.deviation = 0.6;  // swings force pruning-rate switches
+  scenario.workload.deviation = 0.6;  // swings force pruning-rate switches
   scenario.duration_s = 60.0;  // enough switches for low failure rates to bite
   scenario.seed = 42;
   const int runs = smoke ? 8 : 30;

@@ -108,12 +108,12 @@ int main(int argc, char** argv) {
       smoke ? smoke_library() : bench_library(cifar10_like_spec());
   EdgeScenario scenario;
   if (smoke) {
-    scenario.ips_per_camera = 120.0 * 0.70 / scenario.cameras;
+    scenario.workload.base_ips = 120.0 * 0.70;
   } else {
     // Below saturation: SEU damage, not queueing, should dominate.
     scenario = scale_to_library(scenario, lib, 0.70);
   }
-  scenario.deviation = 0.2;
+  scenario.workload.deviation = 0.2;
   scenario.duration_s = 60.0;
   scenario.seed = 42;
   const int runs = smoke ? 8 : 30;

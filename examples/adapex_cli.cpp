@@ -17,15 +17,22 @@
 //       [--ratio R] [--runs N] [--threshold T]
 //       Serve edge episodes at R x FINN capacity and print the metrics.
 //
-// Exit code 0 on success, 1 on usage errors, 2 on runtime failures.
+// Exit code 0 on success, 1 on usage errors (an unknown flag, a flag
+// without a value, a stray argument), 2 on runtime failures (a flag value
+// that does not parse in full or is out of range, an unreadable library).
 
-#include <cstring>
+#include <algorithm>
+#include <initializer_list>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/table.hpp"
 #include "core/adapex.hpp"
+
+#include "cli_flags.hpp"
 
 namespace {
 
@@ -43,35 +50,59 @@ int usage() {
   return 1;
 }
 
-std::map<std::string, std::string> parse_flags(int argc, char** argv,
-                                               int start) {
-  std::map<std::string, std::string> flags;
-  for (int i = start; i + 1 < argc; i += 2) {
-    if (std::strncmp(argv[i], "--", 2) != 0) {
-      throw ConfigError(std::string("expected a --flag, got ") + argv[i]);
+using Flags = std::map<std::string, std::string>;
+
+/// The `--name value` pairs from argv[start] on, or nullopt (a usage error)
+/// for a flag not in `known`, a flag without a value, or a stray argument.
+std::optional<Flags> parse_flags(
+    int argc, char** argv, int start,
+    std::initializer_list<std::string_view> known) {
+  Flags flags;
+  for (int i = start; i < argc; i += 2) {
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with("--") || i + 1 >= argc ||
+        std::find(known.begin(), known.end(), arg.substr(2)) == known.end()) {
+      return std::nullopt;
     }
-    flags[argv[i] + 2] = argv[i + 1];
+    flags[std::string(arg.substr(2))] = argv[i + 1];
   }
   return flags;
 }
 
+std::string text_flag(const Flags& flags, const std::string& name,
+                      std::string fallback) {
+  const auto it = flags.find(name);
+  return it == flags.end() ? std::move(fallback) : it->second;
+}
+
+template <typename T>
+T number_flag(const Flags& flags, const std::string& name, T fallback) {
+  const auto it = flags.find(name);
+  return it == flags.end() ? fallback : parse_number<T>(name, it->second);
+}
+
 int cmd_generate(int argc, char** argv) {
-  auto flags = parse_flags(argc, argv, 2);
-  const std::string ds = flags.count("dataset") ? flags["dataset"] : "cifar";
-  const std::string out =
-      flags.count("out") ? flags["out"] : default_artifact_dir();
+  const auto flags =
+      parse_flags(argc, argv, 2,
+                  {"dataset", "out", "journal", "retries", "partial-policy"});
+  if (!flags) return usage();
+  const std::string ds = text_flag(*flags, "dataset", "cifar");
+  if (ds != "cifar" && ds != "gtsrb") {
+    throw ConfigError("--dataset: unknown dataset " + ds +
+                      " (expected cifar|gtsrb)");
+  }
+  const std::string out = text_flag(*flags, "out", default_artifact_dir());
   SyntheticSpec dataset =
       ds == "gtsrb" ? gtsrb_like_spec() : cifar10_like_spec();
   auto spec = make_gen_spec(dataset, ExperimentScale::from_env());
   spec.on_progress = [](const std::string& s) {
     std::cerr << "  " << s << "\n";
   };
-  if (flags.count("journal")) spec.journal_dir = flags["journal"];
-  if (flags.count("retries")) {
-    spec.max_point_retries = std::stoi(flags["retries"]);
-  }
-  if (flags.count("partial-policy")) {
-    const std::string& p = flags["partial-policy"];
+  spec.journal_dir = text_flag(*flags, "journal", spec.journal_dir);
+  spec.max_point_retries =
+      number_flag(*flags, "retries", spec.max_point_retries);
+  if (flags->count("partial-policy")) {
+    const std::string& p = flags->at("partial-policy");
     if (p == "fail") {
       spec.partial_policy = PartialPolicy::kFail;
     } else if (p == "emit_partial") {
@@ -102,8 +133,9 @@ int cmd_generate(int argc, char** argv) {
 
 int cmd_inspect(int argc, char** argv) {
   if (argc < 3) return usage();
-  auto flags = parse_flags(argc, argv, 3);
-  const int top = flags.count("top") ? std::stoi(flags["top"]) : 10;
+  const auto flags = parse_flags(argc, argv, 3, {"top"});
+  if (!flags) return usage();
+  const int top = number_flag(*flags, "top", 10);
   Library lib = Library::load(argv[2]);
   std::cout << "dataset: " << lib.dataset << "\nreference accuracy: "
             << lib.reference_accuracy << "\nentries: " << lib.entries.size()
@@ -142,30 +174,34 @@ int cmd_inspect(int argc, char** argv) {
 
 int cmd_serve(int argc, char** argv) {
   if (argc < 3) return usage();
-  auto flags = parse_flags(argc, argv, 3);
-  Library lib = Library::load(argv[2]);
+  const auto flags =
+      parse_flags(argc, argv, 3, {"policy", "ratio", "runs", "threshold"});
+  if (!flags) return usage();
   AdaptPolicy policy = AdaptPolicy::kAdaPEx;
-  if (flags.count("policy")) {
-    const std::string p = flags["policy"];
+  if (flags->count("policy")) {
+    const std::string& p = flags->at("policy");
     if (p == "adapex") policy = AdaptPolicy::kAdaPEx;
     else if (p == "pr") policy = AdaptPolicy::kPrOnly;
     else if (p == "ct") policy = AdaptPolicy::kCtOnly;
     else if (p == "finn") policy = AdaptPolicy::kStaticFinn;
     else throw ConfigError("unknown policy: " + p);
   }
-  const double ratio =
-      flags.count("ratio") ? std::stod(flags["ratio"]) : 1.3;
-  const int runs = flags.count("runs") ? std::stoi(flags["runs"]) : 20;
-  const double threshold =
-      flags.count("threshold") ? std::stod(flags["threshold"]) : 0.10;
+  const double ratio = number_flag(*flags, "ratio", 1.3);
+  const int runs = number_flag(*flags, "runs", 20);
+  if (runs < 1) {
+    throw ConfigError("--runs: " + std::to_string(runs) +
+                      " is not at least 1");
+  }
+  const double threshold = number_flag(*flags, "threshold", 0.10);
 
+  Library lib = Library::load(argv[2]);
   EdgeScenario scenario = scale_to_library(EdgeScenario{}, lib, ratio);
   EdgeMetrics m = simulate_edge_runs(lib, {policy, threshold}, scenario, runs);
   TextTable table({"metric", "value"});
   table.add_row({"policy", to_string(policy)});
-  table.add_row({"offered load", TextTable::num(scenario.offered_ips(), 0) +
-                                     " ips (" + TextTable::num(ratio, 2) +
-                                     "x FINN)"});
+  table.add_row({"offered load",
+                 TextTable::num(scenario.workload.base_ips, 0) + " ips (" +
+                     TextTable::num(ratio, 2) + "x FINN)"});
   table.add_row({"inference loss", TextTable::num(m.inference_loss_pct, 2) + " %"});
   table.add_row({"accuracy", TextTable::num(m.accuracy * 100, 2) + " %"});
   table.add_row({"avg latency", TextTable::num(m.avg_latency_ms, 3) + " ms"});

@@ -28,7 +28,7 @@
 // bracket violation is reported as an XV error.
 //
 // --fleet-scenario switches the tool to the serving-drill rules: the JSON
-// is parsed as a FleetScenario and checked against FS1-FS8 (plus the edge
+// is parsed as a FleetScenario and checked against FS1-FS8 (plus the device
 // scenario and fault-spec rules on its base), skipping the model path
 // entirely. The same --json / --min-severity / exit-code contract applies.
 //
@@ -49,14 +49,12 @@
 //   1  usage errors
 //   2  runtime failures (unreadable files, bad flag values, ...)
 
-#include <charconv>
 #include <cstring>
 #include <iostream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
-#include <type_traits>
 
 #include "analysis/dataflow.hpp"
 #include "analysis/lint.hpp"
@@ -64,6 +62,8 @@
 #include "library/generator.hpp"
 #include "model/cnv.hpp"
 #include "model/serialize.hpp"
+
+#include "cli_flags.hpp"
 
 namespace {
 
@@ -96,20 +96,6 @@ analysis::Severity severity_from_string(const std::string& s) {
   if (s == "warning") return analysis::Severity::kWarning;
   if (s == "error") return analysis::Severity::kError;
   throw ConfigError("unknown severity: " + s + " (expected info|warning|error)");
-}
-
-/// Parses all of `text` as the value of `--flag`, or throws a ConfigError
-/// naming the flag.
-template <typename T>
-T parse_number(const std::string& flag, const std::string& text) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc{} || stop != end) {
-    throw ConfigError("--" + flag + ": '" + text + "' is not a valid " +
-                      (std::is_integral_v<T> ? "integer" : "number"));
-  }
-  return value;
 }
 
 std::vector<double> fractions_from_string(const std::string& s) {
@@ -176,7 +162,7 @@ int main(int argc, char** argv) {
             : analysis::Severity::kInfo;
     if (flags.count("fleet-scenario")) {
       // Serving-drill mode: lint a FleetScenario JSON (FS1-FS8 plus the
-      // edge/fault rules on its base) and skip the model path entirely.
+      // device/fault rules on its base) and skip the model path entirely.
       const Json j = Json::parse(read_file(flags["fleet-scenario"]));
       const FleetScenario scenario = FleetScenario::from_json(j);
       const analysis::LintReport report = lint_fleet_scenario(scenario);

@@ -84,7 +84,7 @@ int main() {
   std::cout << "\n== resilience drill (rush hour, 20% reconfig failures, "
                "PR-Only, 20 runs) ==\n";
   EdgeScenario faulty = sc;
-  faulty.deviation = 0.6;
+  faulty.workload.deviation = 0.6;
   faulty.faults.reconfig_fail_prob = 0.20;
   for (FailurePolicy fp :
        {FailurePolicy::kGracefulDegrade, FailurePolicy::kBlockRetry}) {
@@ -146,7 +146,6 @@ int main() {
   FleetScenario fleet;
   fleet.base = sc;
   fleet.base.duration_s = 30.0;
-  fleet.base.deviation = 0.6;  // swings force pruning-rate switches
   fleet.base.faults.reconfig_fail_prob = 0.05;
   for (int i = 0; i < 4; ++i) {
     FleetDeviceSpec dev;
@@ -161,7 +160,7 @@ int main() {
     dom.transient_mult = 6.0;
     fleet.fleet_faults.domains.push_back(dom);
   }
-  const double fleet_load = sc.offered_ips() * 4.0;
+  const double fleet_load = sc.workload.base_ips * 4.0;
   TenantSpec cams;
   cams.name = "cameras";
   cams.workload.base_ips = fleet_load * 0.7;

@@ -10,7 +10,10 @@
 //   2. Runtime (Framework::serve): an edge server simulation where the
 //      Runtime Manager matches the operating point to the observed workload
 //      under a user accuracy threshold, reconfiguring the FPGA when the
-//      pruning rate changes.
+//      pruning rate changes. An EdgeScenario is one device's settings
+//      (DeviceScenario) plus the one WorkloadSpec it serves; a fleet
+//      (edge/fleet.hpp) shares one DeviceScenario across its devices and
+//      gives each tenant its own WorkloadSpec.
 //
 // Quickstart:
 //
@@ -18,6 +21,7 @@
 //   auto spec  = adapex::make_gen_spec(adapex::cifar10_like_spec(), scale);
 //   auto lib   = adapex::Framework::design(spec);
 //   auto sc    = adapex::scale_to_library(adapex::EdgeScenario{}, lib);
+//                // sc.workload.base_ips = 1.3 x the FINN point's IPS
 //   auto m     = adapex::Framework::serve(
 //                    lib, {adapex::AdaptPolicy::kAdaPEx, 0.10}, sc, 10);
 //

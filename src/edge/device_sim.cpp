@@ -16,7 +16,7 @@ constexpr std::uint64_t kManagerStream = 0x4A17;
 }  // namespace
 
 DeviceSim::DeviceSim(const Library& library, const RuntimePolicy& policy,
-                     const EdgeScenario& scenario)
+                     const DeviceScenario& scenario)
     : scenario_(scenario),
       policy_(policy),
       library_(&library),

@@ -57,11 +57,10 @@ using ReconfigGate = std::function<bool(const ReconfigRequest&)>;
 class DeviceSim {
  public:
   /// `scenario.seed` is this device's episode seed (the fleet derives one
-  /// per device); the workload fields of the scenario are ignored — the
-  /// caller owns arrival generation. The manager starts on the most
-  /// accurate eligible point, exactly like simulate_edge.
+  /// per device); the caller owns arrival generation. The manager starts on
+  /// the most accurate eligible point, exactly like simulate_edge.
   DeviceSim(const Library& library, const RuntimePolicy& policy,
-            const EdgeScenario& scenario);
+            const DeviceScenario& scenario);
 
   // ---- Fleet hooks (inert at defaults) ----
 
@@ -149,7 +148,7 @@ class DeviceSim {
   void do_scrub(double now, TracePoint& tp);
   void apply_decision(Decision& d, double now, TracePoint& tp);
 
-  EdgeScenario scenario_;
+  DeviceScenario scenario_;
   RuntimePolicy policy_;
   const Library* library_;
   RuntimeManager manager_;

@@ -64,15 +64,14 @@ constexpr Field<WorkloadSpec> kWorkloadFields[] = {
     optional_field<&WorkloadSpec::trace>("trace"),
 };
 
-/// The EdgeScenario knobs a fleet uses; tenants own the workload fields.
-constexpr Field<EdgeScenario> kBaseFields[] = {
-    {"duration_s", &EdgeScenario::duration_s},
-    {"sample_period_s", &EdgeScenario::sample_period_s},
-    {"reselect_threshold", &EdgeScenario::reselect_threshold},
-    {"queue_capacity", &EdgeScenario::queue_capacity},
-    {"watchdog_periods", &EdgeScenario::watchdog_periods},
-    {"seed", &EdgeScenario::seed},
-    member_field<&EdgeScenario::faults, kFaultFields>("faults"),
+constexpr Field<DeviceScenario> kBaseFields[] = {
+    {"duration_s", &DeviceScenario::duration_s},
+    {"sample_period_s", &DeviceScenario::sample_period_s},
+    {"reselect_threshold", &DeviceScenario::reselect_threshold},
+    {"queue_capacity", &DeviceScenario::queue_capacity},
+    {"watchdog_periods", &DeviceScenario::watchdog_periods},
+    {"seed", &DeviceScenario::seed},
+    member_field<&DeviceScenario::faults, kFaultFields>("faults"),
 };
 
 constexpr Field<FleetDeviceSpec> kDeviceFields[] = {
@@ -305,32 +304,14 @@ analysis::LintReport lint_fleet_rules(const FleetScenario& s) {
     const TenantSpec& t = s.tenants[k];
     const WorkloadSpec& w = t.workload;
     const std::string site = "tenant[" + std::to_string(k) + "]";
-    analysis::SpecCheck c(report, site);
-    c.non_negative("FS2", "workload.base_ips", w.base_ips,
-                   "use a non-negative request rate");
-    c.positive("FS2", "workload.period_s", w.period_s,
-               "rate re-evaluation needs a positive period");
-    c.non_negative("FS2", "workload.deviation", w.deviation,
-                   "deviation is a +- amplitude");
-    const char* spike =
-        "check spike_start_s/spike_duration_s/spike_multiplier";
-    (void)(c.non_negative("FS2", "workload.spike_start_s", w.spike_start_s,
-                          spike) &&
-           c.non_negative("FS2", "workload.spike_duration_s",
-                          w.spike_duration_s, spike) &&
-           c.non_negative("FS2", "workload.spike_multiplier",
-                          w.spike_multiplier, spike));
-    if (w.pattern == WorkloadPattern::kTrace && w.trace.empty()) {
-      report.add("FS2", Severity::kError, site,
-                 "trace pattern with no rate multipliers",
-                 "provide workload.trace entries");
-    }
+    lint_workload_spec(report, "FS2", site, w);
     if (w.duration_s > 0.0 && w.duration_s != s.base.duration_s) {
       report.add("FS2", Severity::kWarning, site,
                  "workload.duration_s differs from the episode duration",
                  "simulate_fleet forces tenant workloads to base.duration_s");
     }
     // FS3: SLOs.
+    analysis::SpecCheck c(report, site);
     c.non_negative("FS3", "slo_latency_ms", t.slo_latency_ms,
                    "use 0 to disable the latency SLO");
     c.within("FS3", "min_accuracy", t.min_accuracy, 0.0, 1.0,
@@ -409,14 +390,14 @@ analysis::LintReport lint_fleet_rules(const FleetScenario& s) {
 }  // namespace
 
 analysis::LintReport lint_fleet_scenario(const FleetScenario& s) {
-  analysis::LintReport report = lint_edge_scenario(s.base);
+  analysis::LintReport report = lint_device_scenario(s.base);
   report.merge(lint_fleet_rules(s));
   return report;
 }
 
 analysis::LintReport lint_fleet_scenario(const FleetScenario& s,
                                          const Library& library) {
-  analysis::LintReport report = lint_edge_scenario(s.base, library);
+  analysis::LintReport report = lint_device_scenario(s.base, library);
   report.merge(lint_fleet_rules(s));
   return report;
 }
@@ -578,7 +559,7 @@ FleetMetrics simulate_fleet(const Library& library,
   {
     std::set<std::uint64_t> seeds;
     for (std::size_t i = 0; i < n_dev; ++i) {
-      EdgeScenario per_device = scenario.base;
+      DeviceScenario per_device = scenario.base;
       per_device.seed = fleet_device_seed(scenario.base.seed, i, n_dev);
       seeds.insert(per_device.seed);
       auto dev = std::make_unique<DeviceSim>(library, policy, per_device);
@@ -966,6 +947,7 @@ FleetMetrics simulate_fleet(const Library& library,
 
 EdgeMetrics simulate_edge(const Library& library, const RuntimePolicy& policy,
                           const EdgeScenario& scenario) {
+  lint_edge_scenario(scenario, library).throw_if_errors();
   return std::move(
       simulate_fleet(library, policy, fleet_from_edge(scenario)).devices[0]);
 }
@@ -978,15 +960,8 @@ FleetScenario fleet_from_edge(const EdgeScenario& scenario) {
   f.devices.push_back(std::move(dev));
   TenantSpec tenant;
   tenant.name = "tenant0";
-  WorkloadSpec& w = tenant.workload;  // the scenario's full rate and pattern
-  w.pattern = scenario.pattern;
-  w.base_ips = scenario.offered_ips();
-  w.duration_s = scenario.duration_s;
-  w.period_s = scenario.deviation_period_s;
-  w.deviation = scenario.deviation;
-  w.spike_start_s = scenario.spike_start_s;
-  w.spike_duration_s = scenario.spike_duration_s;
-  w.spike_multiplier = scenario.spike_multiplier;
+  tenant.workload = scenario.workload;
+  tenant.workload.duration_s = scenario.duration_s;
   f.tenants.push_back(std::move(tenant));
   // Every fleet-level mechanism stays at its inert default (no batching,
   // admission control, breakers, staggering, domains or ejection).

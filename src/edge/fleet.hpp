@@ -92,7 +92,7 @@ struct FailureDomain {
   double seu_mult = 1.0;
 };
 
-/// Fleet-level fault model (device-level faults live in EdgeScenario).
+/// Fleet-level fault model (device-level faults live in DeviceScenario).
 struct FleetFaultSpec {
   std::vector<FailureDomain> domains;
 };
@@ -146,10 +146,9 @@ struct StaggerPolicy {
 
 /// Full fleet scenario. `base` supplies the per-device knobs (sampling
 /// cadence, queue capacity, watchdog, baseline FaultSpec) plus the episode
-/// duration and the fleet seed; its workload fields are ignored — tenants
-/// own arrival generation.
+/// duration and the fleet seed; tenants own arrival generation.
 struct FleetScenario {
-  EdgeScenario base;
+  DeviceScenario base;
   std::vector<FleetDeviceSpec> devices;
   std::vector<TenantSpec> tenants;
   FleetFaultSpec fleet_faults;
@@ -184,8 +183,8 @@ struct FleetScenario {
 std::uint64_t fleet_device_seed(std::uint64_t fleet_seed, std::size_t index,
                                 std::size_t device_count);
 
-/// Validates the scenario without throwing: rules FS1-FS8 plus the embedded
-/// base-scenario lint (ES*/RF*). One diagnostic per violation.
+/// Validates the scenario without throwing: rules FS1-FS8 plus the device
+/// lint of `base` (ES*/RF*). One diagnostic per violation.
 analysis::LintReport lint_fleet_scenario(const FleetScenario& scenario);
 /// Library-aware overload (adds the RF6 mitigation check).
 analysis::LintReport lint_fleet_scenario(const FleetScenario& scenario,
@@ -301,9 +300,10 @@ FleetMetrics simulate_fleet(const Library& library,
                             const FleetScenario& scenario);
 
 /// Wraps a single-device scenario as a degenerate fleet: one device at
-/// speed 1 inheriting the scenario seed, one tenant carrying the scenario's
-/// workload, and every fleet-level mechanism disabled. simulate_edge is
-/// simulate_fleet on the result (devices[0]).
+/// speed 1 with the scenario's device settings and seed, one tenant
+/// carrying the scenario's workload over the episode duration, and every
+/// fleet-level mechanism disabled. simulate_edge is simulate_fleet on the
+/// result (devices[0]).
 FleetScenario fleet_from_edge(const EdgeScenario& scenario);
 
 }  // namespace adapex

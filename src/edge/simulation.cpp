@@ -10,35 +10,28 @@ namespace adapex {
 
 namespace {
 
-/// ES1–ES10: the scenario fields themselves, without the fault-spec merge
-/// (shared by both lint_edge_scenario overloads).
-analysis::LintReport lint_scenario_fields(const EdgeScenario& s) {
+/// ES3, ES6-ES8 and ES10 on the device settings, ES11 on the workload when
+/// there is one, then the fault-spec lint (RF6 too when given a library).
+/// ES1, ES2, ES4, ES5 and ES9 checked the workload fields EdgeScenario once
+/// kept itself; their ids are not reused.
+analysis::LintReport lint_scenario(const DeviceScenario& s,
+                                   const WorkloadSpec* workload,
+                                   const Library* library) {
   analysis::LintReport report;
   analysis::SpecCheck c(report, "edge-scenario");
-  c.positive("ES1", "cameras", s.cameras,
-             "the fleet needs at least one camera");
-  c.non_negative("ES2", "ips_per_camera", s.ips_per_camera,
-                 "use a non-negative request rate");
   c.positive("ES3", "duration_s", s.duration_s,
              "the episode needs a positive length");
-  c.non_negative("ES4", "deviation", s.deviation,
-                 "deviation is a +- amplitude");
-  c.positive("ES5", "deviation_period_s", s.deviation_period_s,
-             "rate re-evaluation needs a positive period");
   c.positive("ES6", "sample_period_s", s.sample_period_s,
              "the monitor needs a positive cadence");
   c.non_negative("ES7", "reselect_threshold", s.reselect_threshold,
                  "use a non-negative change fraction");
   c.positive("ES8", "queue_capacity", s.queue_capacity,
              "the request buffer needs capacity");
-  const char* spike = "check spike_start_s/spike_duration_s/spike_multiplier";
-  (void)(c.non_negative("ES9", "spike_start_s", s.spike_start_s, spike) &&
-         c.non_negative("ES9", "spike_duration_s", s.spike_duration_s,
-                        spike) &&
-         c.non_negative("ES9", "spike_multiplier", s.spike_multiplier,
-                        spike));
   c.at_least("ES10", "watchdog_periods", s.watchdog_periods, 1,
              "the watchdog needs at least one stagnant period");
+  if (workload) lint_workload_spec(report, "ES11", "edge-scenario", *workload);
+  report.merge(library ? lint_fault_spec(s.faults, *library)
+                       : lint_fault_spec(s.faults));
   return report;
 }
 
@@ -99,17 +92,45 @@ double pooling_weight(Pooling pooling, const EdgeMetrics& m) {
 
 std::span<const EdgeField> edge_metric_fields() { return kEdgeFields; }
 
+analysis::LintReport lint_device_scenario(const DeviceScenario& scenario) {
+  return lint_scenario(scenario, nullptr, nullptr);
+}
+
+analysis::LintReport lint_device_scenario(const DeviceScenario& scenario,
+                                          const Library& library) {
+  return lint_scenario(scenario, nullptr, &library);
+}
+
 analysis::LintReport lint_edge_scenario(const EdgeScenario& scenario) {
-  analysis::LintReport report = lint_scenario_fields(scenario);
-  report.merge(lint_fault_spec(scenario.faults));
-  return report;
+  return lint_scenario(scenario, &scenario.workload, nullptr);
 }
 
 analysis::LintReport lint_edge_scenario(const EdgeScenario& scenario,
                                         const Library& library) {
-  analysis::LintReport report = lint_scenario_fields(scenario);
-  report.merge(lint_fault_spec(scenario.faults, library));
-  return report;
+  return lint_scenario(scenario, &scenario.workload, &library);
+}
+
+void lint_workload_spec(analysis::LintReport& report, const char* rule,
+                        const std::string& site, const WorkloadSpec& w) {
+  analysis::SpecCheck c(report, site);
+  c.non_negative(rule, "workload.base_ips", w.base_ips,
+                 "use a non-negative request rate");
+  c.positive(rule, "workload.period_s", w.period_s,
+             "rate re-evaluation needs a positive period");
+  c.non_negative(rule, "workload.deviation", w.deviation,
+                 "deviation is a +- amplitude");
+  const char* spike = "check spike_start_s/spike_duration_s/spike_multiplier";
+  (void)(c.non_negative(rule, "workload.spike_start_s", w.spike_start_s,
+                        spike) &&
+         c.non_negative(rule, "workload.spike_duration_s", w.spike_duration_s,
+                        spike) &&
+         c.non_negative(rule, "workload.spike_multiplier", w.spike_multiplier,
+                        spike));
+  if (w.pattern == WorkloadPattern::kTrace && w.trace.empty()) {
+    report.add(rule, analysis::Severity::kError, site,
+               "trace pattern with no rate multipliers",
+               "provide workload.trace entries");
+  }
 }
 
 void derive_ratios(EdgeMetrics& m) {
@@ -184,7 +205,7 @@ EdgeScenario scale_to_library(EdgeScenario scenario, const Library& library,
     }
   }
   ADAPEX_CHECK(finn_ips > 0, "library lacks the unpruned no-exit entry");
-  scenario.ips_per_camera = finn_ips * ratio / scenario.cameras;
+  scenario.workload.base_ips = finn_ips * ratio;
   return scenario;
 }
 

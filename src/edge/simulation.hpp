@@ -10,7 +10,7 @@
 // may switch the operating point.
 //
 // The simulation also exercises the failure modes the paper leaves out:
-// `EdgeScenario::faults` injects reconfiguration failures/slowdowns,
+// `DeviceScenario::faults` injects reconfiguration failures/slowdowns,
 // transient accelerator stalls, and monitor dropouts (runtime/faults.hpp),
 // all deterministic for a fixed seed; a watchdog detects serving stalls (no
 // completions for `watchdog_periods` sampling periods despite backlog) and
@@ -49,14 +49,12 @@
 
 namespace adapex {
 
-/// Scenario parameters (defaults follow the paper's methodology).
-struct EdgeScenario {
-  int cameras = 20;
-  double ips_per_camera = 30.0;
+/// Per-device episode settings (defaults follow the paper's methodology):
+/// everything one device's serving loop reads. A fleet's `base` is one; the
+/// arrival process belongs to the caller (EdgeScenario::workload, or the
+/// fleet's tenants).
+struct DeviceScenario {
   double duration_s = 25.0;
-  /// Workload deviates by +-`deviation` at every `deviation_period_s`.
-  double deviation = 0.30;
-  double deviation_period_s = 5.0;
   /// Runtime manager sampling cadence.
   double sample_period_s = 0.5;
   /// The manager re-searches the library only when the measured workload
@@ -66,30 +64,43 @@ struct EdgeScenario {
   double reselect_threshold = 0.15;
   /// Request buffer capacity (requests waiting; overflow is dropped).
   int queue_capacity = 60;
-  /// Arrival-rate pattern (paper default: random deviation). Flash-crowd
-  /// and diurnal patterns are used by examples and robustness ablations.
-  WorkloadPattern pattern = WorkloadPattern::kRandomDeviation;
-  double spike_start_s = 10.0;
-  double spike_duration_s = 5.0;
-  double spike_multiplier = 2.0;
   std::uint64_t seed = 1;
   /// Injected fault probabilities (all zero: the fault-free paper setup).
   FaultSpec faults;
   /// Watchdog: sampling periods without a completed request, despite queue
   /// occupancy, before serving is forcibly recovered.
   int watchdog_periods = 8;
-
-  double offered_ips() const { return cameras * ips_per_camera; }
 };
 
-/// Validates the scenario without throwing; one diagnostic per bad field
-/// (includes the fault-spec lint).
-analysis::LintReport lint_edge_scenario(const EdgeScenario& scenario);
+/// One device serving one arrival process. The default workload is the
+/// paper's: 20 cameras x 30 IPS = 600 IPS with +-30% random deviation every
+/// 5 s. Its `duration_s` is ignored; the episode's `duration_s` owns the
+/// clock.
+struct EdgeScenario : DeviceScenario {
+  WorkloadSpec workload;
+};
 
-/// Library-aware overload: additionally checks the scenario's mitigations
-/// against the library (RF6). simulate_edge and simulate_fleet use this one.
+/// Validates the device settings without throwing; one diagnostic per bad
+/// field (ES3, ES6-ES8, ES10, then the fault-spec lint). A fleet lints its
+/// `base` with it.
+analysis::LintReport lint_device_scenario(const DeviceScenario& scenario);
+/// Library-aware overload: additionally checks the mitigations against the
+/// library (RF6).
+analysis::LintReport lint_device_scenario(const DeviceScenario& scenario,
+                                          const Library& library);
+
+/// The device lint plus ES11 on the workload (lint_workload_spec).
+analysis::LintReport lint_edge_scenario(const EdgeScenario& scenario);
+/// Library-aware overload (adds RF6). simulate_edge uses this one.
 analysis::LintReport lint_edge_scenario(const EdgeScenario& scenario,
                                         const Library& library);
+
+/// The WorkloadSpec value checks, reported under `rule` at `site` with
+/// `workload.`-prefixed field names: a non-negative rate, amplitude and
+/// spike window, a positive period, and rate multipliers for kTrace. The
+/// edge lint (ES11) and the fleet lint (FS2, one site per tenant) share it.
+void lint_workload_spec(analysis::LintReport& report, const char* rule,
+                        const std::string& site, const WorkloadSpec& w);
 
 /// One sampling-tick snapshot (drives the Figure 3 runtime trace).
 struct TracePoint {
@@ -208,10 +219,9 @@ EdgeMetrics simulate_edge_runs(const Library& library,
                                const RuntimePolicy& policy,
                                const EdgeScenario& scenario, int runs);
 
-/// Scales the scenario's per-camera rate so the total offered load is
-/// `ratio` times the throughput of the static FINN operating point in the
-/// library — the paper's regime, where the unpruned accelerator loses ~23%
-/// of requests while AdaPEx can keep up. Keeps the camera count.
+/// Sets the workload's base rate to `ratio` times the throughput of the
+/// static FINN operating point in the library — the paper's regime, where
+/// the unpruned accelerator loses ~23% of requests while AdaPEx can keep up.
 EdgeScenario scale_to_library(EdgeScenario scenario, const Library& library,
                               double ratio = 1.30);
 

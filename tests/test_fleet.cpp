@@ -87,9 +87,8 @@ FaultSpec mixed_faults() {
 /// Overloaded oscillating single-device scenario (as in the fault tests).
 EdgeScenario oscillating_scenario(std::uint64_t seed) {
   EdgeScenario sc;
-  sc.cameras = 20;
-  sc.ips_per_camera = 12.0;
-  sc.deviation = 0.6;
+  sc.workload.base_ips = 240.0;
+  sc.workload.deviation = 0.6;
   sc.seed = seed;
   return sc;
 }
@@ -412,16 +411,25 @@ TEST(FleetQuantiles, SelectionEqualsSortedPicks) {
 TEST(FleetIdentity, Size1FaultFreeReproducesSimulateEdge) {
   const Library lib = controlled_library();
   const RuntimePolicy pol;
-  const EdgeScenario sc = oscillating_scenario(5);
-  const EdgeMetrics em = simulate_edge(lib, pol, sc);
-  const FleetMetrics fm = simulate_fleet(lib, pol, fleet_from_edge(sc));
-  ASSERT_EQ(fm.devices.size(), 1u);
-  EXPECT_EQ(em.csv_row(), fm.devices[0].csv_row());
-  EXPECT_TRUE(traces_equal(em.trace, fm.devices[0].trace));
-  EXPECT_EQ(fm.offered, em.offered);
-  EXPECT_EQ(fm.served, em.served);
-  EXPECT_EQ(fm.dropped, em.dropped);
-  EXPECT_EQ(fm.shed, 0);
+  // The oscillating scenario, and an explicit rate trace: 1x, 2.5x, 0.5x
+  // of 100 ips, re-evaluated every 2 s and wrapping around.
+  EdgeScenario traced = oscillating_scenario(5);
+  traced.workload.base_ips = 100.0;
+  traced.workload.pattern = WorkloadPattern::kTrace;
+  traced.workload.period_s = 2.0;
+  traced.workload.trace = {1.0, 2.5, 0.5};
+  for (const EdgeScenario& sc : {oscillating_scenario(5), traced}) {
+    const EdgeMetrics em = simulate_edge(lib, pol, sc);
+    const FleetMetrics fm = simulate_fleet(lib, pol, fleet_from_edge(sc));
+    ASSERT_EQ(fm.devices.size(), 1u);
+    EXPECT_GT(em.offered, 0);
+    EXPECT_EQ(em.csv_row(), fm.devices[0].csv_row());
+    EXPECT_TRUE(traces_equal(em.trace, fm.devices[0].trace));
+    EXPECT_EQ(fm.offered, em.offered);
+    EXPECT_EQ(fm.served, em.served);
+    EXPECT_EQ(fm.dropped, em.dropped);
+    EXPECT_EQ(fm.shed, 0);
+  }
 }
 
 TEST(FleetIdentity, Size1FaultedReproducesSimulateEdgeByteForByte) {

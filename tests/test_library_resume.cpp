@@ -298,10 +298,10 @@ TEST(LibraryResume, RetryRecoversTransientFaultOnForkedSeed) {
 }
 
 TEST(LibraryResume, OneFamilyLeftResumesByteIdenticalInParallel) {
-  // Under the parallel schedule each family's points are continuations of
-  // that family's base training. A resume with only one family left trains
-  // only that base (the reference accuracy replays from meta.json), and
-  // must still land on the bytes of the uninterrupted run.
+  // Each family task trains its base and then runs its points in a nested
+  // join inside that task. A resume with only one family left trains only
+  // that base (the reference accuracy replays from meta.json), and must
+  // still land on the bytes of the uninterrupted run.
   auto spec = fast_spec();
   spec.num_threads = 4;
   spec.journal_dir = scratch_dir("resume_one_family");

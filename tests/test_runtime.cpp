@@ -129,8 +129,7 @@ TEST(RuntimeManager, AccuracyBarRelaxesGracefully) {
 TEST(EdgeSim, NoOverloadMeansNoLoss) {
   const Library lib = controlled_library();
   EdgeScenario sc;
-  sc.cameras = 2;
-  sc.ips_per_camera = 10.0;  // 20 ips offered, all entries sustain it
+  sc.workload.base_ips = 20.0;  // all entries sustain it
   sc.seed = 5;
   auto m = simulate_edge(lib, {AdaptPolicy::kAdaPEx, 0.10}, sc);
   EXPECT_EQ(m.dropped, 0);
@@ -143,8 +142,7 @@ TEST(EdgeSim, NoOverloadMeansNoLoss) {
 TEST(EdgeSim, StaticFinnDropsUnderOverload) {
   const Library lib = controlled_library();
   EdgeScenario sc;
-  sc.cameras = 20;
-  sc.ips_per_camera = 7.5;  // 150 offered vs 100 ips FINN capacity
+  sc.workload.base_ips = 150.0;  // vs 100 ips FINN capacity
   sc.seed = 6;
   auto finn = simulate_edge(lib, {AdaptPolicy::kStaticFinn, 0.10}, sc);
   auto adapex = simulate_edge(lib, {AdaptPolicy::kAdaPEx, 0.10}, sc);
@@ -157,8 +155,7 @@ TEST(EdgeSim, StaticFinnDropsUnderOverload) {
 TEST(EdgeSim, MetricsAreConsistent) {
   const Library lib = controlled_library();
   EdgeScenario sc;
-  sc.cameras = 20;
-  sc.ips_per_camera = 7.5;
+  sc.workload.base_ips = 150.0;
   sc.seed = 7;
   auto m = simulate_edge(lib, {AdaptPolicy::kAdaPEx, 0.10}, sc);
   EXPECT_EQ(m.offered, m.served + m.dropped);
@@ -175,8 +172,7 @@ TEST(EdgeSim, MetricsAreConsistent) {
 TEST(EdgeSim, AveragingRunsIsDeterministic) {
   const Library lib = controlled_library();
   EdgeScenario sc;
-  sc.cameras = 20;
-  sc.ips_per_camera = 7.5;
+  sc.workload.base_ips = 150.0;
   sc.seed = 11;
   auto a = simulate_edge_runs(lib, {AdaptPolicy::kAdaPEx, 0.10}, sc, 5);
   auto b = simulate_edge_runs(lib, {AdaptPolicy::kAdaPEx, 0.10}, sc, 5);
@@ -187,21 +183,18 @@ TEST(EdgeSim, AveragingRunsIsDeterministic) {
 
 TEST(EdgeSim, ScaleToLibraryTargetsFinnCapacity) {
   const Library lib = controlled_library();
-  EdgeScenario sc;
-  sc.cameras = 20;
-  EdgeScenario scaled = scale_to_library(sc, lib, 1.3);
-  EXPECT_NEAR(scaled.offered_ips(), 130.0, 1e-9);  // 1.3 x 100 ips
+  EdgeScenario scaled = scale_to_library(EdgeScenario{}, lib, 1.3);
+  EXPECT_NEAR(scaled.workload.base_ips, 130.0, 1e-9);  // 1.3 x 100 ips
 }
 
 TEST(EdgeSim, FlashCrowdForcesAdaptation) {
   const Library lib = controlled_library();
   EdgeScenario sc;
-  sc.cameras = 20;
-  sc.ips_per_camera = 5.0;  // 100 ips base: at FINN capacity
-  sc.pattern = WorkloadPattern::kFlashCrowd;
-  sc.spike_start_s = 10.0;
-  sc.spike_duration_s = 5.0;
-  sc.spike_multiplier = 3.0;  // 300 ips spike: needs the pruned accelerator
+  sc.workload.base_ips = 100.0;  // at FINN capacity
+  sc.workload.pattern = WorkloadPattern::kFlashCrowd;
+  sc.workload.spike_start_s = 10.0;
+  sc.workload.spike_duration_s = 5.0;
+  sc.workload.spike_multiplier = 3.0;  // 300 ips: needs the pruned accelerator
   sc.seed = 17;
   auto adapex = simulate_edge(lib, {AdaptPolicy::kAdaPEx, 0.10}, sc);
   auto finn = simulate_edge(lib, {AdaptPolicy::kStaticFinn, 0.10}, sc);
@@ -209,8 +202,9 @@ TEST(EdgeSim, FlashCrowdForcesAdaptation) {
   // The trace shows the pruning-rate switch during the spike window.
   bool switched_during_spike = false;
   for (const auto& tp : adapex.trace) {
-    if (tp.time_s >= sc.spike_start_s &&
-        tp.time_s <= sc.spike_start_s + sc.spike_duration_s + 1.0 &&
+    if (tp.time_s >= sc.workload.spike_start_s &&
+        tp.time_s <= sc.workload.spike_start_s +
+                          sc.workload.spike_duration_s + 1.0 &&
         tp.prune_rate_pct > 0) {
       switched_during_spike = true;
     }
@@ -223,9 +217,8 @@ TEST(EdgeSim, ReconfigurationCostsServiceTime) {
   // Workload oscillates around the accel-2/accel-3 boundary to force
   // repeated reconfigurations.
   EdgeScenario sc;
-  sc.cameras = 20;
-  sc.ips_per_camera = 12.0;  // 240 ips: needs accel 3; deviation dips below
-  sc.deviation = 0.6;
+  sc.workload.base_ips = 240.0;  // needs accel 3; deviation dips below
+  sc.workload.deviation = 0.6;
   sc.seed = 13;
   auto m = simulate_edge(lib, {AdaptPolicy::kAdaPEx, 0.10}, sc);
   EXPECT_GT(m.reconfigurations, 0);

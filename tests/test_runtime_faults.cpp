@@ -77,9 +77,8 @@ FaultSpec mixed_faults() {
 /// Overloaded oscillating scenario that forces repeated reconfigurations.
 EdgeScenario oscillating_scenario(std::uint64_t seed) {
   EdgeScenario sc;
-  sc.cameras = 20;
-  sc.ips_per_camera = 12.0;  // 240 ips: needs accel 3; deviation dips below
-  sc.deviation = 0.6;
+  sc.workload.base_ips = 240.0;  // needs accel 3; deviation dips below
+  sc.workload.deviation = 0.6;
   sc.seed = seed;
   return sc;
 }
@@ -259,7 +258,7 @@ TEST(RuntimePolicyValidation, RejectsBadFieldsAggregated) {
 TEST(EdgeScenarioValidation, RejectsBadFieldsAggregated) {
   const Library lib = controlled_library();
   EdgeScenario sc;
-  sc.cameras = -3;
+  sc.workload.base_ips = -3.0;
   sc.sample_period_s = 0.0;
   sc.queue_capacity = 0;
   sc.faults.stall_prob = 2.0;
@@ -268,12 +267,35 @@ TEST(EdgeScenarioValidation, RejectsBadFieldsAggregated) {
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("cameras"), std::string::npos);
+    EXPECT_NE(msg.find("workload.base_ips"), std::string::npos);
     EXPECT_NE(msg.find("sample_period_s"), std::string::npos);
     EXPECT_NE(msg.find("queue_capacity"), std::string::npos);
     EXPECT_NE(msg.find("stall_prob"), std::string::npos);
   }
   EXPECT_NO_THROW(lint_edge_scenario(EdgeScenario{}).throw_if_errors());
+}
+
+TEST(EdgeScenarioValidation, OneBadWorkloadValueIsOneEdgeDiagnostic) {
+  // The workload is checked once, on the scenario the caller wrote, not
+  // again on the size-1 fleet's tenant built from it.
+  const Library lib = controlled_library();
+  EdgeScenario deviation;
+  deviation.workload.deviation = -0.5;
+  EdgeScenario trace;
+  trace.workload.pattern = WorkloadPattern::kTrace;  // no multipliers
+  for (const EdgeScenario& sc : {deviation, trace}) {
+    try {
+      simulate_edge(lib, RuntimePolicy{}, sc);
+      FAIL() << "expected ConfigError";
+    } catch (const ConfigError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("failed with 1 violation:\n  ES11 error @ "
+                         "edge-scenario: "),
+                std::string::npos)
+          << msg;
+      EXPECT_EQ(msg.find("tenant"), std::string::npos) << msg;
+    }
+  }
 }
 
 TEST(RuntimeManager, CurrentBeforeFirstSelectFailsClearly) {
@@ -526,7 +548,7 @@ TEST(EdgeSimFaults, FailuresDegradeAndRecoverWithObservability) {
 TEST(EdgeSimFaults, WatchdogFiresOnWedgedServingAndRecovers) {
   const Library lib = controlled_library();
   EdgeScenario sc = oscillating_scenario(19);
-  sc.deviation = 0.3;
+  sc.workload.deviation = 0.3;
   sc.faults.stall_prob = 1.0;       // the accelerator wedges every period
   sc.faults.stall_duration_s = 30.0;
   sc.watchdog_periods = 4;

@@ -74,9 +74,8 @@ Library controlled_library() {
 /// SEU effects, not workload adaptation, dominate the episode.
 EdgeScenario steady_scenario(std::uint64_t seed) {
   EdgeScenario sc;
-  sc.cameras = 20;
-  sc.ips_per_camera = 4.0;  // 80 ips, below every entry's throughput
-  sc.deviation = 0.1;
+  sc.workload.base_ips = 80.0;  // below every entry's throughput
+  sc.workload.deviation = 0.1;
   sc.duration_s = 30.0;
   sc.seed = seed;
   return sc;
@@ -303,7 +302,7 @@ TEST(EdgeSimSeu, CleanSeedSweepNeverFiresTheDriftDetector) {
   const Library lib = controlled_library();
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     EdgeScenario sc = steady_scenario(seed);
-    sc.deviation = 0.6;  // plenty of reconfigurations and entry changes
+    sc.workload.deviation = 0.6;  // plenty of reconfigurations and entry changes
     auto m = simulate_edge(lib, {AdaptPolicy::kAdaPEx, 0.10}, sc);
     EXPECT_EQ(m.drift_detections, 0) << "seed " << seed;
     EXPECT_EQ(m.seu_reloads, 0) << "seed " << seed;
@@ -485,7 +484,7 @@ TEST(EdgeMetricsWriters, RefuseNonFiniteValues) {
 TEST(EdgeMetricsWriters, ZeroSampleEpisodeStaysFinite) {
   const Library lib = controlled_library();
   EdgeScenario sc = steady_scenario(2);
-  sc.ips_per_camera = 0.0;  // nothing is ever offered
+  sc.workload.base_ips = 0.0;  // nothing is ever offered
   sc.duration_s = 1.0;
   auto m = simulate_edge(lib, {AdaptPolicy::kAdaPEx, 0.10}, sc);
   EXPECT_EQ(m.offered, 0);

@@ -2,8 +2,8 @@
 // per spec struct with every range-checked field broken, NaN included, must
 // produce exactly the listed (rule, severity, site) findings, in order. The
 // lists pin rule IDs, severities and sites, and that fields one rule checks
-// jointly (ES9's spike parameters, RP9's detection window, FS6's watermark
-// band, ...) still yield a single finding.
+// jointly (the workload's spike parameters, RP9's detection window, FS6's
+// watermark band, ...) still yield a single finding.
 
 #include <gtest/gtest.h>
 
@@ -38,21 +38,21 @@ std::vector<std::string> repeat(const std::vector<const char*>& rules,
 
 TEST(SpecLintIdentity, EdgeScenario) {
   EdgeScenario s;
-  s.cameras = 0;
-  s.ips_per_camera = -1.0;
   s.duration_s = kNaN;
-  s.deviation = -0.5;
-  s.deviation_period_s = 0.0;
   s.sample_period_s = kNaN;
   s.reselect_threshold = -0.1;
   s.queue_capacity = -2;
-  s.spike_start_s = kNaN;
-  s.spike_duration_s = -1.0;
-  s.spike_multiplier = -1.0;
   s.watchdog_periods = 0;
+  s.workload.base_ips = -1.0;
+  s.workload.period_s = 0.0;
+  s.workload.deviation = -0.5;
+  s.workload.spike_start_s = kNaN;
+  s.workload.spike_duration_s = -1.0;
+  s.workload.spike_multiplier = -1.0;
+  s.workload.pattern = WorkloadPattern::kTrace;  // with no trace entries
   EXPECT_EQ(findings(lint_edge_scenario(s)),
-            repeat({"ES1", "ES2", "ES3", "ES4", "ES5", "ES6", "ES7", "ES8",
-                    "ES9", "ES10"},
+            repeat({"ES3", "ES6", "ES7", "ES8", "ES10", "ES11", "ES11",
+                    "ES11", "ES11", "ES11"},
                    " error @ edge-scenario"));
 }
 
