@@ -1,7 +1,9 @@
 // Packed W2A2 popcount-GEMM bench: packed vs float GEMM throughput across
 // the CNV layer shapes at every supported ISA tier, the activation-packing
-// amortization curve, and the end-to-end evaluate_exits() speedup of the
-// packed inference path over the float layer graph (the PR's >=3x gate).
+// amortization curve, per-shape conv GEMM times of the eval-packed models
+// (threshold epilogue vs raw sums), and the end-to-end evaluate_exits()
+// speedup of the packed inference path over the float layer graph (the
+// >=3x gate).
 //
 //   ./build/bench/bench_packed            # full tables + speedup measurement
 //   ./build/bench/bench_packed --smoke    # CI gate: packed/float decision
@@ -178,6 +180,97 @@ void amortization_curve() {
   bench::emit(table, "bench_packed_amortization");
 }
 
+/// Per-shape conv GEMM times for the eval-packed workload's models (CNV
+/// width 0.25 with exits, pruned 0/25/50/75%): every packed conv GEMM a
+/// batch-32 packed_forward issues, timed with the production epilogue (the
+/// frozen stage's integer thresholds to codes) beside raw int32 sums, on
+/// the active tier. Weights and thresholds are the frozen stages'; the
+/// activation codes are random.
+void conv_shape_table() {
+  constexpr int kBatch = 32;
+  // packed_forward groups images so a narrow conv's GEMM has at least this
+  // many columns (nn/quant.cpp, kGroupColumns).
+  constexpr int kGroupColumns = 64;
+  TextTable table({"rate", "stage", "rows", "k", "cols", "int32_us",
+                   "codes_us", "codes_gops"});
+  CnvConfig cnv = CnvConfig{}.scaled(0.25);
+  Rng rng(7);
+  const BranchyModel base =
+      build_cnv_with_exits(cnv, paper_exits_config(false), rng);
+  for (const int rate : {0, 25, 50, 75}) {
+    BranchyModel model = base.clone();
+    PruneOptions po;
+    po.rate = rate / 100.0;
+    po.folding = styled_folding(
+        walk_compute_layers(model, cnv.in_channels, cnv.image_size));
+    prune_model(model, po);
+    const PackedModel frozen = freeze_packed(model);
+    // Walk the backbone's code geometry; heads tap it after their block.
+    int h = cnv.image_size;
+    const auto time_segment = [&](const PackedSegment& seg, int hh,
+                                  const char* part, std::size_t index) {
+      int conv = 0;
+      for (const PackedStage& st : seg.stages) {
+        if (st.kind == PackedStage::Kind::kFloatFront) {
+          hh -= st.qweight.dim(2) - 1;
+        } else if (st.kind == PackedStage::Kind::kMaxPool) {
+          hh = (hh - st.pool_kernel) / st.pool_stride + 1;
+        } else if (st.kind == PackedStage::Kind::kConv) {
+          hh -= st.kernel - 1;
+          const int pixels = hh * hh;
+          const int images =
+              std::min(kBatch, (kGroupColumns + pixels - 1) / pixels);
+          const int cols = images * pixels;
+          const int rows = st.weights.rows;
+          const auto ac = act_codes(cols, st.weights.k, rng);
+          packed::PackedActivations a;
+          packed::pack_activations(ac.data(), cols, st.weights.k, a);
+          std::vector<std::int32_t> sums(static_cast<std::size_t>(rows) * cols);
+          std::vector<std::uint8_t> codes(sums.size());
+          packed::Epilogue ei;
+          ei.mode = packed::Epilogue::Mode::kInt32;
+          ei.s32 = sums.data();
+          ei.row_stride = static_cast<std::size_t>(cols);
+          packed::Epilogue eq;
+          eq.mode = packed::Epilogue::Mode::kQuantize;
+          eq.thresholds = st.thresholds.data();
+          eq.codes = codes.data();
+          eq.row_stride = static_cast<std::size_t>(cols);
+          const double int32_s = time_per_call(
+              [&] { packed::popcount_gemm(st.weights, a, ei); }, 0.02);
+          const double codes_s = time_per_call(
+              [&] { packed::popcount_gemm(st.weights, a, eq); }, 0.02);
+          std::string stage = part;
+          stage += std::to_string(index);
+          stage += ".conv";
+          stage += std::to_string(conv++);
+          table.add_row(
+              {std::to_string(rate), stage,
+               std::to_string(rows), std::to_string(st.weights.k),
+               std::to_string(cols), TextTable::num(int32_s * 1e6, 1),
+               TextTable::num(codes_s * 1e6, 1),
+               TextTable::num(2.0 * rows * st.weights.k * cols / codes_s *
+                                  1e-9,
+                              1)});
+        }
+      }
+      return hh;
+    };
+    std::size_t e = 0;
+    for (std::size_t b = 0; b < frozen.blocks.size(); ++b) {
+      h = time_segment(frozen.blocks[b], h, "b", b);
+      for (; e < frozen.exits.size() &&
+             frozen.exits[e].after_block == static_cast<int>(b);
+           ++e) {
+        time_segment(frozen.exits[e].head, h, "exit", e);
+      }
+    }
+  }
+  std::cout << "conv GEMM per shape, batch " << kBatch << ", tier "
+            << packed::active_isa() << ":\n";
+  bench::emit(table, "bench_packed_conv_shapes");
+}
+
 struct EvalFixture {
   SyntheticDataset data;
   BranchyModel model;
@@ -272,7 +365,10 @@ int run(bool smoke) {
   std::cout << "active packed ISA tier: " << packed::active_isa() << "\n";
 
   gemm_table(smoke);
-  if (!smoke) amortization_curve();
+  if (!smoke) {
+    amortization_curve();
+    conv_shape_table();
+  }
 
   // Smoke uses a smaller test set so the gate stays fast on CI; the full
   // mode measures at the scale evaluate_exits runs during generation.

@@ -46,7 +46,8 @@
 // Exit codes (stable, meant for CI):
 //   0  no error-severity findings (verification passed if requested)
 //   3  the design has error findings or failed cross-validation
-//   1  usage errors
+//   1  usage errors (an unknown flag, a flag without a value, a second
+//      positional argument)
 //   2  runtime failures (unreadable files, bad flag values, ...)
 
 #include <cstring>
@@ -135,6 +136,12 @@ int emit(const analysis::LintReport& report, analysis::Severity min_severity,
 int main(int argc, char** argv) {
   const std::set<std::string> boolean_flags = {"json", "verify", "gen-spec",
                                                "verify-dataflow"};
+  const std::set<std::string> value_flags = {
+      "device",         "emit-folding",      "eval-path",
+      "exits",          "fleet-scenario",    "folding",
+      "folding-style",  "fractions",         "image-size",
+      "in-channels",    "journal-dir",       "max-point-retries",
+      "min-severity",   "partial-policy",    "scale"};
   std::string model_path;
   std::map<std::string, std::string> flags;
   for (int i = 1; i < argc; ++i) {
@@ -144,7 +151,7 @@ int main(int argc, char** argv) {
         flags.emplace(name, "");
         continue;
       }
-      if (i + 1 >= argc) return usage();
+      if (!value_flags.count(name) || i + 1 >= argc) return usage();
       flags[name] = argv[i + 1];
       ++i;
     } else if (model_path.empty()) {

@@ -194,14 +194,20 @@ void extract_packed_stage(const Tensor& weight, const BatchNorm* bn,
         ternary_row(weight.data() + static_cast<std::size_t>(r) * k, k,
                     codes.data() + static_cast<std::size_t>(r) * k);
   }
-  packed::pack_weights(codes.data(), rows, static_cast<int>(k),
-                       stage.weights);
   stage.scale_a.resize(static_cast<std::size_t>(rows));
   if (bn != nullptr) {
     // Fold alpha, the incoming code scale, and the BN eval affine into one
     // per-row (A, B): BN(x) = g*x + (beta - g*mean) with g = gamma*inv_std,
     // and x = alpha*cs_in*S, so z = (g*alpha*cs_in)*S + (beta - g*mean).
+    // Then derive the row's integer thresholds from that float epilogue; a
+    // row whose code falls as S rises (A < 0) has its ternary codes negated,
+    // so every row's thresholds count up.
     stage.bias_b.resize(static_cast<std::size_t>(rows));
+    stage.act_scale = act->scale();
+    stage.act_levels = (1 << act->bits()) - 1;
+    const float act_scale = std::max(act->scale(), 1e-12f);
+    stage.thresholds.resize(static_cast<std::size_t>(rows) *
+                            packed::kActLevels);
     for (int r = 0; r < rows; ++r) {
       const std::size_t i = static_cast<std::size_t>(r);
       const float inv_std =
@@ -209,9 +215,16 @@ void extract_packed_stage(const Tensor& weight, const BatchNorm* bn,
       const float g = bn->gamma()[i] * inv_std;
       stage.scale_a[i] = g * alpha[i] * st.cs_in;
       stage.bias_b[i] = bn->beta()[i] - g * bn->running_mean()[i];
+      const int sign = packed::derive_thresholds(
+          stage.scale_a[i], stage.bias_b[i], act_scale, static_cast<int>(k),
+          stage.thresholds.data() + i * packed::kActLevels);
+      if (sign < 0) {
+        std::int8_t* row = codes.data() + i * k;
+        for (std::size_t j = 0; j < k; ++j) {
+          row[j] = static_cast<std::int8_t>(-row[j]);
+        }
+      }
     }
-    stage.act_scale = act->scale();
-    stage.act_levels = (1 << act->bits()) - 1;
   } else {
     // Bare classifier: logits = alpha*cs_in*S per row, no shift.
     stage.logits = true;
@@ -220,6 +233,8 @@ void extract_packed_stage(const Tensor& weight, const BatchNorm* bn,
           alpha[static_cast<std::size_t>(r)] * st.cs_in;
     }
   }
+  packed::pack_weights(codes.data(), rows, static_cast<int>(k),
+                       stage.weights);
 }
 
 /// Freezes one Sequential (backbone block or exit head). `is_tail` marks a
@@ -488,10 +503,7 @@ void run_packed_conv(const PackedStage& st, const CodeView& in,
   buf.resize(static_cast<std::size_t>(in.n) * out_image);
   packed::Epilogue e;
   e.mode = packed::Epilogue::Mode::kQuantize;
-  e.scale = st.scale_a.data();
-  e.bias = st.bias_b.data();
-  e.act_scale = std::max(st.act_scale, 1e-12f);
-  e.act_levels = st.act_levels;
+  e.thresholds = st.thresholds.data();
   e.col_stride = 1;
   const int group = std::min(
       in.n, static_cast<int>((kGroupColumns + pixels - 1) / pixels));
@@ -560,12 +572,12 @@ Tensor run_segment(const PackedSegment& seg, const Tensor* float_in,
         const int rows = st.weights.rows;
         packed::pack_activations(view.data, view.n, in_features, sc.acts);
         packed::Epilogue e;
-        e.scale = st.scale_a.data();
         e.row_stride = 1;
         e.col_stride = static_cast<std::size_t>(rows);
         if (st.logits) {
           logits = Tensor({view.n, rows});
           e.mode = packed::Epilogue::Mode::kLogits;
+          e.scale = st.scale_a.data();
           e.logits = logits.data();
           // The classifier is the last stage; `view` goes stale, which is
           // fine — the caller consumes the returned logits.
@@ -573,9 +585,7 @@ Tensor run_segment(const PackedSegment& seg, const Tensor* float_in,
           std::vector<std::uint8_t>& buf = out_buf();
           buf.resize(static_cast<std::size_t>(view.n) * rows);
           e.mode = packed::Epilogue::Mode::kQuantize;
-          e.bias = st.bias_b.data();
-          e.act_scale = std::max(st.act_scale, 1e-12f);
-          e.act_levels = st.act_levels;
+          e.thresholds = st.thresholds.data();
           e.codes = buf.data();
           view = {buf.data(), view.n, rows, 1, 1};
         }

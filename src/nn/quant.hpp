@@ -72,18 +72,23 @@ class ActQuantizer {
 // BranchyModel once, extracts those exact codes into bit-plane-packed
 // operands (tensor/packed.hpp), and folds every per-channel float constant
 // (alpha, the activation code scale, and the following BatchNorm's eval
-// affine) into one per-row (A, B) pair applied in the popcount GEMM's fused
-// epilogue: z = A*S + B, with S the exact integer code dot product.
+// affine) into one per-row (A, B) pair: z = A*S + B, with S the exact
+// integer code dot product. A row that feeds an ActQuant then becomes
+// FINN's thresholding stage: three integer thresholds on S, derived from
+// that float epilogue (packed::derive_thresholds), so the popcount GEMM
+// turns its accumulators into codes by integer compares alone.
 //
 // The first conv group is kept in float ("float front"): the network input
 // is a float image, so the frozen model replays conv+BN+quantize exactly as
 // the float path does and only enters the integer domain at the first
 // activation codes — stage-one codes are bitwise identical by construction.
 // Everything downstream is integer-exact in S; the only float arithmetic is
-// the per-element epilogue, so packed logits track float logits to a tight
-// tolerance and argmax/exit decisions agree bitwise in practice (the
-// residual seam is a code/threshold landing within float-epsilon of a
-// rounding boundary; see DESIGN.md "Packed integer inference").
+// the classifiers' logits epilogue (and, at freeze time, the float
+// epilogue the thresholds are derived from), so packed logits track float
+// logits to a tight tolerance and argmax/exit decisions agree bitwise in
+// practice (the residual seam is a code/threshold landing within
+// float-epsilon of a rounding boundary; see DESIGN.md "Packed integer
+// inference").
 
 /// One fused stage of a frozen model segment.
 struct PackedStage {
@@ -96,11 +101,16 @@ struct PackedStage {
   Tensor bn_gamma, bn_beta, bn_mean, bn_var;  ///< BatchNorm eval state.
 
   // kConv / kLinear — popcount GEMM over packed planes:
-  packed::PackedWeights weights;
+  packed::PackedWeights weights;  ///< A row with A < 0 is stored negated.
   int in_channels = 0;         ///< kConv: weight C (im2col geometry).
   int kernel = 0;              ///< kConv: weight k.
   std::vector<float> scale_a;  ///< Per-row folded A.
   std::vector<float> bias_b;   ///< Per-row folded B (empty for logits).
+  /// Per-row integer thresholds [rows * packed::kActLevels] on the GEMM's
+  /// sum, derived from (A, B) and the floored act_scale; empty for logits.
+  /// They alone drive the quantize epilogue: (A, B) stay as their
+  /// reference.
+  std::vector<std::int32_t> thresholds;
   bool logits = false;         ///< Classifier tail: emit float logits.
 
   // kFloatFront / kConv / kLinear with a consuming ActQuant:

@@ -8,9 +8,12 @@
 // tier the host CPU supports is picked at first use, ADAPEX_PACKED_ISA
 // overrides it, and force_isa() re-pins it for tests. Unlike the float
 // kernels there is no reduction order to uphold across tiers — the GEMM
-// reduction is an exact integer and the packers move bits, identical
-// everywhere by construction, and the float epilogue and quantizer apply
-// the same exact IEEE ops per element in every tier.
+// reduction and its threshold epilogue are exact integer math and the
+// packers move bits, identical everywhere by construction, and the logits
+// epilogue and front quantizer apply the same exact IEEE ops per element in
+// every tier. reference_code, the float epilogue the integer thresholds are
+// derived from, lives here too, so it is built under the same
+// -ffp-contract=off rule.
 
 #include "tensor/packed.hpp"
 
@@ -234,6 +237,52 @@ inline std::uint64_t pack_code_row(const std::uint8_t* src, int width,
 
 }  // namespace
 
+// --------------------------------------------------------------- thresholds
+
+std::uint8_t reference_code(std::int32_t s, float a, float b,
+                            float act_scale) {
+  const float z = a * static_cast<float>(s) + b;
+  const float clamped = z < 0.0f ? 0.0f : (z > act_scale ? act_scale : z);
+  const float v = clamped / act_scale * static_cast<float>(kActLevels);
+  int code = 0;
+  for (int j = 0; j < kActLevels; ++j) {
+    code += v >= static_cast<float>(j) + 0.5f ? 1 : 0;
+  }
+  return static_cast<std::uint8_t>(code);
+}
+
+int derive_thresholds(float a, float b, float act_scale, int k,
+                      std::int32_t* t) {
+  ADAPEX_CHECK(k > 0 && k <= (1 << 28), "derive_thresholds: bad k");
+  const int sign = a < 0.0f ? -1 : 1;
+  const std::int32_t bound = 3 * k;
+  // Thresholds are non-decreasing in j, so each search starts at the last.
+  std::int32_t lo = -bound;
+  for (int j = 1; j <= kActLevels; ++j) {
+    std::int32_t hi = bound + 1;  // the "never reached" sentinel
+    // Bisection on reference_code over [lo, hi). Any probe inside the
+    // range keeps it exact, so the first probe goes where the real-valued
+    // crossing of the rearranged formula puts the answer and the second to
+    // its neighbour on the unsettled side: a right guess settles in two.
+    const double crossing =
+        sign * (((j - 0.5) / kActLevels * act_scale - b) / a);
+    const double guess = std::isfinite(crossing) ? std::ceil(crossing) : 0.0;
+    bool reached = false;
+    for (int step = 0; lo < hi; ++step) {
+      const std::int32_t mid =
+          step == 0 ? static_cast<std::int32_t>(
+                          std::clamp<double>(guess, lo, hi - 1.0))
+          : step == 1 ? (reached ? hi - 1 : lo)
+                      : lo + (hi - lo) / 2;
+      reached = reference_code(sign * mid, a, b, act_scale) >= j;
+      hi = reached ? mid : hi;
+      lo = reached ? lo : mid + 1;
+    }
+    t[j - 1] = lo;
+  }
+  return sign;
+}
+
 // ---------------------------------------------------------------- ISA tiers
 
 namespace scalar {
@@ -320,6 +369,9 @@ void popcount_gemm(const PackedWeights& weights, const PackedActivations& acts,
                "popcount_gemm: reduction length mismatch (" +
                    std::to_string(weights.k) + " vs " +
                    std::to_string(acts.k) + ")");
+  ADAPEX_CHECK(epilogue.mode != Epilogue::Mode::kQuantize ||
+                   epilogue.thresholds != nullptr,
+               "popcount_gemm: quantize epilogue without thresholds");
   dispatch().active().gemm(weights, acts, epilogue);
 }
 

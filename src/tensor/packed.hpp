@@ -20,10 +20,15 @@
 // i.e. 4 ANDs + 4 popcounts per 64-bit word stand in for 64 multiply-adds.
 // S is an exact integer, so every ISA tier produces bitwise-identical
 // results by construction — there is no float reduction order to preserve.
-// The fused epilogues (bias + clamp/quantize, mirroring the kernel layer's
-// bias/ReLU fusion) are the only float math, applied once per output
-// element in a fixed per-element order (this translation unit is built with
-// -ffp-contract=off like kernels.cpp), so they too are tier-invariant.
+// The quantize epilogue stays integer too: as in FINN's thresholding unit,
+// each output row carries kActLevels integer thresholds t_j on S, and the
+// code is the count of thresholds S clears. freeze_packed derives them from
+// the float epilogue z = A*S + B -> clamp -> round (reference_code below),
+// so the counted code equals the float one for every S a layer can
+// produce. Only the logits epilogue and reference_code are float math,
+// built from exact IEEE ops in a fixed per-element order (this translation
+// unit is built with -ffp-contract=off like kernels.cpp), so they too are
+// tier-invariant.
 //
 // Tiers: "scalar" (hardware popcnt via __builtin_popcountll), "avx2"
 // (vpshufb nibble-LUT popcount + vpsadbw), "avx512" (the same algorithm on
@@ -141,19 +146,49 @@ void quantize_front(const float* x, std::size_t n, const FrontQuant& q,
 void maxpool_codes(const std::uint8_t* in, int planes, int height, int width,
                    int kernel, int stride, std::uint8_t* out);
 
+/// Activation levels of the packed path's 2-bit codes (A2, the only width
+/// freeze_packed accepts): codes 0..kActLevels, kActLevels thresholds.
+constexpr int kActLevels = 3;
+
+/// The float quantize epilogue on one exact sum S, the reference the
+/// integer thresholds are derived from: per element, exactly
+///
+///   z = a * S + b;   c = clamp(z, 0, act_scale);   v = c / act_scale * 3;
+///   code = #{ j < 3 : v >= j + 0.5 }
+///
+/// with the clamp as two value selects (NaN passes through and codes 0).
+/// For fixed constants the code is monotone in S: non-decreasing when
+/// a > 0, non-increasing when a < 0, constant when a is 0 or NaN.
+std::uint8_t reference_code(std::int32_t s, float a, float b,
+                            float act_scale);
+
+/// Derives one quantizing row's integer thresholds from reference_code
+/// (FINN's thresholding stage) over the sums a k-long ternary x 2-bit
+/// reduction can produce, S in [-3k, 3k]. Returns the direction the GEMM
+/// must sum the row in: -1 when a < 0 (the caller negates the row's
+/// ternary weights, so the GEMM's sum is x = -S), +1 otherwise. Either way
+/// the code is non-decreasing in x, and t[j-1] is the smallest x in
+/// [-3k, 3k] with reference_code(sign * x) >= j, or 3k + 1 when none
+/// reaches j (j = 1..kActLevels), found by bisection on reference_code
+/// (the closed-form crossing only picks the first probes). Hence, for
+/// every x in range, sum_j [x >= t[j-1]] == reference_code(sign * x, a, b,
+/// act_scale).
+int derive_thresholds(float a, float b, float act_scale, int k,
+                      std::int32_t* t);
+
 /// What the fused epilogue does with the exact integer sum S of each output
 /// element (row r = out channel, column c = pixel / batch row).
 struct Epilogue {
   enum class Mode {
     kInt32,     ///< Store raw S into `s32` (differential tests).
-    kQuantize,  ///< z = scale[r]*S + bias[r]; store the 2-bit act code of z.
-    kLogits,    ///< Store scale[r]*S + (bias ? bias[r] : 0) as a float.
+    kQuantize,  ///< Store the 2-bit act code #{j : S >= thresholds[r*3+j]}.
+    kLogits,    ///< Store scale[r]*S as a float.
   };
   Mode mode = Mode::kInt32;
-  const float* scale = nullptr;  ///< Per-row A (folded alpha*cs*BN gain).
-  const float* bias = nullptr;   ///< Per-row B (folded BN shift); may be null.
-  float act_scale = 1.0f;        ///< kQuantize: the consuming ActQuant scale.
-  int act_levels = 3;            ///< kQuantize: (1 << bits) - 1.
+  /// kQuantize: per-row integer thresholds, [rows * kActLevels], each
+  /// row's non-decreasing (derive_thresholds).
+  const std::int32_t* thresholds = nullptr;
+  const float* scale = nullptr;  ///< kLogits: per-row A (alpha*cs).
   std::int32_t* s32 = nullptr;   ///< kInt32 destination.
   std::uint8_t* codes = nullptr; ///< kQuantize destination.
   float* logits = nullptr;       ///< kLogits destination.

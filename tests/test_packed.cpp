@@ -1,9 +1,10 @@
 // Tests for the bit-plane-packed W2A2 inference path (tensor/packed.hpp,
 // nn/quant.hpp freeze_packed / packed_forward, nn/eval.hpp dispatch):
-// pack/unpack round-trips, popcount GEMM vs integer and float references,
-// cross-tier byte-identity, bitwise differentials of the packed_forward
-// stages (front quantizer, im2col packing, code maxpool, grouped narrow
-// GEMMs) against their plain reference forms at every ISA tier, freeze
+// pack/unpack round-trips, popcount GEMM vs integer and float references
+// over every row/column tail, cross-tier byte-identity, bitwise
+// differentials of the packed_forward stages (front quantizer, im2col
+// packing, code maxpool, integer thresholds, grouped narrow GEMMs) against
+// their plain reference forms at every ISA tier, freeze
 // preconditions (rule RQ1), bitwise
 // argmax/exit-decision agreement with the float path on a trained CNV,
 // thread-count byte-identity, and library byte-identity packed-on vs
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -23,10 +25,13 @@
 #include "common/rng.hpp"
 #include "core/scale.hpp"
 #include "data/dataset.hpp"
+#include "hls/folding.hpp"
 #include "library/generator.hpp"
 #include "model/cnv.hpp"
+#include "model/walk.hpp"
 #include "nn/eval.hpp"
 #include "nn/trainer.hpp"
+#include "pruning/pruning.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/packed.hpp"
 
@@ -95,159 +100,6 @@ TEST(Packed, ActivationRoundTripIsExact) {
   }
 }
 
-TEST(Packed, PopcountGemmMatchesIntegerReference) {
-  for (int k : kLens) {
-    const int rows = 9;
-    const int cols = 13;
-    const auto wc = random_ternary(rows, k, 3000 + static_cast<unsigned>(k));
-    const auto ac = random_acts(cols, k, 4000 + static_cast<unsigned>(k));
-    packed::PackedWeights w;
-    packed::pack_weights(wc.data(), rows, k, w);
-    packed::PackedActivations a;
-    packed::pack_activations(ac.data(), cols, k, a);
-
-    std::vector<std::int32_t> got(static_cast<std::size_t>(rows) * cols, -7);
-    packed::Epilogue e;
-    e.mode = packed::Epilogue::Mode::kInt32;
-    e.s32 = got.data();
-    e.row_stride = static_cast<std::size_t>(cols);
-    e.col_stride = 1;
-    packed::popcount_gemm(w, a, e);
-
-    for (int r = 0; r < rows; ++r) {
-      for (int c = 0; c < cols; ++c) {
-        std::int32_t ref = 0;
-        for (int i = 0; i < k; ++i) {
-          ref += wc[static_cast<std::size_t>(r) * k + i] *
-                 static_cast<std::int32_t>(ac[static_cast<std::size_t>(c) * k + i]);
-        }
-        ASSERT_EQ(ref, got[static_cast<std::size_t>(r) * cols + c])
-            << "k=" << k << " r=" << r << " c=" << c;
-      }
-    }
-  }
-}
-
-TEST(Packed, EpiloguesMatchManualComposition) {
-  const int rows = 6, cols = 10, k = 91;
-  const auto wc = random_ternary(rows, k, 51);
-  const auto ac = random_acts(cols, k, 52);
-  packed::PackedWeights w;
-  packed::pack_weights(wc.data(), rows, k, w);
-  packed::PackedActivations a;
-  packed::pack_activations(ac.data(), cols, k, a);
-
-  std::vector<std::int32_t> s32(static_cast<std::size_t>(rows) * cols);
-  packed::Epilogue ei;
-  ei.mode = packed::Epilogue::Mode::kInt32;
-  ei.s32 = s32.data();
-  ei.row_stride = static_cast<std::size_t>(cols);
-  packed::popcount_gemm(w, a, ei);
-
-  Rng rng(53);
-  std::vector<float> scale(rows), bias(rows);
-  for (int r = 0; r < rows; ++r) {
-    scale[static_cast<std::size_t>(r)] =
-        static_cast<float>(rng.uniform() * 0.02 + 0.001);
-    bias[static_cast<std::size_t>(r)] =
-        static_cast<float>(rng.uniform() * 0.5 - 0.25);
-  }
-  const float act_scale = 0.8f;
-
-  // Quantize epilogue == manual z -> clamp -> round pipeline on the raw S.
-  std::vector<std::uint8_t> codes(static_cast<std::size_t>(rows) * cols, 99);
-  packed::Epilogue eq;
-  eq.mode = packed::Epilogue::Mode::kQuantize;
-  eq.scale = scale.data();
-  eq.bias = bias.data();
-  eq.act_scale = act_scale;
-  eq.act_levels = 3;
-  eq.codes = codes.data();
-  eq.row_stride = static_cast<std::size_t>(cols);
-  packed::popcount_gemm(w, a, eq);
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      const std::size_t at = static_cast<std::size_t>(r) * cols + c;
-      const float z = scale[static_cast<std::size_t>(r)] *
-                          static_cast<float>(s32[at]) +
-                      bias[static_cast<std::size_t>(r)];
-      const float clamped = std::clamp(z, 0.0f, act_scale);
-      const auto want = static_cast<std::uint8_t>(
-          std::lround(clamped / act_scale * 3.0f));
-      ASSERT_EQ(want, codes[at]) << "r=" << r << " c=" << c;
-    }
-  }
-
-  // Logits epilogue with the linear layout (row_stride=1, col_stride=rows):
-  // element (r, c) lands batch-major.
-  std::vector<float> logits(static_cast<std::size_t>(rows) * cols, -1.0f);
-  packed::Epilogue el;
-  el.mode = packed::Epilogue::Mode::kLogits;
-  el.scale = scale.data();
-  el.logits = logits.data();
-  el.row_stride = 1;
-  el.col_stride = static_cast<std::size_t>(rows);
-  packed::popcount_gemm(w, a, el);
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      const float want = scale[static_cast<std::size_t>(r)] *
-                         static_cast<float>(
-                             s32[static_cast<std::size_t>(r) * cols + c]);
-      ASSERT_EQ(want,
-                logits[static_cast<std::size_t>(c) * rows + r]);
-    }
-  }
-}
-
-TEST(Packed, AllSupportedIsaTiersAgreeBitwise) {
-  const std::string initial = packed::active_isa();
-  const int rows = 11, cols = 17, k = 257;
-  const auto wc = random_ternary(rows, k, 61);
-  const auto ac = random_acts(cols, k, 62);
-  packed::PackedWeights w;
-  packed::pack_weights(wc.data(), rows, k, w);
-  packed::PackedActivations a;
-  packed::pack_activations(ac.data(), cols, k, a);
-  std::vector<float> scale(rows, 0.003f), bias(rows, -0.1f);
-
-  std::vector<std::vector<std::int32_t>> s32_by_tier;
-  std::vector<std::vector<std::uint8_t>> codes_by_tier;
-  int tiers = 0;
-  for (const char* isa : {"scalar", "avx2", "avx512", "avx512vp"}) {
-    try {
-      packed::force_isa(isa);
-    } catch (const ConfigError&) {
-      continue;  // host lacks this tier
-    }
-    ++tiers;
-    std::vector<std::int32_t> s32(static_cast<std::size_t>(rows) * cols);
-    packed::Epilogue ei;
-    ei.mode = packed::Epilogue::Mode::kInt32;
-    ei.s32 = s32.data();
-    ei.row_stride = static_cast<std::size_t>(cols);
-    packed::popcount_gemm(w, a, ei);
-    s32_by_tier.push_back(std::move(s32));
-
-    std::vector<std::uint8_t> codes(static_cast<std::size_t>(rows) * cols);
-    packed::Epilogue eq;
-    eq.mode = packed::Epilogue::Mode::kQuantize;
-    eq.scale = scale.data();
-    eq.bias = bias.data();
-    eq.act_scale = 0.9f;
-    eq.codes = codes.data();
-    eq.row_stride = static_cast<std::size_t>(cols);
-    packed::popcount_gemm(w, a, eq);
-    codes_by_tier.push_back(std::move(codes));
-  }
-  packed::force_isa(initial.c_str());
-
-  ASSERT_GE(tiers, 1);  // scalar is always supported
-  for (std::size_t i = 1; i < s32_by_tier.size(); ++i) {
-    EXPECT_EQ(s32_by_tier[0], s32_by_tier[i]);
-    EXPECT_EQ(codes_by_tier[0], codes_by_tier[i]);
-  }
-}
-
 /// Every packed ISA tier this host supports (scalar always).
 std::vector<std::string> supported_tiers() {
   const std::string initial = packed::active_isa();
@@ -273,6 +125,261 @@ void for_each_tier(Fn&& fn) {
     fn(isa);
   }
   packed::force_isa(initial.c_str());
+}
+
+/// Exact integer S = codes(w row r) . codes(a column c), [rows, cols].
+std::vector<std::int32_t> reference_sums(const std::vector<std::int8_t>& wc,
+                                         const std::vector<std::uint8_t>& ac,
+                                         int rows, int cols, int k) {
+  std::vector<std::int32_t> s(static_cast<std::size_t>(rows) * cols, 0);
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      std::int32_t sum = 0;
+      for (int i = 0; i < k; ++i) {
+        sum += wc[static_cast<std::size_t>(r) * k + i] *
+               static_cast<std::int32_t>(ac[static_cast<std::size_t>(c) * k + i]);
+      }
+      s[static_cast<std::size_t>(r) * cols + c] = sum;
+    }
+  }
+  return s;
+}
+
+/// The manual float quantize composition on a raw sum: z -> clamp -> round.
+std::uint8_t manual_code(std::int32_t s, float a, float b, float act_scale) {
+  const float z = a * static_cast<float>(s) + b;
+  const float clamped = std::clamp(z, 0.0f, act_scale);
+  return static_cast<std::uint8_t>(std::lround(clamped / act_scale * 3.0f));
+}
+
+/// Packs `wc` for a quantize epilogue over rows (a[r], b[r], act_scale):
+/// derives each row's thresholds into `t` and negates the rows whose sign
+/// is -1, as freeze_packed does.
+packed::PackedWeights pack_quantizing_rows(std::vector<std::int8_t> wc, int k,
+                                           const std::vector<float>& a,
+                                           const std::vector<float>& b,
+                                           float act_scale,
+                                           std::vector<std::int32_t>& t) {
+  const int rows = static_cast<int>(a.size());
+  t.assign(static_cast<std::size_t>(rows) * packed::kActLevels, 0);
+  for (int r = 0; r < rows; ++r) {
+    const std::size_t i = static_cast<std::size_t>(r);
+    if (packed::derive_thresholds(a[i], b[i], act_scale, k,
+                                  t.data() + i * packed::kActLevels) < 0) {
+      for (int j = 0; j < k; ++j) {
+        std::int8_t& w = wc[i * static_cast<std::size_t>(k) + j];
+        w = static_cast<std::int8_t>(-w);
+      }
+    }
+  }
+  packed::PackedWeights w;
+  packed::pack_weights(wc.data(), rows, k, w);
+  return w;
+}
+
+// Every tier, every register-block row remainder (rows 1..9 against the
+// 4-row block) and every column-step tail (cols 1..17 against the 4/8
+// column steps, plus one past the 256-column chunk), in every epilogue:
+// raw sums, threshold codes in the conv (row-major) and linear
+// (batch-major) layouts, and logits.
+TEST(Packed, PopcountGemmMatchesIntegerReference) {
+  constexpr int kMaxRows = 9;
+  std::vector<int> col_counts;
+  for (int c = 1; c <= 17; ++c) col_counts.push_back(c);
+  col_counts.push_back(257);
+  const int max_cols = col_counts.back();
+  for (int k : kLens) {
+    // Prefixes of one operand pair: the first `rows` weight rows and the
+    // first `cols` activation columns, so one reference serves every shape.
+    const auto wc = random_ternary(kMaxRows, k, 3000 + static_cast<unsigned>(k));
+    const auto ac = random_acts(max_cols, k, 4000 + static_cast<unsigned>(k));
+    const auto ref = reference_sums(wc, ac, kMaxRows, max_cols, k);
+    // Per-row thresholds around the sums' spread, plus both range ends.
+    const std::int32_t step = 1 + k / 64;
+    std::vector<std::int32_t> t;
+    std::vector<float> scale;
+    for (int r = 0; r < kMaxRows; ++r) {
+      const std::int32_t lo = r == 0 ? -3 * k : -(r + 1) * step;
+      const std::int32_t hi = r == 1 ? 3 * k + 1 : (r % 3) * step + 1;
+      t.insert(t.end(), {lo, std::min(0, hi), hi});
+      scale.push_back(0.01f * static_cast<float>(r + 1));
+    }
+    for (int rows = 1; rows <= kMaxRows; ++rows) {
+      packed::PackedWeights w;
+      packed::pack_weights(wc.data(), rows, k, w);
+      for (const int cols : col_counts) {
+        packed::PackedActivations a;
+        packed::pack_activations(ac.data(), cols, k, a);
+        const std::size_t n = static_cast<std::size_t>(rows) * cols;
+        for_each_tier([&](const std::string& isa) {
+          const std::string where = isa + " k=" + std::to_string(k) +
+                                    " rows=" + std::to_string(rows) +
+                                    " cols=" + std::to_string(cols);
+          std::vector<std::int32_t> got(n, -7);
+          packed::Epilogue ei;
+          ei.mode = packed::Epilogue::Mode::kInt32;
+          ei.s32 = got.data();
+          ei.row_stride = static_cast<std::size_t>(cols);
+          packed::popcount_gemm(w, a, ei);
+
+          std::vector<std::uint8_t> conv(n, 0xee);
+          std::vector<std::uint8_t> linear(n, 0xee);
+          packed::Epilogue eq;
+          eq.mode = packed::Epilogue::Mode::kQuantize;
+          eq.thresholds = t.data();
+          eq.codes = conv.data();
+          eq.row_stride = static_cast<std::size_t>(cols);
+          packed::popcount_gemm(w, a, eq);
+          eq.codes = linear.data();
+          eq.row_stride = 1;
+          eq.col_stride = static_cast<std::size_t>(rows);
+          packed::popcount_gemm(w, a, eq);
+
+          std::vector<float> logits(n, -1.0f);
+          packed::Epilogue el;
+          el.mode = packed::Epilogue::Mode::kLogits;
+          el.scale = scale.data();
+          el.logits = logits.data();
+          el.row_stride = static_cast<std::size_t>(cols);
+          packed::popcount_gemm(w, a, el);
+
+          for (int r = 0; r < rows; ++r) {
+            const std::int32_t* tr = t.data() + r * packed::kActLevels;
+            for (int c = 0; c < cols; ++c) {
+              const std::size_t rc = static_cast<std::size_t>(r) * cols + c;
+              const std::size_t cr = static_cast<std::size_t>(c) * rows + r;
+              const std::int32_t s =
+                  ref[static_cast<std::size_t>(r) * max_cols + c];
+              const auto code = static_cast<std::uint8_t>(
+                  (s >= tr[0]) + (s >= tr[1]) + (s >= tr[2]));
+              ASSERT_EQ(s, got[rc]) << where << " r=" << r << " c=" << c;
+              ASSERT_EQ(code, conv[rc]) << where << " r=" << r << " c=" << c;
+              ASSERT_EQ(code, linear[cr])
+                  << where << " r=" << r << " c=" << c;
+              ASSERT_EQ(scale[static_cast<std::size_t>(r)] *
+                            static_cast<float>(s),
+                        logits[rc])
+                  << where << " r=" << r << " c=" << c;
+            }
+          }
+        });
+      }
+    }
+  }
+}
+
+TEST(Packed, EpiloguesMatchManualComposition) {
+  const int rows = 6, cols = 10, k = 91;
+  const auto wc = random_ternary(rows, k, 51);
+  const auto ac = random_acts(cols, k, 52);
+  packed::PackedActivations a;
+  packed::pack_activations(ac.data(), cols, k, a);
+  const auto s32 = reference_sums(wc, ac, rows, cols, k);
+
+  // Scales of both signs: the rows with A < 0 take the negated-weight path.
+  Rng rng(53);
+  std::vector<float> scale(rows), bias(rows);
+  for (int r = 0; r < rows; ++r) {
+    const float mag = static_cast<float>(rng.uniform() * 0.02 + 0.001);
+    scale[static_cast<std::size_t>(r)] = r % 2 == 1 ? -mag : mag;
+    bias[static_cast<std::size_t>(r)] =
+        static_cast<float>(rng.uniform() * 0.5 - 0.25) +
+        (r % 2 == 1 ? 0.3f : 0.0f);
+  }
+  const float act_scale = 0.8f;
+
+  // Threshold epilogue == manual z -> clamp -> round pipeline on the raw S.
+  std::vector<std::int32_t> t;
+  const packed::PackedWeights w =
+      pack_quantizing_rows(wc, k, scale, bias, act_scale, t);
+  std::vector<std::uint8_t> codes(static_cast<std::size_t>(rows) * cols, 99);
+  packed::Epilogue eq;
+  eq.mode = packed::Epilogue::Mode::kQuantize;
+  eq.thresholds = t.data();
+  eq.codes = codes.data();
+  eq.row_stride = static_cast<std::size_t>(cols);
+  packed::popcount_gemm(w, a, eq);
+  int nonzero = 0;
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      const std::size_t at = static_cast<std::size_t>(r) * cols + c;
+      const std::uint8_t want =
+          manual_code(s32[at], scale[static_cast<std::size_t>(r)],
+                      bias[static_cast<std::size_t>(r)], act_scale);
+      ASSERT_EQ(want, codes[at]) << "r=" << r << " c=" << c;
+      nonzero += want != 0;
+    }
+  }
+  EXPECT_GT(nonzero, 0);
+
+  // Logits epilogue with the linear layout (row_stride=1, col_stride=rows):
+  // element (r, c) lands batch-major.
+  packed::PackedWeights plain;
+  packed::pack_weights(wc.data(), rows, k, plain);
+  std::vector<float> logits(static_cast<std::size_t>(rows) * cols, -1.0f);
+  packed::Epilogue el;
+  el.mode = packed::Epilogue::Mode::kLogits;
+  el.scale = scale.data();
+  el.logits = logits.data();
+  el.row_stride = 1;
+  el.col_stride = static_cast<std::size_t>(rows);
+  packed::popcount_gemm(plain, a, el);
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      const float want = scale[static_cast<std::size_t>(r)] *
+                         static_cast<float>(
+                             s32[static_cast<std::size_t>(r) * cols + c]);
+      ASSERT_EQ(want,
+                logits[static_cast<std::size_t>(c) * rows + r]);
+    }
+  }
+}
+
+TEST(Packed, AllSupportedIsaTiersAgreeBitwise) {
+  const int rows = 11, cols = 17, k = 257;
+  const auto wc = random_ternary(rows, k, 61);
+  const auto ac = random_acts(cols, k, 62);
+  packed::PackedWeights w;
+  packed::pack_weights(wc.data(), rows, k, w);
+  packed::PackedActivations a;
+  packed::pack_activations(ac.data(), cols, k, a);
+  const std::vector<float> scale(rows, 0.003f), bias(rows, -0.1f);
+  const float act_scale = 0.9f;
+  std::vector<std::int32_t> t;
+  const packed::PackedWeights wq =
+      pack_quantizing_rows(wc, k, scale, bias, act_scale, t);
+
+  std::vector<std::vector<std::int32_t>> s32_by_tier;
+  std::vector<std::vector<std::uint8_t>> codes_by_tier;
+  for_each_tier([&](const std::string&) {
+    std::vector<std::int32_t> s32(static_cast<std::size_t>(rows) * cols);
+    packed::Epilogue ei;
+    ei.mode = packed::Epilogue::Mode::kInt32;
+    ei.s32 = s32.data();
+    ei.row_stride = static_cast<std::size_t>(cols);
+    packed::popcount_gemm(w, a, ei);
+    s32_by_tier.push_back(std::move(s32));
+
+    std::vector<std::uint8_t> codes(static_cast<std::size_t>(rows) * cols);
+    packed::Epilogue eq;
+    eq.mode = packed::Epilogue::Mode::kQuantize;
+    eq.thresholds = t.data();
+    eq.codes = codes.data();
+    eq.row_stride = static_cast<std::size_t>(cols);
+    packed::popcount_gemm(wq, a, eq);
+    codes_by_tier.push_back(std::move(codes));
+  });
+
+  ASSERT_GE(s32_by_tier.size(), 1u);  // scalar is always supported
+  for (std::size_t i = 1; i < s32_by_tier.size(); ++i) {
+    EXPECT_EQ(s32_by_tier[0], s32_by_tier[i]);
+    EXPECT_EQ(codes_by_tier[0], codes_by_tier[i]);
+  }
+  for (std::size_t at = 0; at < s32_by_tier[0].size(); ++at) {
+    ASSERT_EQ(manual_code(s32_by_tier[0][at], 0.003f, -0.1f, act_scale),
+              codes_by_tier[0][at])
+        << "element " << at;
+  }
 }
 
 /// The float front's BN + quantize as the scalar loop spelled it before it
@@ -627,6 +734,159 @@ TEST(PackedModel, GroupedNarrowGemmsMatchPerImageForward) {
       }
     }
   });
+}
+
+/// One quantizing row under test: its float epilogue, the direction the
+/// GEMM sums it in, and its integer thresholds.
+struct ThresholdRow {
+  float a = 0.0f, b = 0.0f, act_scale = 1.0f;
+  int sign = 1;
+  std::int32_t t[packed::kActLevels] = {};
+};
+
+/// For every x in [-3k, 3k]: the tier's threshold epilogue on sum x must
+/// equal reference_code(sign * x) of the row's float epilogue. The GEMM of
+/// an all +1 and an all -1 weight row per tested row, against "ramp"
+/// columns whose codes sum to 0..3k, produces every x on every tier.
+void expect_thresholds_match(int k, const std::vector<ThresholdRow>& rows,
+                             const std::string& what) {
+  const int cols = 3 * k + 1;
+  std::vector<std::uint8_t> ramp(static_cast<std::size_t>(cols) * k, 0);
+  for (int c = 0; c < cols; ++c) {
+    int left = c;
+    for (int i = 0; i < k && left > 0; ++i) {
+      const int v = std::min(3, left);
+      ramp[static_cast<std::size_t>(c) * k + i] = static_cast<std::uint8_t>(v);
+      left -= v;
+    }
+  }
+  packed::PackedActivations a;
+  packed::pack_activations(ramp.data(), cols, k, a);
+  const int n = static_cast<int>(rows.size()) * 2;
+  std::vector<std::int8_t> wc(static_cast<std::size_t>(n) * k);
+  std::vector<std::int32_t> t;
+  std::vector<std::uint8_t> want(static_cast<std::size_t>(n) * cols);
+  for (const ThresholdRow& row : rows) {  // the documented range and order
+    ASSERT_LE(-3 * k, row.t[0]) << what << " a=" << row.a << " b=" << row.b;
+    ASSERT_LE(row.t[0], row.t[1]) << what << " a=" << row.a << " b=" << row.b;
+    ASSERT_LE(row.t[1], row.t[2]) << what << " a=" << row.a << " b=" << row.b;
+    ASSERT_LE(row.t[2], 3 * k + 1) << what << " a=" << row.a << " b=" << row.b;
+  }
+  for (int r = 0; r < n; ++r) {
+    const ThresholdRow& row = rows[static_cast<std::size_t>(r / 2)];
+    const int dir = r % 2 == 0 ? 1 : -1;  // this GEMM row's sum is dir * c
+    std::fill_n(wc.begin() + static_cast<std::ptrdiff_t>(r) * k, k,
+                static_cast<std::int8_t>(dir));
+    t.insert(t.end(), row.t, row.t + packed::kActLevels);
+    for (int c = 0; c < cols; ++c) {
+      want[static_cast<std::size_t>(r) * cols + c] = packed::reference_code(
+          row.sign * dir * c, row.a, row.b, row.act_scale);
+    }
+  }
+  packed::PackedWeights w;
+  packed::pack_weights(wc.data(), n, k, w);
+  for_each_tier([&](const std::string& isa) {
+    std::vector<std::uint8_t> got(want.size(), 0xee);
+    packed::Epilogue e;
+    e.mode = packed::Epilogue::Mode::kQuantize;
+    e.thresholds = t.data();
+    e.codes = got.data();
+    e.row_stride = static_cast<std::size_t>(cols);
+    packed::popcount_gemm(w, a, e);
+    for (int r = 0; r < n; ++r) {
+      for (int c = 0; c < cols; ++c) {
+        const std::size_t at = static_cast<std::size_t>(r) * cols + c;
+        const ThresholdRow& row = rows[static_cast<std::size_t>(r / 2)];
+        ASSERT_EQ(want[at], got[at])
+            << what << " " << isa << " row " << r / 2 << " (a=" << row.a
+            << " b=" << row.b << " s=" << row.act_scale << " t={" << row.t[0]
+            << "," << row.t[1] << "," << row.t[2] << "}) at x="
+            << (r % 2 == 0 ? c : -c);
+      }
+    }
+  });
+}
+
+TEST(PackedStages, IntegerThresholdsMatchFloatEpilogue) {
+  // Every quantizing row of a frozen, pruned CNV.
+  TrainedFixture& fx = trained();
+  BranchyModel pruned = fx.model.clone();
+  PruneOptions po;
+  po.rate = 0.5;
+  po.folding = styled_folding(walk_compute_layers(pruned, 3, 32));
+  prune_model(pruned, po);
+  const PackedModel frozen = freeze_packed(pruned);
+  std::vector<const PackedSegment*> segments;
+  for (const PackedSegment& seg : frozen.blocks) segments.push_back(&seg);
+  for (const PackedModel::Exit& x : frozen.exits) segments.push_back(&x.head);
+  int stages = 0;
+  for (const PackedSegment* seg : segments) {
+    for (const PackedStage& st : seg->stages) {
+      if (st.thresholds.empty()) continue;
+      ++stages;
+      std::vector<ThresholdRow> rows(static_cast<std::size_t>(st.weights.rows));
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        rows[r].a = st.scale_a[r];
+        rows[r].b = st.bias_b[r];
+        rows[r].act_scale = std::max(st.act_scale, 1e-12f);
+        rows[r].sign = st.scale_a[r] < 0.0f ? -1 : 1;
+        std::copy_n(st.thresholds.data() + r * packed::kActLevels,
+                    packed::kActLevels, rows[r].t);
+      }
+      expect_thresholds_match(st.weights.k, rows,
+                              "stage " + std::to_string(stages));
+    }
+  }
+  EXPECT_GE(stages, 6);  // 5 packed convs + the hidden linears at least
+
+  // Adversarial rows through derive_thresholds itself.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  for (const int k : {1, 91}) {
+    const float top = 0.01f * static_cast<float>(3 * k);
+    const std::vector<std::array<float, 3>> cases = {
+        {0.01f, 0.2f, 0.8f},      // plain positive A
+        {-0.01f, 0.5f, 0.8f},     // negative A: the negated-weight path
+        {-0.3f, -0.2f, 0.8f},     // negative A, codes only for S < 0
+        {0.0f, 0.5f, 0.8f},       // zero A: constant code
+        {-0.0f, 0.3f, 0.8f},      // negative zero A
+        {kInf, 0.0f, 0.8f},       // +Inf A (NaN at S = 0)
+        {-kInf, 0.0f, 0.8f},      // -Inf A
+        {kInf, -kInf, 0.8f},      // NaN or -Inf everywhere
+        {kNaN, 0.1f, 0.8f},       // NaN A
+        {0.01f, kNaN, 0.8f},      // NaN B
+        {0.001f, -1e3f, 0.8f},    // never reaches 1: all thresholds 3k+1
+        {0.001f, 1e3f, 0.8f},     // always 3: all thresholds -3k
+        {0.01f, top + 0.2f, 1.0f},  // code 1 at S = -3k, t_1 at the low end
+        {0.01f, 0.84f - top, 1.0f},  // code 3 only at S = 3k
+        {1e-14f, 0.0f, 1e-12f},   // act_scale at its floor
+        {-1e-13f, 1e-12f, 1e-12f},
+        {0.5f, 0.0f, 3.0f},       // v = 1.5 exactly at S = 3
+    };
+    std::vector<ThresholdRow> rows;
+    for (const auto& c : cases) {
+      ThresholdRow row;
+      row.a = c[0];
+      row.b = c[1];
+      row.act_scale = c[2];
+      row.sign = packed::derive_thresholds(row.a, row.b, row.act_scale, k,
+                                           row.t);
+      EXPECT_EQ(row.sign, row.a < 0.0f ? -1 : 1) << "a=" << row.a;
+      rows.push_back(row);
+    }
+    expect_thresholds_match(k, rows, "adversarial k=" + std::to_string(k));
+    EXPECT_EQ((std::vector<std::int32_t>{3 * k + 1, 3 * k + 1, 3 * k + 1}),
+              std::vector<std::int32_t>(rows[10].t, rows[10].t + 3));
+    EXPECT_EQ((std::vector<std::int32_t>{-3 * k, -3 * k, -3 * k}),
+              std::vector<std::int32_t>(rows[11].t, rows[11].t + 3));
+    EXPECT_EQ(-3 * k, rows[12].t[0]);
+    EXPECT_EQ(3 * k, rows[13].t[2]);
+    if (k >= 3) {
+      // The boundary row's second threshold sits exactly where v == 1.5.
+      EXPECT_EQ(2, packed::reference_code(3, 0.5f, 0.0f, 3.0f));
+      EXPECT_EQ(3, rows[16].t[1]);
+    }
+  }
 }
 
 TEST(PackedModel, EvaluateExitsDecisionIdentityPackedVsFloat) {
